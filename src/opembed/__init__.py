@@ -16,10 +16,9 @@ from .errors import (
 )
 from .featurize import (
     FeatureSchema,
-    TrainingTriple,
     build_schema,
     encode,
-    extract_triples,
+    encode_corpus,
     schema_from_json,
     schema_hash,
     schema_to_json,
@@ -88,7 +87,6 @@ __all__ = [
     "SynthConfig",
     "TaskSpec",
     "TrainingDivergedError",
-    "TrainingTriple",
     "WalkItem",
     "build",
     "build_schema",
@@ -97,7 +95,7 @@ __all__ = [
     "embed",
     "embed_corpus",
     "encode",
-    "extract_triples",
+    "encode_corpus",
     "flag_query",
     "generate",
     "ground_truth",

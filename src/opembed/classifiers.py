@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 KNN_EPS = 1e-9
+MODELS = ("logreg", "knn", "rf", "svm", "dummy")
 
 
 @dataclass(frozen=True)
@@ -269,6 +270,25 @@ def train_dummy(s: LabeledSet) -> Classifier:
         raise ValueError("empty training set")
     majority = int(np.argmax(np.bincount(s.y, minlength=len(s.classes))))
     return Classifier("dummy", s.classes, s.dim, {"majority": majority}, s.provenance)
+
+
+def train(model: str, s: LabeledSet, seed: int = 0) -> Classifier:
+    """Train one model from MODELS with its default settings.
+
+    The trainers are looked up as module globals at call time, so a wrapper
+    set on this module's attributes sees every fit.
+    """
+    if model == "logreg":
+        return train_logreg(s, seed=seed)
+    if model == "knn":
+        return train_knn(s)
+    if model == "rf":
+        return train_rf(s, seed=seed)
+    if model == "svm":
+        return train_linsvm(s, seed=seed)
+    if model == "dummy":
+        return train_dummy(s)
+    raise ValueError(f"unknown model {model!r}; want one of {MODELS}")
 
 
 def _check_rows(clf: Classifier, x: np.ndarray) -> np.ndarray:

@@ -19,18 +19,23 @@ import numpy as np
 
 from . import store
 from .classifiers import (
+    MODELS,
     FeatProvenance,
     make_labeled_set,
     predict as clf_predict,
-    train_knn,
-    train_linsvm,
-    train_logreg,
-    train_rf,
+    train as train_classifier,
 )
 from .errors import OpembedError
 from .evaluate import evaluate as run_evaluate
-from .featurize import build_schema, encode, extract_triples, schema_hash
-from .hourglass import HourglassSpec, build, cut_off, embed_corpus, train_embedding
+from .featurize import build_schema, encode_corpus, schema_hash
+from .hourglass import (
+    HourglassSpec,
+    build,
+    cut_off,
+    embed_corpus,
+    project_2d,
+    train_embedding,
+)
 from .nn import SgdConfig
 from .plans import load_corpus, save_corpus, walk_operators
 from .reducers import fit_fa, fit_pca, transform_fa, transform_pca
@@ -42,15 +47,7 @@ from .synth import (
     planted_card_config,
     tpcds_like_config,
 )
-from .tasks import (
-    ADMISSION_CLASSES,
-    CARD_CLASSES,
-    TaskSpec,
-    label_admission,
-    label_card,
-    label_user,
-    make_folds,
-)
+from .tasks import TaskSpec, make_folds, task_labels
 
 PRESETS = ("default", "planted-card", "tpcds-like", "context-probe")
 
@@ -117,18 +114,6 @@ def _read_feature_csv(path) -> tuple[list[str], np.ndarray]:
     return ids, np.asarray(rows)
 
 
-def _sparse_ids_matrix(schema, corpus) -> tuple[list[str], np.ndarray]:
-    ids, rows = [], []
-    counts: dict[int, int] = {}
-    for item in walk_operators(corpus):
-        qi = id(item.record)
-        k = counts.get(qi, 0)
-        counts[qi] = k + 1
-        ids.append(f"{item.record.query_id}#{k}")
-        rows.append(encode(schema, item.node))
-    return ids, np.stack(rows)
-
-
 @click.group()
 def main() -> None:
     """Operator-embedding toolkit for query-plan workloads."""
@@ -172,24 +157,24 @@ def train_embedding_cmd(corpus_path, embedding_dim, hidden, epochs, lr, batch, s
     """Fit the sparse schema and train the child-prediction network."""
     corpus = load_corpus(corpus_path)
     schema = build_schema(corpus)
-    triples = extract_triples(schema, corpus)
+    table = encode_corpus(schema, corpus)
     hidden_dims = _parse_hidden(hidden)
     net = build(HourglassSpec(schema.total_dim, hidden_dims, embedding_dim, seed), schema)
     sgd = SgdConfig(learning_rate=lr, batch_size=batch, epochs=epochs, seed=seed)
-    net, trace = train_embedding(net, triples, sgd, masked=masked_loss)
+    net, trace = train_embedding(net, table.X, table.children, sgd, masked=masked_loss)
     encoder = cut_off(net, pre_activation=pre_activation)
     meta = {
         "seed": seed, "epochs": epochs, "learning_rate": lr, "batch_size": batch,
         "hidden_dims": list(hidden_dims), "embedding_dim": embedding_dim,
         "masked_loss": masked_loss, "pre_activation": pre_activation,
-        "queries": len(corpus.records), "operators": len(triples),
+        "queries": len(corpus.records), "operators": len(table),
         "final_loss": trace[-1],
     }
     store.save_encoder_bundle(encoder_out, encoder, schema, meta)
     if schema_out:
         store.save_schema_bundle(schema_out, schema, meta={"queries": len(corpus.records)})
     click.echo(
-        f"trained {embedding_dim}-dim encoder on {len(triples)} operators, "
+        f"trained {embedding_dim}-dim encoder on {len(table)} operators, "
         f"loss {trace[0]:.4f} -> {trace[-1]:.4f}, wrote {encoder_out}"
     )
 
@@ -229,7 +214,8 @@ def reduce(corpus_path, schema_path, method, dim, seed, out, model_out) -> None:
     corpus = load_corpus(corpus_path)
     schema, _ = store.load_schema_bundle(schema_path)
     digest = schema_hash(schema)
-    ids, X = _sparse_ids_matrix(schema, corpus)
+    table = encode_corpus(schema, corpus)
+    X = table.X
     if method == "pca":
         model = fit_pca(X, dim, seed=seed)
         rows = transform_pca(model, X)
@@ -247,12 +233,12 @@ def reduce(corpus_path, schema_path, method, dim, seed, out, model_out) -> None:
             raise ValueError("--model-out applies to pca/fa, not sparse")
         rows = X
         cols = [slot.name for slot in schema.slots]
-    _write_feature_csv(out, ids, cols, rows)
+    _write_feature_csv(out, table.ids, cols, rows)
     click.echo(f"wrote {rows.shape[0]}x{rows.shape[1]} {method} features -> {out}")
 
 
 _TASK_CHOICES = ("admission", "card", "user")
-_MODEL_CHOICES = ("logreg", "knn", "rf", "svm")
+_MODEL_CHOICES = tuple(m for m in MODELS if m != "dummy")
 
 
 def _provenance_from_bundle(path) -> FeatProvenance:
@@ -280,33 +266,13 @@ def train_task(corpus_path, features_path, task, model, percentile, factor, seed
     """Label the corpus operators and train one classifier on the features."""
     corpus = load_corpus(corpus_path)
     ids, X = _read_feature_csv(features_path)
-    threshold = None
-    if task == "admission":
-        labels, threshold = label_admission(corpus, percentile)
-        classes: tuple[str, ...] = ADMISSION_CLASSES
-    elif task == "card":
-        labels = label_card(corpus, factor)
-        classes = CARD_CLASSES
-    else:
-        labels = label_user(corpus)
-        seen: dict[str, None] = {}
-        for lab in labels:
-            seen.setdefault(lab)
-        classes = tuple(seen)
+    labels, classes, threshold = task_labels(TaskSpec(task, percentile, factor), corpus)
     if len(labels) != len(X):
         raise ValueError(
             f"{features_path} has {len(X)} rows but the corpus has {len(labels)} operators"
         )
     prov = _provenance_from_bundle(provenance_path) if provenance_path else FeatProvenance("csv")
-    labeled = make_labeled_set(X, labels, classes, prov)
-    if model == "logreg":
-        clf = train_logreg(labeled, seed=seed)
-    elif model == "knn":
-        clf = train_knn(labeled)
-    elif model == "rf":
-        clf = train_rf(labeled, seed=seed)
-    else:
-        clf = train_linsvm(labeled, seed=seed)
+    clf = train_classifier(model, make_labeled_set(X, labels, classes, prov), seed)
     meta = {"task": task, "seed": seed}
     if task == "admission":
         meta["percentile"] = percentile
@@ -345,8 +311,8 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
         if schema is None:
             raise ValueError(f"{encoder_path} carries no schema")
         feat_hash = encoder.schema_digest
-        ids, X = _sparse_ids_matrix(schema, corpus)
-        F = encoder(X)
+        table = encode_corpus(schema, corpus)
+        F = encoder(table.X)
     elif reducer_path:
         if not schema_path:
             raise ValueError("--reducer needs --schema to build sparse vectors")
@@ -354,19 +320,20 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
         header, _ = store.load_bundle(reducer_path)
         feat_hash = header["schema_hash"]
         store.check_schema_hash(feat_hash, schema_hash(schema), "reducer vs schema")
-        ids, X = _sparse_ids_matrix(schema, corpus)
+        table = encode_corpus(schema, corpus)
         if header["kind"] == "pca":
             model, _ = store.load_pca_bundle(reducer_path)
-            F = transform_pca(model, X)
+            F = transform_pca(model, table.X)
         elif header["kind"] == "fa":
             model, _ = store.load_fa_bundle(reducer_path)
-            F = np.atleast_2d(transform_fa(model, X))
+            F = np.atleast_2d(transform_fa(model, table.X))
         else:
             raise ValueError(f"{reducer_path} is a {header['kind']} bundle, not a reducer")
     elif schema_path:
         schema, _ = store.load_schema_bundle(schema_path)
         feat_hash = schema_hash(schema)
-        ids, F = _sparse_ids_matrix(schema, corpus)
+        table = encode_corpus(schema, corpus)
+        F = table.X
     else:
         raise ValueError("pass one of --encoder, --reducer + --schema, or --schema")
 
@@ -385,30 +352,20 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "node_type", "prediction", "latency_ms"])
-        for rid, ntype, pred, ms in zip(ids, node_types, preds, latencies):
+        for rid, ntype, pred, ms in zip(table.ids, node_types, preds, latencies):
             writer.writerow([rid, ntype, pred, repr(ms)])
 
     if positive in clf.classes:
         # verdict per query: flag when any of its operators predicts the positive class
-        flagged = 0
-        verdict_path = f"{out}.verdicts.csv"
-        with open(verdict_path, "w", newline="") as fh:
+        hit = np.zeros(len(corpus.records), dtype=bool)
+        hit[table.query_index[np.array(preds) == positive]] = True
+        with open(f"{out}.verdicts.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["query_id", "verdict"])
-            by_query: dict[str, bool] = {}
-            order: list[str] = []
-            for rid, pred in zip(ids, preds):
-                qid = rid.rsplit("#", 1)[0]
-                if qid not in by_query:
-                    by_query[qid] = False
-                    order.append(qid)
-                by_query[qid] = by_query[qid] or (pred == positive)
-            for qid in order:
-                verdict = "flag" if by_query[qid] else "admit"
-                flagged += verdict == "flag"
-                writer.writerow([qid, verdict])
+            for record, flag in zip(corpus.records, hit):
+                writer.writerow([record.query_id, "flag" if flag else "admit"])
         click.echo(
-            f"predicted {len(preds)} operators; {flagged}/{len(order)} queries flagged; "
+            f"predicted {len(preds)} operators; {int(hit.sum())}/{len(hit)} queries flagged; "
             f"mean latency {float(np.mean(latencies)):.4f} ms -> {out}"
         )
     else:
@@ -463,8 +420,7 @@ def evaluate_cmd(corpus_path, task, featurizations, models, strategy, percentile
 def project2d(features_path, out) -> None:
     """Project a feature CSV to two principal columns for plotting."""
     _, X = _read_feature_csv(features_path)
-    model = fit_pca(X, 2)
-    XY = transform_pca(model, X)
+    XY = project_2d(X)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])

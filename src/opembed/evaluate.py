@@ -18,21 +18,11 @@ import numpy as np
 
 from . import classifiers as clf_mod
 from . import nn
-from .featurize import FeatureSchema, build_schema, encode, extract_triples, schema_hash
-from .hourglass import DEFAULT_HIDDEN, Encoder, HourglassSpec, build, cut_off, train_embedding
-from .plans import Corpus, iter_nodes, subcorpus, walk_operators
+from .featurize import FeatureSchema, build_schema, encode_corpus, schema_hash
+from .hourglass import DEFAULT_HIDDEN, HourglassSpec, build, cut_off, train_embedding
+from .plans import Corpus, subcorpus
 from .reducers import fit_fa, fit_pca, transform_fa, transform_pca
-from .tasks import (
-    ADMISSION_CLASSES,
-    CARD_CLASSES,
-    FoldPlan,
-    TaskSpec,
-    label_admission,
-    label_card,
-    label_user,
-)
-
-MODELS = ("logreg", "knn", "rf", "svm", "dummy")
+from .tasks import FoldPlan, TaskSpec, task_labels
 
 
 def parse_featurization(name: str) -> tuple[str, int | None]:
@@ -55,27 +45,26 @@ class FittedFeaturization:
     dim: int
     transform: object               # callable (n, sparse_dim) -> (n, dim)
     digest: str | None = None
-    encoder: Encoder | None = None
-    reducer: object | None = None
 
 
 def fit_featurization(
     name: str,
     schema: FeatureSchema,
     X_train: np.ndarray,
-    triples=None,
+    children: np.ndarray | None = None,
     sgd: nn.SgdConfig | None = None,
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN,
     seed: int = 0,
 ) -> FittedFeaturization:
-    """Fit one featurization on train-side data. neural-<k> needs triples."""
+    """Fit one featurization on train-side data. neural-<k> needs the child
+    rows of X_train (an OperatorTable's children) to train on."""
     kind, dim = parse_featurization(name)
     if kind == "sparse":
         return FittedFeaturization(
             name, kind, schema.total_dim, lambda X: X, schema_hash(schema)
         )
     if kind == "neural":
-        if triples is None:
+        if children is None:
             raise ValueError("neural featurization needs training triples")
         spec = HourglassSpec(
             input_dim=schema.total_dim,
@@ -84,50 +73,14 @@ def fit_featurization(
             seed=seed,
         )
         enet = build(spec, schema)
-        train_embedding(enet, triples, sgd or nn.SgdConfig())
+        train_embedding(enet, X_train, children, sgd or nn.SgdConfig())
         encoder = cut_off(enet)
-        return FittedFeaturization(
-            name, kind, dim, encoder, encoder.schema_digest, encoder=encoder
-        )
+        return FittedFeaturization(name, kind, dim, encoder, encoder.schema_digest)
     if kind == "pca":
         model = fit_pca(X_train, dim, seed=seed)
-        return FittedFeaturization(
-            name, kind, dim, lambda X: transform_pca(model, X), reducer=model
-        )
+        return FittedFeaturization(name, kind, dim, lambda X: transform_pca(model, X))
     model = fit_fa(X_train, dim)
-    return FittedFeaturization(
-        name, kind, dim, lambda X: transform_fa(model, X), reducer=model
-    )
-
-
-def _train_model(model: str, s: clf_mod.LabeledSet, seed: int) -> clf_mod.Classifier:
-    if model == "logreg":
-        return clf_mod.train_logreg(s, seed=seed)
-    if model == "knn":
-        return clf_mod.train_knn(s)
-    if model == "rf":
-        return clf_mod.train_rf(s, seed=seed)
-    if model == "svm":
-        return clf_mod.train_linsvm(s, seed=seed)
-    if model == "dummy":
-        return clf_mod.train_dummy(s)
-    raise ValueError(f"unknown model {model!r}; want one of {MODELS}")
-
-
-def _task_labels(
-    spec: TaskSpec, train: Corpus, test: Corpus
-) -> tuple[list[str], list[str], tuple[str, ...], float | None]:
-    if spec.task == "admission":
-        y_train, threshold = label_admission(train, spec.percentile)
-        y_test, _ = label_admission(test, spec.percentile, threshold=threshold)
-        return y_train, y_test, ADMISSION_CLASSES, threshold
-    if spec.task == "card":
-        return label_card(train, spec.factor), label_card(test, spec.factor), CARD_CLASSES, None
-    y_train = label_user(train)
-    seen: dict[str, None] = {}
-    for lab in y_train:
-        seen.setdefault(lab)
-    return y_train, label_user(test), tuple(seen), None
+    return FittedFeaturization(name, kind, dim, lambda X: transform_fa(model, X))
 
 
 @dataclass
@@ -223,12 +176,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _encode_ops(schema: FeatureSchema, corpus: Corpus, tally: Counter) -> np.ndarray:
-    return np.stack(
-        [encode(schema, item.node, tally) for item in walk_operators(corpus)]
-    )
-
-
 def evaluate(
     corpus: Corpus,
     spec: TaskSpec,
@@ -251,48 +198,43 @@ def evaluate(
     """
     for name in featurizations:
         parse_featurization(name)
-    wants_neural = any(parse_featurization(n)[0] == "neural" for n in featurizations)
 
-    full_schema = None
-    full_rows = None
-    offsets = None
+    full = None
     shared_fits: dict[str, FittedFeaturization] = {}
     if embedding_from_full_log:
         full_schema = build_schema(corpus)
-        full_rows = _encode_ops(full_schema, corpus, Counter())
-        counts = [sum(1 for _ in iter_nodes(rec.root)) for rec in corpus.records]
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        triples_all = extract_triples(full_schema, corpus) if wants_neural else None
+        full = encode_corpus(full_schema, corpus)
         for name in featurizations:
             if parse_featurization(name)[0] == "neural":
                 shared_fits[name] = fit_featurization(
-                    name, full_schema, full_rows, triples_all, sgd, hidden_dims, seed
+                    name, full_schema, full.X, full.children, sgd, hidden_dims, seed
                 )
 
     def rows_for(qs: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.arange(offsets[q], offsets[q + 1]) for q in qs])
+        starts = np.searchsorted(full.query_index, qs, side="left")
+        stops = np.searchsorted(full.query_index, qs, side="right")
+        return np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
 
     report = None
     for fold_idx, (train_q, test_q) in enumerate(plan.folds):
         sub_train = subcorpus(corpus, train_q)
         sub_test = subcorpus(corpus, test_q)
 
-        y_train, y_test, classes, threshold = _task_labels(spec, sub_train, sub_test)
+        y_train, classes, threshold = task_labels(spec, sub_train)
+        y_test, _, _ = task_labels(spec, sub_test, threshold)
         if report is None:
             report = EvalReport(spec, plan.strategy, classes)
 
-        triples = None
+        children = None
         if embedding_from_full_log:
             schema = full_schema
-            X_train = full_rows[rows_for(train_q)]
-            X_test = full_rows[rows_for(test_q)]
+            X_train = full.X[rows_for(train_q)]
+            X_test = full.X[rows_for(test_q)]
         else:
             schema = build_schema(sub_train)
-            tally: Counter = Counter()
-            X_train = _encode_ops(schema, sub_train, tally)
-            X_test = _encode_ops(schema, sub_test, tally)
-            if wants_neural:
-                triples = extract_triples(schema, sub_train)
+            train_table = encode_corpus(schema, sub_train)
+            X_train, children = train_table.X, train_table.children
+            X_test = encode_corpus(schema, sub_test).X
 
         majority = Counter(y_train).most_common()
         top = max(c for _, c in majority)
@@ -307,7 +249,7 @@ def evaluate(
                 fitted = shared_fits[feat_name]
             else:
                 fitted = fit_featurization(
-                    feat_name, schema, X_train, triples, sgd, hidden_dims, seed
+                    feat_name, schema, X_train, children, sgd, hidden_dims, seed
                 )
             F_train = fitted.transform(X_train)
             F_test = fitted.transform(X_test)
@@ -317,7 +259,7 @@ def evaluate(
             )
             for model in models:
                 t0 = time.perf_counter()
-                clf = _train_model(model, train_set, seed)
+                clf = clf_mod.train(model, train_set, seed)
                 train_seconds = time.perf_counter() - t0
                 preds = np.array(clf_mod.predict(clf, F_test))
                 accuracy = float(np.mean(preds == y_test_arr))

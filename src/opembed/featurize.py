@@ -8,7 +8,6 @@ and anything inapplicable to a node encodes as zeros.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from collections import Counter
@@ -24,6 +23,7 @@ from .plans import (
     OPTIONAL_CATEGORICAL_FIELDS,
     Corpus,
     PlanNode,
+    iter_nodes,
     walk_operators,
 )
 
@@ -280,41 +280,39 @@ def check_vector(schema: FeatureSchema, vec: np.ndarray) -> list[str]:
 
 
 @dataclass(frozen=True)
-class TrainingTriple:
-    """Operator encoding plus its (up to two) child encodings."""
+class OperatorTable:
+    """Every operator of a corpus encoded once, in walk order."""
 
-    x: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    c1_present: bool
-    c2_present: bool
+    ids: list[str]             # "<query_id>#<pre-order index>"
+    query_index: np.ndarray    # (n,) index into corpus.records, non-decreasing
+    X: np.ndarray              # (n, total_dim) encodings
+    children: np.ndarray       # (n, 2) rows of the first two children, -1 if absent
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-def extract_triples(
+def encode_corpus(
     schema: FeatureSchema, corpus: Corpus, tally: Counter | None = None
-) -> list[TrainingTriple]:
-    """One triple per operator; missing children are zero vectors with masks."""
-    zero = np.zeros(schema.total_dim, dtype=np.float64)
-    triples = []
-    for item in walk_operators(corpus):
-        x = encode(schema, item.node, tally)
-        c1 = encode(schema, item.child1, tally) if item.child1 is not None else zero
-        c2 = encode(schema, item.child2, tally) if item.child2 is not None else zero
-        triples.append(
-            TrainingTriple(x, c1, c2, item.child1 is not None, item.child2 is not None)
-        )
-    return triples
-
-
-def stack_triples(
-    triples: list[TrainingTriple],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack triples into (X, C1, C2, mask) arrays; mask is (n, 2) booleans."""
-    X = np.stack([t.x for t in triples])
-    C1 = np.stack([t.c1 for t in triples])
-    C2 = np.stack([t.c2 for t in triples])
-    mask = np.array([[t.c1_present, t.c2_present] for t in triples], dtype=bool)
-    return X, C1, C2, mask
+) -> OperatorTable:
+    """Encode each operator once and index its first two children as rows
+    of the same matrix; children beyond the second are dropped."""
+    ids, query_index, rows, kids = [], [], [], []
+    row_of: dict[int, int] = {}
+    for qi, record in enumerate(corpus.records):
+        for k, node in enumerate(iter_nodes(record.root)):
+            row_of[id(node)] = len(rows)
+            ids.append(f"{record.query_id}#{k}")
+            query_index.append(qi)
+            rows.append(encode(schema, node, tally))
+            kids.append(node.children[:2])
+    if not rows:
+        raise ValueError("corpus has no operators to encode")
+    children = np.full((len(rows), 2), -1, dtype=np.intp)
+    for r, pair in enumerate(kids):
+        for k, child in enumerate(pair):
+            children[r, k] = row_of[id(child)]
+    return OperatorTable(ids, np.array(query_index, dtype=np.intp), np.stack(rows), children)
 
 
 def _schema_payload(schema: FeatureSchema) -> dict:
@@ -390,16 +388,3 @@ def schema_from_json(text: str) -> FeatureSchema:
         raise SchemaError("total_dim disagrees with slot count")
     return schema
 
-
-def export_csv(schema: FeatureSchema, vectors: np.ndarray, path) -> None:
-    """Write encoded rows as CSV with slot names as the header."""
-    vectors = np.atleast_2d(vectors)
-    if vectors.shape[1] != schema.total_dim:
-        raise SchemaError(
-            f"vectors have {vectors.shape[1]} columns, schema wants {schema.total_dim}"
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([s.name for s in schema.slots])
-        for row in vectors:
-            writer.writerow([repr(float(v)) for v in row])

@@ -10,20 +10,14 @@ of the embedding layer (a pre-activation variant is available).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import SchemaError, TrainingDivergedError
-from .featurize import (
-    FeatureSchema,
-    TrainingTriple,
-    encode,
-    schema_hash,
-    stack_triples,
-)
-from .plans import Corpus, PlanNode, walk_operators
+from .errors import SchemaError
+from .featurize import FeatureSchema, encode, encode_corpus, schema_hash
+from .plans import Corpus, PlanNode
 
 DEFAULT_HIDDEN = (256, 256, 128, 128, 64, 64)
 
@@ -121,47 +115,42 @@ def _head_pass(
 
 def train_embedding(
     enet: EmbeddingNetwork,
-    triples: list[TrainingTriple],
+    X: np.ndarray,
+    children: np.ndarray,
     cfg: nn.SgdConfig,
     masked: bool = False,
 ) -> tuple[EmbeddingNetwork, list[float]]:
     """Train trunk and heads jointly to predict both children; returns the
-    network and the mean batch loss per epoch."""
-    if not triples:
+    network and the mean batch loss per epoch.
+
+    Rows 0..len(children)-1 of X are trained; children[r, k] is the row of
+    X holding operator r's k-th child, or -1 when it has none.
+    """
+    if len(children) == 0:
         raise ValueError("no training triples")
-    X, C1, C2, mask = stack_triples(triples)
     if X.shape[1] != enet.spec.input_dim:
         raise ValueError(
             f"triples have dim {X.shape[1]}, network wants {enet.spec.input_dim}"
         )
-    rng = np.random.default_rng(cfg.seed)
+    # row -1 of Xz is the zero vector an absent child is scored against
+    Xz = np.vstack([X, np.zeros((1, X.shape[1]))])
+    present = children >= 0
     spec = enet.loss_spec
-    velocity = None
-    if cfg.momentum > 0:
-        velocity = {
-            "trunk": nn.zero_velocity(enet.trunk),
-            "h1": nn.zero_velocity(enet.head1),
-            "h2": nn.zero_velocity(enet.head2),
-        }
-    trace_losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        batch_losses = []
-        for b, idx in enumerate(nn.iter_batches(len(X), cfg, rng)):
-            trunk_trace = nn.forward(enet.trunk, X[idx])
-            E = trunk_trace.activations[-1]
-            l1, g1, dE1 = _head_pass(enet.head1, spec, E, C1[idx], mask[idx, 0], masked)
-            l2, g2, dE2 = _head_pass(enet.head2, spec, E, C2[idx], mask[idx, 1], masked)
-            total = l1 + l2
-            if not np.isfinite(total):
-                raise TrainingDivergedError(epoch, b)
-            gt, _ = nn.backprop_layers(enet.trunk, trunk_trace, dE1 + dE2)
-            lr, mom = cfg.learning_rate, cfg.momentum
-            nn.sgd_step(enet.trunk, gt, lr, mom, velocity["trunk"] if velocity else None)
-            nn.sgd_step(enet.head1, g1, lr, mom, velocity["h1"] if velocity else None)
-            nn.sgd_step(enet.head2, g2, lr, mom, velocity["h2"] if velocity else None)
-            batch_losses.append(total)
-        trace_losses.append(float(np.mean(batch_losses)))
-    return enet, trace_losses
+
+    def step(idx):
+        trunk_trace = nn.forward(enet.trunk, X[idx])
+        E = trunk_trace.activations[-1]
+        l1, g1, dE1 = _head_pass(
+            enet.head1, spec, E, Xz[children[idx, 0]], present[idx, 0], masked
+        )
+        l2, g2, dE2 = _head_pass(
+            enet.head2, spec, E, Xz[children[idx, 1]], present[idx, 1], masked
+        )
+        gt, _ = nn.backprop_layers(enet.trunk, trunk_trace, dE1 + dE2)
+        return l1 + l2, [gt, g1, g2]
+
+    nets = [enet.trunk, enet.head1, enet.head2]
+    return enet, nn.train(nets, cfg, len(children), step)
 
 
 def predict_children(
@@ -237,10 +226,9 @@ def embed(encoder: Encoder, schema: FeatureSchema, node) -> np.ndarray:
 
 @dataclass
 class EmbeddedDataset:
-    """One row per operator: embedding, optional label, provenance."""
+    """One row per operator: embedding plus provenance."""
 
     embeddings: np.ndarray           # (n, embedding_dim)
-    labels: list | None
     ids: list[str]                   # "<query_id>#<pre-order index>"
     query_index: np.ndarray          # (n,) index into corpus.records
 
@@ -249,41 +237,12 @@ class EmbeddedDataset:
 
 
 def embed_corpus(
-    encoder: Encoder,
-    schema: FeatureSchema,
-    corpus: Corpus,
-    labeler=None,
+    encoder: Encoder, schema: FeatureSchema, corpus: Corpus
 ) -> EmbeddedDataset:
-    """Embed every operator in walk order.
-
-    labeler may be a callable taking a WalkItem, or a sequence of labels
-    aligned with walk order, or None.
-    """
+    """Embed every operator in walk order."""
     _check_schema(encoder, schema)
-    items = list(walk_operators(corpus))
-    X = np.stack([encode(schema, item.node) for item in items])
-    E = encoder(X)
-    qid_to_index = {id(rec): i for i, rec in enumerate(corpus.records)}
-    query_index = np.empty(len(items), dtype=np.intp)
-    ids = []
-    counters: dict[int, int] = {}
-    for row, item in enumerate(items):
-        qi = qid_to_index[id(item.record)]
-        query_index[row] = qi
-        k = counters.get(qi, 0)
-        counters[qi] = k + 1
-        ids.append(f"{item.record.query_id}#{k}")
-    if labeler is None:
-        labels = None
-    elif callable(labeler):
-        labels = [labeler(item) for item in items]
-    else:
-        labels = list(labeler)
-        if len(labels) != len(items):
-            raise ValueError(
-                f"{len(labels)} labels for {len(items)} operators"
-            )
-    return EmbeddedDataset(E, labels, ids, query_index)
+    table = encode_corpus(schema, corpus)
+    return EmbeddedDataset(encoder(table.X), table.ids, table.query_index)
 
 
 def project_2d(dataset) -> np.ndarray:

@@ -341,7 +341,6 @@ class SgdConfig:
     batch_size: int = 64
     epochs: int = 100
     seed: int = 0
-    shuffle: bool = True
     momentum: float = 0.0
 
     def __post_init__(self):
@@ -351,38 +350,39 @@ class SgdConfig:
 
 def iter_batches(n: int, cfg: SgdConfig, rng: np.random.Generator):
     """Yield index arrays for one epoch, seeded shuffle first."""
-    order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+    order = rng.permutation(n)
     for start in range(0, n, cfg.batch_size):
         yield order[start : start + cfg.batch_size]
 
 
 def train(
-    net: Network,
-    spec: LossSpec,
+    nets: list[Network],
     cfg: SgdConfig,
-    X: np.ndarray,
-    Y: np.ndarray,
-) -> tuple[Network, list[float]]:
-    """Mini-batch SGD; returns the net and the mean batch loss per epoch."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if len(X) == 0:
+    n_rows: int,
+    step,
+) -> list[float]:
+    """Mini-batch SGD over rows 0..n_rows-1; returns the mean batch loss per
+    epoch.
+
+    step(idx) computes one batch: it returns the batch loss and one
+    gradient list per network in nets, and must not update them.
+    """
+    if n_rows == 0:
         raise ValueError("empty training set")
     rng = np.random.default_rng(cfg.seed)
-    velocity = zero_velocity(net) if cfg.momentum > 0 else None
+    velocity = [zero_velocity(net) if cfg.momentum > 0 else None for net in nets]
     trace_losses: list[float] = []
     for epoch in range(cfg.epochs):
         batch_losses = []
-        for b, idx in enumerate(iter_batches(len(X), cfg, rng)):
-            fwd = forward(net, X[idx])
-            batch_loss = loss(spec, fwd.activations[-1], Y[idx])
+        for b, idx in enumerate(iter_batches(n_rows, cfg, rng)):
+            batch_loss, grads = step(idx)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, b)
-            grads = backward(net, spec, fwd, Y[idx])
-            sgd_step(net, grads, cfg.learning_rate, cfg.momentum, velocity)
+            for net, g, v in zip(nets, grads, velocity):
+                sgd_step(net, g, cfg.learning_rate, cfg.momentum, v)
             batch_losses.append(batch_loss)
         trace_losses.append(float(np.mean(batch_losses)))
-    return net, trace_losses
+    return trace_losses
 
 
 @dataclass

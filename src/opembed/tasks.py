@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .featurize import FeatureSchema, encode
-from .plans import Corpus, QueryRecord, iter_nodes, walk_operators
+from .featurize import FeatureSchema, encode_corpus
+from .plans import Corpus, QueryRecord, walk_operators
 
 ADMISSION_CLASSES = ("ok", "slow")
 CARD_CLASSES = ("correct", "over", "under")
@@ -105,6 +105,24 @@ def label_user(corpus: Corpus) -> list[str]:
     return [item.record.user_label for item in walk_operators(corpus)]
 
 
+def task_labels(
+    spec: TaskSpec, corpus: Corpus, threshold: float | None = None
+) -> tuple[list[str], tuple[str, ...], float | None]:
+    """Operator labels for spec's task, the class tuple, and the admission
+    threshold used (None for the other tasks).
+
+    Pass a train-side threshold to label a test corpus without leaking.
+    User classes are the labels in first-appearance order.
+    """
+    if spec.task == "admission":
+        labels, threshold = label_admission(corpus, spec.percentile, threshold)
+        return labels, ADMISSION_CLASSES, threshold
+    if spec.task == "card":
+        return label_card(corpus, spec.factor), CARD_CLASSES, None
+    labels = label_user(corpus)
+    return labels, tuple(dict.fromkeys(labels)), None
+
+
 def flag_query(
     classifier,
     schema: FeatureSchema,
@@ -117,7 +135,7 @@ def flag_query(
     space (None = raw sparse)."""
     from .classifiers import predict
 
-    X = np.stack([encode(schema, node) for node in iter_nodes(record.root)])
+    X = encode_corpus(schema, Corpus([record])).X
     if transform is not None:
         X = transform(X)
     preds = predict(classifier, X)

@@ -22,7 +22,7 @@ from opembed.classifiers import (
     train_logreg,
 )
 from opembed.evaluate import evaluate
-from opembed.featurize import build_schema, encode, extract_triples, schema_hash
+from opembed.featurize import build_schema, encode, encode_corpus, schema_hash
 from opembed.hourglass import (
     HourglassSpec,
     build,
@@ -48,9 +48,9 @@ def context_run():
     only way to predict a MergeJoin's children is the planted Sort context."""
     corpus = generate(context_probe_config(seed=0))
     schema = build_schema(corpus)
-    triples = extract_triples(schema, corpus)
+    table = encode_corpus(schema, corpus)
     enet = build(HourglassSpec(schema.total_dim), schema)
-    train_embedding(enet, triples, nn.SgdConfig())
+    train_embedding(enet, table.X, table.children, nn.SgdConfig())
     return corpus, schema, enet
 
 
@@ -313,8 +313,8 @@ def test_c09_inference_latency_ordering(planted_corpus):
     assert schema.total_dim > 32
 
     enet = build(HourglassSpec(schema.total_dim, (64, 48), 32, seed=0), schema)
-    train_embedding(enet, extract_triples(schema, planted_corpus),
-                    nn.SgdConfig(epochs=2, seed=0))
+    table = encode_corpus(schema, planted_corpus)
+    train_embedding(enet, table.X, table.children, nn.SgdConfig(epochs=2, seed=0))
     emb = cut_off(enet)(rows)
 
     n_train = 2500
@@ -369,8 +369,8 @@ def test_c10_same_seed_runs_are_byte_identical(tmp_path):
         schema = build_schema(corpus)
         save_schema_bundle(root / "schema.opeb", schema)
         enet = build(HourglassSpec(schema.total_dim, (48, 40), 16, seed=0), schema)
-        train_embedding(enet, extract_triples(schema, corpus),
-                        nn.SgdConfig(epochs=2, seed=0))
+        table = encode_corpus(schema, corpus)
+        train_embedding(enet, table.X, table.children, nn.SgdConfig(epochs=2, seed=0))
         encoder = cut_off(enet)
         save_encoder_bundle(root / "encoder.opeb", encoder, schema=schema)
         rows = np.stack(

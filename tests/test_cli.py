@@ -206,6 +206,47 @@ def test_train_task_and_predict_round_trip(runner, tmp_path, pipeline):
     assert all(line.split(",")[1] in ("admit", "flag") for line in verdicts[1:])
 
 
+def test_predict_verdicts_match_flag_query(runner, tmp_path, pipeline):
+    from opembed.plans import load_corpus
+    from opembed.tasks import flag_query
+
+    _, corpus, encoder, _ = pipeline
+    emb = tmp_path / "emb.csv"
+    run_ok(
+        runner,
+        ["embed", "--corpus", str(corpus), "--encoder", str(encoder), "--out", str(emb)],
+    )
+    # kNN recalls its own training labels, so scoring the training log flags
+    # exactly the queries holding a slow operator: both verdicts occur
+    clf_path = tmp_path / "clf.opeb"
+    run_ok(
+        runner,
+        [
+            "train-task", "--corpus", str(corpus), "--features", str(emb),
+            "--task", "admission", "--model", "knn", "--out", str(clf_path),
+        ],
+    )
+    preds = tmp_path / "preds.csv"
+    run_ok(
+        runner,
+        [
+            "predict", "--plans", str(corpus), "--classifier", str(clf_path),
+            "--encoder", str(encoder), "--out", str(preds),
+        ],
+    )
+    rows = (tmp_path / "preds.csv.verdicts.csv").read_text().splitlines()[1:]
+    got = [tuple(line.split(",")) for line in rows]
+    clf, _ = store.load_classifier_bundle(clf_path)
+    enc, header = store.load_encoder_bundle(encoder)
+    schema = store.bundle_schema(header)
+    want = [
+        (rec.query_id, flag_query(clf, schema, rec, transform=enc))
+        for rec in load_corpus(corpus).records
+    ]
+    assert got == want
+    assert {v for _, v in want} == {"admit", "flag"}
+
+
 def test_predict_refuses_mismatched_provenance(runner, tmp_path, pipeline):
     _, corpus, encoder, _ = pipeline
     emb = tmp_path / "emb.csv"

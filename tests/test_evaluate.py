@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from opembed import nn
+from opembed.classifiers import MODELS
 from opembed.errors import CoverageError
 from opembed.evaluate import (
-    MODELS,
     EvalReport,
     evaluate,
     fit_featurization,
@@ -36,12 +36,10 @@ def test_parse_featurization_forms():
 
 
 def test_fit_featurization_needs_triples_for_neural(eval_corpus):
-    from opembed.featurize import build_schema
-    from opembed.evaluate import _encode_ops
-    from collections import Counter
+    from opembed.featurize import build_schema, encode_corpus
 
     schema = build_schema(eval_corpus)
-    X = _encode_ops(schema, eval_corpus, Counter())
+    X = encode_corpus(schema, eval_corpus).X
     with pytest.raises(ValueError, match="triples"):
         fit_featurization("neural-8", schema, X)
     fitted = fit_featurization("pca-8", schema, X)

@@ -9,12 +9,10 @@ from opembed.featurize import (
     build_schema,
     check_vector,
     encode,
-    export_csv,
-    extract_triples,
+    encode_corpus,
     schema_from_json,
     schema_hash,
     schema_to_json,
-    stack_triples,
 )
 from opembed.plans import Corpus, PlanNode, QueryRecord, walk_operators
 from opembed.synth import SynthConfig, generate, tpcds_like_config
@@ -102,32 +100,41 @@ def test_standardization_over_corpus(corpus60, schema60):
     assert abs(col.std() - 1.0) < 1e-9
 
 
-def test_triples_leaf_and_unary():
+def test_encode_corpus_sort_over_scan():
     leaf = PlanNode(node_type="SeqScan", plan_rows=4.0, total_cost=1.0)
     sort = PlanNode(node_type="Sort", plan_rows=4.0, total_cost=2.0, children=[leaf])
     corpus = Corpus([QueryRecord("q", None, sort)])
     schema = build_schema(corpus)
-    triples = extract_triples(schema, corpus)
-    assert len(triples) == 2
-    top, bottom = triples
-    assert np.array_equal(top.c1, encode(schema, leaf))
-    assert not top.c2.any() and not top.c2_present
-    assert top.c1_present
-    assert not bottom.c1.any() and not bottom.c1_present
-    assert not bottom.c2.any() and not bottom.c2_present
+    table = encode_corpus(schema, corpus)
+    assert table.ids == ["q#0", "q#1"]
+    assert table.query_index.tolist() == [0, 0]
+    assert table.children.tolist() == [[1, -1], [-1, -1]]
+    assert np.array_equal(table.X[1], encode(schema, leaf))
 
 
-def test_triple_count_equals_operator_count(corpus60, schema60):
-    triples = extract_triples(schema60, corpus60)
-    assert len(triples) == sum(1 for _ in walk_operators(corpus60))
+def test_encode_corpus_keeps_first_two_children():
+    kids = [
+        PlanNode(node_type="SeqScan", plan_rows=float(i + 1), total_cost=1.0)
+        for i in range(3)
+    ]
+    append = PlanNode(node_type="Append", plan_rows=6.0, total_cost=3.0, children=kids)
+    corpus = Corpus([QueryRecord("q", None, append)])
+    table = encode_corpus(build_schema(corpus), corpus)
+    assert len(table) == 4
+    assert table.children.tolist() == [[1, 2], [-1, -1], [-1, -1], [-1, -1]]
 
 
-def test_stack_triples_masks(corpus60, schema60):
-    triples = extract_triples(schema60, corpus60)
-    X, C1, C2, mask = stack_triples(triples)
-    assert X.shape == C1.shape == C2.shape
-    assert mask.shape == (len(triples), 2)
-    assert mask[:, 0].sum() == sum(t.c1_present for t in triples)
+def test_encode_corpus_rows_and_children_match_encode(corpus60, schema60):
+    table = encode_corpus(schema60, corpus60)
+    items = list(walk_operators(corpus60))
+    assert len(table.X) == len(items)
+    for r, item in enumerate(items):
+        assert np.array_equal(table.X[r], encode(schema60, item.node))
+        for k, child in enumerate((item.child1, item.child2)):
+            if child is None:
+                assert table.children[r, k] == -1
+            else:
+                assert np.array_equal(table.X[table.children[r, k]], encode(schema60, child))
 
 
 def test_schema_json_round_trip(schema60):
@@ -146,14 +153,16 @@ def test_schema_json_rejects_tampering(schema60):
 
 
 def test_export_csv_round_trip(tmp_path, corpus60, schema60):
-    X = np.stack(
-        [encode(schema60, it.node) for it in walk_operators(corpus60)][:20]
-    )
+    from opembed.cli import _read_feature_csv, _write_feature_csv
+
+    table = encode_corpus(schema60, corpus60)
+    ids, X = table.ids[:20], table.X[:20]
     path = tmp_path / "x.csv"
-    export_csv(schema60, X, path)
-    header, *rows = path.read_text().strip().splitlines()
-    assert header.split(",")[: len(schema60.slots)]
-    back = np.array([[float(v) for v in row.split(",")] for row in rows])
+    _write_feature_csv(path, ids, [s.name for s in schema60.slots], X)
+    header = path.read_text().splitlines()[0]
+    assert header.split(",") == ["id"] + [s.name for s in schema60.slots]
+    back_ids, back = _read_feature_csv(path)
+    assert back_ids == ids
     assert np.array_equal(back, X)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from opembed import nn
 from opembed.errors import SchemaError
-from opembed.featurize import build_schema, encode, extract_triples
+from opembed.featurize import build_schema, encode, encode_corpus
 from opembed.hourglass import (
     DEFAULT_HIDDEN,
     Encoder,
@@ -40,12 +40,14 @@ def sorted_corpus():
 @pytest.fixture(scope="module")
 def sorted_run(sorted_corpus):
     schema = build_schema(sorted_corpus)
-    triples = extract_triples(schema, sorted_corpus)
+    table = encode_corpus(schema, sorted_corpus)
     spec = HourglassSpec(
         schema.total_dim, hidden_dims=(64, 32), embedding_dim=16, seed=0
     )
     enet = build(spec, schema)
-    enet, trace = train_embedding(enet, triples, nn.SgdConfig(epochs=80, seed=0))
+    enet, trace = train_embedding(
+        enet, table.X, table.children, nn.SgdConfig(epochs=80, seed=0)
+    )
     return schema, enet, trace
 
 
@@ -110,8 +112,9 @@ def test_training_recovers_sort_context(sorted_corpus, sorted_run):
 def test_training_halves_initial_loss():
     corpus = generate(SynthConfig(n_queries=420, seed=5))
     schema = build_schema(corpus)
-    triples = extract_triples(schema, corpus)[:2000]
-    assert len(triples) == 2000
+    table = encode_corpus(schema, corpus)
+    children = table.children[:2000]
+    assert len(children) == 2000
     spec = HourglassSpec(
         schema.total_dim, hidden_dims=(64, 32), embedding_dim=16, seed=0
     )
@@ -120,17 +123,17 @@ def test_training_halves_initial_loss():
     cfg = nn.SgdConfig(
         epochs=100, seed=0, learning_rate=0.1, momentum=0.9, batch_size=2000
     )
-    _, trace = train_embedding(enet, triples, cfg)
+    _, trace = train_embedding(enet, table.X, children, cfg)
     assert len(trace) == 100
     assert trace[-1] < 0.5 * trace[0]
 
 
 def test_zero_epochs_leaves_network_at_init(schema60, corpus60):
-    triples = extract_triples(schema60, corpus60)
+    table = encode_corpus(schema60, corpus60)
     spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
     fresh = build(spec, schema60)
     trained, trace = train_embedding(
-        build(spec, schema60), triples, nn.SgdConfig(epochs=0)
+        build(spec, schema60), table.X, table.children, nn.SgdConfig(epochs=0)
     )
     assert trace == []
     for a, b in zip(fresh.trunk.layers, trained.trunk.layers):
@@ -145,12 +148,15 @@ def test_train_rejects_empty_and_mismatched_triples(
     spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
     enet = build(spec, schema60)
     with pytest.raises(ValueError, match="triples"):
-        train_embedding(enet, [], nn.SgdConfig(epochs=1))
+        train_embedding(
+            enet, np.empty((0, schema60.total_dim)), np.empty((0, 2), dtype=np.intp),
+            nn.SgdConfig(epochs=1),
+        )
     other_schema, other_net, _ = sorted_run
     assert other_schema.total_dim != schema60.total_dim
-    triples = extract_triples(schema60, corpus60)
+    table = encode_corpus(schema60, corpus60)
     with pytest.raises(ValueError, match="dim"):
-        train_embedding(other_net, triples, nn.SgdConfig(epochs=1))
+        train_embedding(other_net, table.X, table.children, nn.SgdConfig(epochs=1))
 
 
 def test_cut_off_reproduces_trunk_activation(sorted_run, rng):
@@ -176,8 +182,8 @@ def test_cut_off_detaches_from_later_training(schema60, corpus60, rng):
     encoder = cut_off(enet)
     X = rng.normal(size=(5, schema60.total_dim))
     before = encoder(X).copy()
-    triples = extract_triples(schema60, corpus60)[:200]
-    train_embedding(enet, triples, nn.SgdConfig(epochs=1, seed=7))
+    table = encode_corpus(schema60, corpus60)
+    train_embedding(enet, table.X, table.children[:200], nn.SgdConfig(epochs=1, seed=7))
     assert np.array_equal(encoder(X), before)
 
 
@@ -227,26 +233,12 @@ def test_embed_corpus_rows_and_ids(sorted_corpus, sorted_run):
     n_ops = sum(1 for _ in walk_operators(sorted_corpus))
     assert len(ds) == n_ops
     assert ds.embeddings.shape == (n_ops, encoder.embedding_dim)
-    assert ds.labels is None
     first = sorted_corpus.records[0]
     n_first = sum(1 for it in walk_operators(sorted_corpus) if it.record is first)
     assert ds.ids[0] == f"{first.query_id}#0"
     assert ds.ids[n_first - 1] == f"{first.query_id}#{n_first - 1}"
     assert ds.ids[n_first].endswith("#0")
     assert (ds.query_index[:n_first] == 0).all()
-
-
-def test_embed_corpus_labelers(sorted_corpus, sorted_run):
-    schema, enet, _ = sorted_run
-    encoder = cut_off(enet)
-    by_call = embed_corpus(
-        encoder, schema, sorted_corpus, labeler=lambda it: it.node.node_type
-    )
-    seq = [it.node.node_type for it in walk_operators(sorted_corpus)]
-    by_seq = embed_corpus(encoder, schema, sorted_corpus, labeler=seq)
-    assert by_call.labels == by_seq.labels == seq
-    with pytest.raises(ValueError, match="labels"):
-        embed_corpus(encoder, schema, sorted_corpus, labeler=seq[:-1])
 
 
 def _mean_dist(P, Q):
@@ -256,10 +248,8 @@ def _mean_dist(P, Q):
 def test_embeddings_cluster_by_node_type(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
     encoder = cut_off(enet)
-    ds = embed_corpus(
-        encoder, schema, sorted_corpus, labeler=lambda it: it.node.node_type
-    )
-    lab = np.array(ds.labels)
+    ds = embed_corpus(encoder, schema, sorted_corpus)
+    lab = np.array([it.node.node_type for it in walk_operators(sorted_corpus)])
     a = ds.embeddings[lab == "SeqScan"][:150]
     b = ds.embeddings[lab == "MergeJoin"][:150]
     assert len(a) > 20 and len(b) > 20

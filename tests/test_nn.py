@@ -23,6 +23,16 @@ from opembed.nn import (
 )
 
 
+def fit(net, spec, cfg, X, Y):
+    """Supervised regression of net(X) onto Y through the shared SGD loop."""
+
+    def step(idx):
+        fwd = forward(net, X[idx])
+        return loss(spec, fwd.activations[-1], Y[idx]), [backward(net, spec, fwd, Y[idx])]
+
+    return net, train([net], cfg, len(X), step)
+
+
 def affine(W, b, ln=False, relu=False):
     W = np.asarray(W, dtype=float)
     gain = np.ones(W.shape[0]) if ln else None
@@ -145,7 +155,7 @@ def test_training_decreases_separable_loss(rng):
     T[40:, 1] = 1.0
     net = Network([dense_layer(np.random.default_rng(0), 2, 2, layer_norm=False, relu=False)])
     spec = LossSpec((("softmax", 0, 2),))
-    net, trace = train(net, spec, SgdConfig(epochs=20, seed=0), X, T)
+    net, trace = fit(net, spec, SgdConfig(epochs=20, seed=0), X, T)
     assert trace[-1] < trace[0]
 
 
@@ -156,7 +166,7 @@ def test_train_planted_linear_mapping():
     T = X @ A.T
     net = Network([dense_layer(np.random.default_rng(1), 4, 3, layer_norm=False, relu=False)])
     spec = LossSpec((("mse", 0, 3),))
-    net, trace = train(net, spec, SgdConfig(epochs=40, seed=1), X, T)
+    net, trace = fit(net, spec, SgdConfig(epochs=40, seed=1), X, T)
     assert trace[-1] < 0.1 * trace[0]
 
 
@@ -164,7 +174,7 @@ def test_train_zero_epochs_is_identity(rng):
     net = Network([dense_layer(np.random.default_rng(2), 3, 2, layer_norm=False, relu=False)])
     before = net.layers[0].W.copy()
     spec = LossSpec((("mse", 0, 2),))
-    net, trace = train(net, spec, SgdConfig(epochs=0),
+    net, trace = fit(net, spec, SgdConfig(epochs=0),
                        rng.normal(size=(10, 3)), rng.normal(size=(10, 2)))
     assert trace == []
     assert np.array_equal(net.layers[0].W, before)
@@ -177,7 +187,7 @@ def test_train_same_seed_bitwise_identical(rng):
     runs = []
     for _ in range(2):
         net = Network([dense_layer(np.random.default_rng(5), 3, 2, layer_norm=False, relu=False)])
-        net, trace = train(net, spec, SgdConfig(epochs=5, seed=9), X, T)
+        net, trace = fit(net, spec, SgdConfig(epochs=5, seed=9), X, T)
         runs.append((net.layers[0].W.copy(), tuple(trace)))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
@@ -190,7 +200,7 @@ def test_divergence_raises_with_location(rng):
     net = Network([dense_layer(np.random.default_rng(3), 3, 3, layer_norm=False, relu=False)])
     spec = LossSpec((("mse", 0, 3),))
     with pytest.raises(TrainingDivergedError) as err:
-        train(net, spec, SgdConfig(epochs=50, learning_rate=1e6), X, T)
+        fit(net, spec, SgdConfig(epochs=50, learning_rate=1e6), X, T)
     assert "epoch" in str(err.value) and "batch" in str(err.value)
 
 
@@ -207,7 +217,7 @@ def test_momentum_changes_trajectory(rng):
     traces = []
     for momentum in (0.0, 0.9):
         net = Network([dense_layer(np.random.default_rng(5), 3, 2, layer_norm=False, relu=False)])
-        net, trace = train(net, spec,
+        net, trace = fit(net, spec,
                            SgdConfig(epochs=5, seed=9, momentum=momentum), X, T)
         traces.append(tuple(trace))
     assert traces[0] != traces[1]
