@@ -5,7 +5,9 @@
 #   scripts/artifact_hashes.sh SRC_DIR OUT_DIR > hashes.txt
 #
 # SRC_DIR is the checkout's src/ directory; OUT_DIR is wiped and refilled.
-# predict's wall-clock latency_ms column is cut off before hashing.
+# Only predict's id,node_type,prediction columns are hashed, carriage returns
+# dropped, so a checkout whose predict still writes a wall-clock latency_ms
+# column compares too.
 set -euo pipefail
 SRC=$1; OUT=$2
 export PYTHONPATH=$SRC OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
@@ -38,7 +40,7 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
   op predict --plans "$d/corpus.json" --classifier "$d/clf_pca.opeb" \
      --reducer "$d/pca.opeb" --schema "$d/schema.opeb" --out "$d/pred_pca.csv"
   for f in pred_enc pred_pca; do
-    cut -d, -f1-3 "$d/$f.csv" > "$d/$f.cols.csv"; rm "$d/$f.csv"
+    cut -d, -f1-3 "$d/$f.csv" | tr -d "\r" > "$d/$f.cols.csv"; rm "$d/$f.csv"
   done
   for strategy in random temporal; do
     for full in "" --embedding-from-full-log; do

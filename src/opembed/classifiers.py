@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 KNN_EPS = 1e-9
+# bytes of the test-row x training-row x dim difference tensor kNN builds at once
+KNN_CHUNK_BYTES = 32 << 20
 MODELS = ("logreg", "knn", "rf", "svm", "dummy")
+# a random forest's parallel node arrays, as params and bundle array names
+FOREST_ARRAYS = ("feature", "threshold", "left", "right", "leaf", "roots")
 
 
 @dataclass(frozen=True)
@@ -135,40 +139,40 @@ def train_knn(s: LabeledSet, k: int = 6, seed: int = 0) -> Classifier:
     )
 
 
+def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Gini impurity of class counts (..., C) over their row counts (...)."""
+    p = counts / sizes[..., None]
+    np.square(p, out=p)
+    return 1.0 - p.sum(axis=-1)
+
+
 def _gini_best_split(
     X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, n_classes: int
 ) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity) over candidate features.
+    """Best (feature, threshold, impurity) over candidate features, scoring
+    every cut of every candidate in one pass over n >= 2 rows.
 
     Thresholds are midpoints between consecutive distinct sorted values;
-    impurity is the size-weighted Gini of the two sides. Returns None when
-    no candidate feature splits the rows.
+    impurity is the size-weighted Gini of the two sides. Ties go to the
+    first candidate feature, then the first cut. Returns None when no
+    candidate feature splits the rows.
     """
     n = len(y)
-    best = None
-    onehot = np.eye(n_classes)[y]
-    for f in feature_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        distinct = np.nonzero(np.diff(xs) > 0)[0]  # split after position i
-        if len(distinct) == 0:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)  # class counts left of cut
-        left = cum[distinct]
-        total = cum[-1]
-        right = total - left
-        nl = distinct + 1.0
-        nr = n - nl
-        gini_l = 1.0 - np.square(left / nl[:, None]).sum(axis=1)
-        gini_r = 1.0 - np.square(right / nr[:, None]).sum(axis=1)
-        weighted = (nl * gini_l + nr * gini_r) / n
-        j = int(np.argmin(weighted))
-        score = float(weighted[j])
-        if best is None or score < best[2]:
-            cut = distinct[j]
-            threshold = 0.5 * (xs[cut] + xs[cut + 1])
-            best = (int(f), float(threshold), score)
-    return best
+    cols = X[:, feature_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = cols[order, np.arange(cols.shape[1])]
+    cum = np.cumsum(np.eye(n_classes)[y][order], axis=0)  # (n, m, C)
+    left = cum[:-1]  # class counts left of a cut after position i
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    weighted = (nl * _gini(left, nl) + nr * _gini(cum[-1] - left, nr)) / n
+    weighted[~(np.diff(xs, axis=0) > 0)] = np.inf  # no cut inside a run of ties
+    j, cut = divmod(int(np.argmin(weighted.T)), n - 1)
+    score = float(weighted[cut, j])
+    if score == np.inf:
+        return None
+    threshold = 0.5 * (xs[cut, j] + xs[cut + 1, j])
+    return int(feature_ids[j]), float(threshold), score
 
 
 def _grow_tree(
@@ -177,32 +181,72 @@ def _grow_tree(
     rng: np.random.Generator,
     n_classes: int,
     feature_sample: str,
-) -> dict:
-    """Recursive dict tree: {"f", "t", "lo", "hi"} internal, {"leaf"} terminal."""
-    counts = np.bincount(y, minlength=n_classes)
-    majority = int(np.argmax(counts))
-    if len(y) < 2 or counts.max() == len(y):
-        return {"leaf": majority}
+    nodes: dict[str, list],
+) -> None:
+    """Append one tree to a forest's node lists, in preorder.
+
+    An explicit stack replaces recursion, so no depth limit applies. The hi
+    child is pushed before the lo child, so the lo subtree is numbered, and
+    draws its feature samples, first. Leaves have feature -1 and no
+    children; internal nodes have leaf -1.
+    """
     d = X.shape[1]
-    if feature_sample == "all":
-        feats = np.arange(d)
-    else:
-        m = max(1, int(np.sqrt(d)))
-        feats = np.sort(rng.choice(d, size=m, replace=False))
-    best = _gini_best_split(X, y, feats, n_classes)
-    if best is None:
-        if feature_sample != "all":
-            best = _gini_best_split(X, y, np.arange(d), n_classes)
-        if best is None:
-            return {"leaf": majority}
-    f, t, _ = best
-    mask = X[:, f] <= t
-    return {
-        "f": f,
-        "t": t,
-        "lo": _grow_tree(X[mask], y[mask], rng, n_classes, feature_sample),
-        "hi": _grow_tree(X[~mask], y[~mask], rng, n_classes, feature_sample),
+    stack = [(np.arange(len(y)), -1, "")]  # (rows, parent id, parent's child array)
+    while stack:
+        rows, parent, side = stack.pop()
+        node = len(nodes["feature"])
+        if parent >= 0:
+            nodes[side][parent] = node
+        ys = y[rows]
+        counts = np.bincount(ys, minlength=n_classes)
+        best = None
+        if len(ys) >= 2 and counts.max() < len(ys):
+            if feature_sample == "all":
+                feats = np.arange(d)
+            else:
+                m = max(1, int(np.sqrt(d)))
+                feats = np.sort(rng.choice(d, size=m, replace=False))
+            Xn = X[rows]
+            best = _gini_best_split(Xn, ys, feats, n_classes)
+            if best is None and feature_sample != "all":
+                best = _gini_best_split(Xn, ys, np.arange(d), n_classes)
+        f, t, leaf = (-1, 0.0, int(np.argmax(counts))) if best is None else (*best[:2], -1)
+        for name, value in zip(FOREST_ARRAYS, (f, t, -1, -1, leaf)):
+            nodes[name].append(value)
+        if best is not None:
+            mask = X[rows, f] <= t
+            stack.append((rows[~mask], node, "right"))
+            stack.append((rows[mask], node, "left"))
+
+
+def pack_forest(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    leaf: np.ndarray,
+    roots: np.ndarray,
+) -> dict:
+    """Random-forest params from parallel node arrays over all trees.
+
+    Tree t holds ids roots[t] up to the next root, and child ids index the
+    whole forest. params["trees"] holds one dict of views per tree.
+    """
+    params = {
+        "feature": np.asarray(feature, dtype=np.intp),
+        "threshold": np.asarray(threshold, dtype=np.float64),
+        "left": np.asarray(left, dtype=np.intp),
+        "right": np.asarray(right, dtype=np.intp),
+        "leaf": np.asarray(leaf, dtype=np.intp),
+        "roots": np.asarray(roots, dtype=np.intp),
     }
+    starts = params["roots"].tolist()
+    stops = starts[1:] + [len(params["feature"])]
+    params["trees"] = [
+        {name: params[name][start:stop] for name in FOREST_ARRAYS[:-1]}
+        for start, stop in zip(starts, stops)
+    ]
+    return params
 
 
 def train_rf(
@@ -219,7 +263,8 @@ def train_rf(
     if feature_sample not in ("sqrt", "all"):
         raise ValueError("feature_sample must be 'sqrt' or 'all'")
     n = len(s.X)
-    grown = []
+    nodes: dict[str, list] = {name: [] for name in FOREST_ARRAYS[:-1]}
+    roots = []
     for t in range(trees):
         rng = np.random.default_rng([seed, t])
         if bootstrap:
@@ -227,8 +272,10 @@ def train_rf(
             Xb, yb = s.X[idx], s.y[idx]
         else:
             Xb, yb = s.X, s.y
-        grown.append(_grow_tree(Xb, yb, rng, len(s.classes), feature_sample))
-    return Classifier("rf", s.classes, s.dim, {"trees": grown}, s.provenance)
+        roots.append(len(nodes["feature"]))
+        _grow_tree(Xb, yb, rng, len(s.classes), feature_sample, nodes)
+    params = pack_forest(**nodes, roots=roots)
+    return Classifier("rf", s.classes, s.dim, params, s.provenance)
 
 
 def train_linsvm(
@@ -300,22 +347,41 @@ def _check_rows(clf: Classifier, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _tree_route(tree: dict, row: np.ndarray) -> int:
-    node = tree
-    while "leaf" not in node:
-        node = node["lo"] if row[node["f"]] <= node["t"] else node["hi"]
-    return node["leaf"]
+def _forest_votes(params: dict, rows: np.ndarray, n_classes: int) -> np.ndarray:
+    """Route every (row, tree) pair down its tree at once, one level per
+    step, and count each leaf's class as one vote."""
+    feature, threshold, left, right, leaf, roots = (params[k] for k in FOREST_ARRAYS)
+    n = len(rows)
+    row = np.repeat(np.arange(n), len(roots))
+    node = np.tile(roots, n)
+    live = np.arange(len(node))  # pairs still at an internal node
+    while live.size:
+        at = node[live]
+        f = feature[at]
+        inner = f >= 0
+        live, at, f = live[inner], at[inner], f[inner]
+        go_lo = rows[row[live], f] <= threshold[at]
+        node[live] = np.where(go_lo, left[at], right[at])
+    votes = np.bincount(row * n_classes + leaf[node], minlength=n * n_classes)
+    return votes.reshape(n, n_classes).astype(np.float64)
 
 
 def _knn_scores(clf: Classifier, rows: np.ndarray) -> np.ndarray:
+    """Inverse-distance votes of the k nearest training rows, computed in
+    chunks of test rows whose difference tensor fits KNN_CHUNK_BYTES."""
     Xt, yt, k = clf.params["X"], clf.params["y"], clf.params["k"]
     k = min(k, len(Xt))
     scores = np.zeros((len(rows), len(clf.classes)))
-    d2 = np.square(rows[:, None, :] - Xt[None, :, :]).sum(axis=2)
-    for i in range(len(rows)):
-        nearest = np.argsort(d2[i], kind="stable")[:k]
-        w = 1.0 / (np.sqrt(d2[i][nearest]) + KNN_EPS)
-        np.add.at(scores[i], yt[nearest], w)
+    step = max(1, KNN_CHUNK_BYTES // max(1, Xt.nbytes))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        diff = chunk[:, None, :] - Xt[None, :, :]
+        np.square(diff, out=diff)
+        d2 = diff.sum(axis=2)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        at = np.arange(len(chunk))[:, None]
+        w = 1.0 / (np.sqrt(d2[at, nearest]) + KNN_EPS)
+        np.add.at(scores, (start + at, yt[nearest]), w)
     return scores
 
 
@@ -327,11 +393,7 @@ def predict_scores(clf: Classifier, x: np.ndarray) -> np.ndarray:
     if clf.kind == "knn":
         return _knn_scores(clf, rows)
     if clf.kind == "rf":
-        votes = np.zeros((len(rows), len(clf.classes)))
-        for tree in clf.params["trees"]:
-            for i, row in enumerate(rows):
-                votes[i, _tree_route(tree, row)] += 1.0
-        return votes
+        return _forest_votes(clf.params, rows, len(clf.classes))
     if clf.kind == "dummy":
         scores = np.zeros((len(rows), len(clf.classes)))
         scores[:, clf.params["majority"]] = 1.0

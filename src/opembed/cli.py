@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import functools
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .classifiers import (
     MODELS,
     FeatProvenance,
     make_labeled_set,
+    measure_inference,
     predict as clf_predict,
     train as train_classifier,
 )
@@ -291,10 +291,12 @@ def train_task(corpus_path, features_path, task, model, percentile, factor, seed
 @click.option("--schema", "schema_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--positive", default="slow", show_default=True,
               help="Class that flags a query when any of its operators predicts it.")
+@click.option("--timings", is_flag=True,
+              help="Time one-row predictions into a latency_ms column (breaks byte-identical output).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @guarded
 def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path,
-            positive, out) -> None:
+            positive, timings, out) -> None:
     """Predict per operator; admission classifiers also emit query verdicts.
 
     Featurize with exactly one of: --encoder, --reducer plus --schema, or
@@ -343,18 +345,21 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
         raise ValueError(f"features have dim {F.shape[1]} but classifier wants {clf.dim}")
 
     node_types = [item.node.node_type for item in walk_operators(corpus)]
-    preds = []
-    latencies = []
-    for row in F:
-        t0 = time.perf_counter()
-        preds.append(clf_predict(clf, row[None, :])[0])
-        latencies.append((time.perf_counter() - t0) * 1e3)
+    preds = clf_predict(clf, F)
+    columns = [table.ids, node_types, preds]
+    header = ["id", "node_type", "prediction"]
+    latency = ""
+    if timings:
+        stats = measure_inference(clf, F)
+        columns.append([repr(float(ms)) for ms in stats.per_item_ms])
+        header.append("latency_ms")
+        latency = f"; mean latency {stats.mean_ms:.4f} ms"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "node_type", "prediction", "latency_ms"])
-        for rid, ntype, pred, ms in zip(table.ids, node_types, preds, latencies):
-            writer.writerow([rid, ntype, pred, repr(ms)])
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
+    flagged = ""
     if positive in clf.classes:
         # verdict per query: flag when any of its operators predicts the positive class
         hit = np.zeros(len(corpus.records), dtype=bool)
@@ -364,15 +369,8 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
             writer.writerow(["query_id", "verdict"])
             for record, flag in zip(corpus.records, hit):
                 writer.writerow([record.query_id, "flag" if flag else "admit"])
-        click.echo(
-            f"predicted {len(preds)} operators; {int(hit.sum())}/{len(hit)} queries flagged; "
-            f"mean latency {float(np.mean(latencies)):.4f} ms -> {out}"
-        )
-    else:
-        click.echo(
-            f"predicted {len(preds)} operators; "
-            f"mean latency {float(np.mean(latencies)):.4f} ms -> {out}"
-        )
+        flagged = f"; {int(hit.sum())}/{len(hit)} queries flagged"
+    click.echo(f"predicted {len(preds)} operators{flagged}{latency} -> {out}")
 
 
 @main.command("evaluate")

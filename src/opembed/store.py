@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .classifiers import Classifier, FeatProvenance
+from .classifiers import FOREST_ARRAYS, Classifier, FeatProvenance, pack_forest
 from .errors import BundleError
 from .featurize import FeatureSchema, schema_from_json, schema_to_json
 from .hourglass import Encoder
@@ -264,7 +264,7 @@ def save_classifier_bundle(path, clf: Classifier, meta: dict | None = None) -> P
         arrays["y"] = clf.params["y"]
         extra["k"] = clf.params["k"]
     elif clf.kind == "rf":
-        extra["trees"] = clf.params["trees"]
+        arrays.update((name, clf.params[name]) for name in FOREST_ARRAYS)
     elif clf.kind == "dummy":
         extra["majority"] = clf.params["majority"]
     else:
@@ -283,6 +283,36 @@ def save_classifier_bundle(path, clf: Classifier, meta: dict | None = None) -> P
     return save_bundle(path, "classifier", body, arrays)
 
 
+def _check_forest(arrays: dict[str, np.ndarray], dim: int, n_classes: int, target) -> None:
+    """Refuse a forest whose routing could index out of range or loop:
+    every child id must exceed its parent's and stay inside the tree."""
+    def bad(reason: str) -> BundleError:
+        return BundleError(f"malformed random forest in {target}: {reason}")
+
+    missing = [name for name in FOREST_ARRAYS if name not in arrays]
+    if missing:
+        raise bad(f"missing arrays {missing}")
+    feature, threshold, left, right, leaf, roots = (arrays[name] for name in FOREST_ARRAYS)
+    if not all(np.issubdtype(a.dtype, np.integer) for a in (feature, left, right, leaf, roots)):
+        raise bad("feature, child, leaf and root ids must be integers")
+    n = feature.size
+    if any(a.shape != (n,) for a in (feature, threshold, left, right, leaf)):
+        raise bad("node arrays differ in shape")
+    if roots.ndim != 1 or len(roots) == 0 or roots[0] != 0 or np.any(np.diff(roots) <= 0) \
+            or roots[-1] >= n:
+        raise bad("roots must start at 0 and increase inside the node arrays")
+    ids = np.arange(n)
+    stop = np.append(roots[1:], n)[np.searchsorted(roots, ids, side="right") - 1]
+    inner = feature >= 0
+    for child in (left, right):
+        if np.any(inner & ((child <= ids) | (child >= stop))):
+            raise bad("a child id is not after its parent inside the same tree")
+    if np.any(feature < -1) or np.any(feature >= dim):
+        raise bad(f"split feature outside [0, {dim})")
+    if np.any(~inner & ((leaf < 0) | (leaf >= n_classes))):
+        raise bad(f"leaf class outside [0, {n_classes})")
+
+
 def load_classifier_bundle(path) -> tuple[Classifier, dict]:
     header, arrays = load_bundle(path, "classifier")
     kind = header["model"]
@@ -292,7 +322,13 @@ def load_classifier_bundle(path) -> tuple[Classifier, dict]:
     elif kind == "knn":
         params = {"X": arrays["X"], "y": arrays["y"].astype(np.intp), "k": int(extra["k"])}
     elif kind == "rf":
-        params = {"trees": extra["trees"]}
+        target = resolve_store_path(path)
+        if "trees" in extra:
+            raise BundleError(
+                f"{target} holds a random forest in the retired nested-dict format; retrain it"
+            )
+        _check_forest(arrays, int(header["dim"]), len(header["classes"]), target)
+        params = pack_forest(*(arrays[name] for name in FOREST_ARRAYS))
     elif kind == "dummy":
         params = {"majority": int(extra["majority"])}
     else:

@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+from opembed import classifiers
 from opembed.classifiers import (
     FeatProvenance,
     LabeledSet,
@@ -114,6 +115,16 @@ def test_knn_inverse_distance_weighting():
     assert predict(clf, np.array([0.0])) == "a"
 
 
+def test_knn_chunked_scores_equal_single_chunk(rng, monkeypatch):
+    X = rng.normal(size=(120, 7))
+    s = make_labeled_set(X, [("a", "b", "c")[i] for i in rng.integers(0, 3, 120)])
+    clf = train_knn(s)
+    queries = np.vstack([rng.normal(size=(45, 7)), X[:5]])
+    whole = predict_scores(clf, queries)
+    monkeypatch.setattr(classifiers, "KNN_CHUNK_BYTES", 1)  # one test row per chunk
+    assert np.array_equal(predict_scores(clf, queries), whole)
+
+
 def test_rf_learns_threshold_concept():
     rng = np.random.default_rng(2)
     X = rng.uniform(-1, 1, size=(200, 3))
@@ -142,15 +153,111 @@ def test_rf_single_tree_matches_hand_trace():
     s = make_labeled_set(X, ["z", "z", "z", "o", "o", "o", "o", "o"])
     clf = train_rf(s, trees=1, bootstrap=False, feature_sample="all")
     tree = clf.params["trees"][0]
-    assert tree == {
-        "f": 1,
-        "t": 0.5,
-        "lo": {"f": 0, "t": 2.5, "lo": {"leaf": 0}, "hi": {"leaf": 1}},
-        "hi": {"leaf": 1},
-    }
+    # preorder: root, its lo child, that child's two leaves, the root's hi leaf
+    assert tree["feature"].tolist() == [1, 0, -1, -1, -1]
+    assert tree["threshold"][:2].tolist() == [0.5, 2.5]
+    assert tree["left"][:2].tolist() == [1, 2]
+    assert tree["right"][:2].tolist() == [4, 3]
+    assert tree["leaf"][2:].tolist() == [0, 1, 1]
+    assert clf.params["roots"].tolist() == [0]
     assert predict(clf, np.array([2.9, 0.0])) == "o"
     assert predict(clf, np.array([0.5, 0.2])) == "z"
     assert accuracy(clf, s) == 1.0
+
+
+def _reference_split(X, y, feature_ids, n_classes):
+    # the per-feature loop the vectorized split search must reproduce
+    n = len(y)
+    best = None
+    onehot = np.eye(n_classes)[y]
+    for f in feature_ids:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        distinct = np.nonzero(np.diff(xs) > 0)[0]
+        if len(distinct) == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)
+        left = cum[distinct]
+        right = cum[-1] - left
+        nl = distinct + 1.0
+        nr = n - nl
+        gini_l = 1.0 - np.square(left / nl[:, None]).sum(axis=1)
+        gini_r = 1.0 - np.square(right / nr[:, None]).sum(axis=1)
+        weighted = (nl * gini_l + nr * gini_r) / n
+        j = int(np.argmin(weighted))
+        if best is None or weighted[j] < best[2]:
+            cut = distinct[j]
+            best = (int(f), float(0.5 * (xs[cut] + xs[cut + 1])), float(weighted[j]))
+    return best
+
+
+def _reference_tree(X, y, rng, n_classes, feature_sample, nodes):
+    # recursive grower appending one node per call, so ids come out in preorder
+    node = len(nodes["feature"])
+    for name, value in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+        nodes[name].append(value)
+    counts = np.bincount(y, minlength=n_classes)
+    best = None
+    if len(y) >= 2 and counts.max() < len(y):
+        d = X.shape[1]
+        if feature_sample == "all":
+            feats = np.arange(d)
+        else:
+            feats = np.sort(rng.choice(d, size=max(1, int(np.sqrt(d))), replace=False))
+        best = _reference_split(X, y, feats, n_classes)
+        if best is None and feature_sample != "all":
+            best = _reference_split(X, y, np.arange(d), n_classes)
+    if best is None:
+        nodes["leaf"].append(int(np.argmax(counts)))
+        return
+    nodes["leaf"].append(-1)
+    f, t, _ = best
+    nodes["feature"][node], nodes["threshold"][node] = f, t
+    mask = X[:, f] <= t
+    nodes["left"][node] = len(nodes["feature"])
+    _reference_tree(X[mask], y[mask], rng, n_classes, feature_sample, nodes)
+    nodes["right"][node] = len(nodes["feature"])
+    _reference_tree(X[~mask], y[~mask], rng, n_classes, feature_sample, nodes)
+
+
+def _reference_forest(s, trees, seed, bootstrap):
+    nodes = {name: [] for name in ("feature", "threshold", "left", "right", "leaf")}
+    roots = []
+    for t in range(trees):
+        rng = np.random.default_rng([seed, t])
+        idx = rng.integers(0, len(s.X), len(s.X)) if bootstrap else np.arange(len(s.X))
+        roots.append(len(nodes["feature"]))
+        _reference_tree(s.X[idx], s.y[idx], rng, len(s.classes), "sqrt", nodes)
+    return nodes, roots
+
+
+@pytest.mark.parametrize(
+    "seed, n_classes, dim, bootstrap",
+    [(11, 2, 6, True), (12, 3, 9, False), (13, 3, 16, True)],
+)
+def test_rf_matches_recursive_reference_node_for_node(seed, n_classes, dim, bootstrap):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, dim))
+    X[rng.random(X.shape) < 0.5] = 0.0  # sparse columns with runs of ties
+    y = rng.integers(0, n_classes, 60)
+    s = LabeledSet(X, y, tuple(f"c{i}" for i in range(n_classes)))
+    clf = train_rf(s, trees=6, seed=seed, bootstrap=bootstrap)
+    nodes, roots = _reference_forest(s, 6, seed, bootstrap)
+    assert clf.params["roots"].tolist() == roots
+    for name, want in nodes.items():
+        assert clf.params[name].tolist() == want, name
+    assert any(f >= 0 for f in nodes["feature"])
+
+
+def test_rf_grows_a_deep_tree_without_recursion():
+    # alternating labels on one feature: every split peels off a single row,
+    # so the tree is 1,199 levels deep
+    X = np.arange(1200.0)[:, None]
+    labels = ["even" if i % 2 == 0 else "odd" for i in range(1200)]
+    s = make_labeled_set(X, labels)
+    clf = train_rf(s, trees=1, bootstrap=False, feature_sample="all")
+    assert len(clf.params["feature"]) == 2 * 1200 - 1
+    assert predict(clf, X) == labels
 
 
 def test_rf_default_tree_count():

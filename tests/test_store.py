@@ -5,6 +5,7 @@ import pytest
 
 from opembed import nn
 from opembed.classifiers import (
+    FOREST_ARRAYS,
     FeatProvenance,
     make_labeled_set,
     predict_scores,
@@ -267,3 +268,79 @@ def test_classifier_bundle_bytes_stable(tmp_path, toy_set):
     p3 = tmp_path / "c3.opeb"
     save_classifier_bundle(p3, loaded)
     assert p3.read_bytes() == p1.read_bytes()
+
+
+def test_rf_bundle_stores_forest_arrays(tmp_path, toy_set):
+    clf = train_rf(toy_set, trees=4, seed=2)
+    path = tmp_path / "rf.opeb"
+    save_classifier_bundle(path, clf)
+    header, arrays = load_bundle(path)
+    assert header["extra"] == {}
+    assert sorted(arrays) == sorted(FOREST_ARRAYS)
+    loaded, _ = load_classifier_bundle(path)
+    for name in FOREST_ARRAYS:
+        assert np.array_equal(loaded.params[name], clf.params[name])
+    assert len(loaded.params["trees"]) == 4
+    again = tmp_path / "rf2.opeb"
+    save_classifier_bundle(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _resave_forest(tmp_path, toy_set, corrupt):
+    path = tmp_path / "rf.opeb"
+    save_classifier_bundle(path, train_rf(toy_set, trees=3, seed=1))
+    header, arrays = load_bundle(path)
+    corrupt(arrays)
+    save_bundle(path, "classifier", header, arrays)
+    return path
+
+
+def _set(name, index, value):
+    def corrupt(arrays):
+        arrays[name][index] = value
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _set("left", 0, 0),        # root is its own child: routing would never end
+        _set("right", 0, -1),
+        _set("feature", 0, 4),     # toy_set has dim 4
+        _set("feature", 0, -2),
+        _set("leaf", -1, 2),       # two classes
+        _set("roots", 1, 10**6),
+        _set("roots", 0, 1),
+        lambda arrays: arrays.update(threshold=arrays["threshold"][:-1]),
+        lambda arrays: arrays.update(feature=arrays["feature"].astype(np.float64)),
+        lambda arrays: arrays.pop("roots"),
+    ],
+    ids=["root-own-child", "negative-child", "feature-too-big", "feature-negative", "leaf-class",
+         "root-out-of-range", "first-root", "short-threshold", "float-feature", "no-roots"],
+)
+def test_rf_bundle_rejects_malformed_forest(tmp_path, toy_set, corrupt):
+    path = _resave_forest(tmp_path, toy_set, corrupt)
+    with pytest.raises(BundleError, match="malformed random forest") as info:
+        load_classifier_bundle(path)
+    assert str(path) in str(info.value)
+
+
+def test_rf_bundle_rejects_child_in_next_tree(tmp_path, toy_set):
+    def corrupt(arrays):
+        inner = np.nonzero(arrays["feature"][: arrays["roots"][1]] >= 0)[0]
+        arrays["right"][inner[-1]] = arrays["roots"][1]
+    path = _resave_forest(tmp_path, toy_set, corrupt)
+    with pytest.raises(BundleError, match="same tree"):
+        load_classifier_bundle(path)
+
+
+def test_rf_bundle_in_nested_dict_format_is_refused(tmp_path):
+    path = tmp_path / "old.opeb"
+    body = {
+        "model": "rf", "classes": ["a", "b"], "dim": 1, "provenance": None, "meta": {},
+        "extra": {"trees": [{"f": 0, "t": 0.5, "lo": {"leaf": 0}, "hi": {"leaf": 1}}]},
+    }
+    save_bundle(path, "classifier", body)
+    with pytest.raises(BundleError, match="retrain") as info:
+        load_classifier_bundle(path)
+    assert str(path) in str(info.value)
