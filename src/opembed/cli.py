@@ -21,7 +21,6 @@ from .classifiers import (
     MODELS,
     FeatProvenance,
     make_labeled_set,
-    measure_inference,
     predict as clf_predict,
     train as train_classifier,
 )
@@ -291,12 +290,10 @@ def train_task(corpus_path, features_path, task, model, percentile, factor, seed
 @click.option("--schema", "schema_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--positive", default="slow", show_default=True,
               help="Class that flags a query when any of its operators predicts it.")
-@click.option("--timings", is_flag=True,
-              help="Time one-row predictions into a latency_ms column (breaks byte-identical output).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @guarded
 def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path,
-            positive, timings, out) -> None:
+            positive, out) -> None:
     """Predict per operator; admission classifiers also emit query verdicts.
 
     Featurize with exactly one of: --encoder, --reducer plus --schema, or
@@ -346,18 +343,10 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
 
     node_types = [item.node.node_type for item in walk_operators(corpus)]
     preds = clf_predict(clf, F)
-    columns = [table.ids, node_types, preds]
-    header = ["id", "node_type", "prediction"]
-    latency = ""
-    if timings:
-        stats = measure_inference(clf, F)
-        columns.append([repr(float(ms)) for ms in stats.per_item_ms])
-        header.append("latency_ms")
-        latency = f"; mean latency {stats.mean_ms:.4f} ms"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        writer.writerow(["id", "node_type", "prediction"])
+        writer.writerows(zip(table.ids, node_types, preds))
 
     flagged = ""
     if positive in clf.classes:
@@ -370,7 +359,7 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
             for record, flag in zip(corpus.records, hit):
                 writer.writerow([record.query_id, "flag" if flag else "admit"])
         flagged = f"; {int(hit.sum())}/{len(hit)} queries flagged"
-    click.echo(f"predicted {len(preds)} operators{flagged}{latency} -> {out}")
+    click.echo(f"predicted {len(preds)} operators{flagged} -> {out}")
 
 
 @main.command("evaluate")

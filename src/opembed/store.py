@@ -292,13 +292,19 @@ def _check_forest(arrays: dict[str, np.ndarray], dim: int, n_classes: int, targe
     missing = [name for name in FOREST_ARRAYS if name not in arrays]
     if missing:
         raise bad(f"missing arrays {missing}")
-    feature, threshold, left, right, leaf, roots = (arrays[name] for name in FOREST_ARRAYS)
-    if not all(np.issubdtype(a.dtype, np.integer) for a in (feature, left, right, leaf, roots)):
+    if not all(np.issubdtype(arrays[name].dtype, np.integer) for name in FOREST_ARRAYS
+               if name != "threshold"):
         raise bad("feature, child, leaf and root ids must be integers")
+    # check the ids as pack_forest will hold them, so unsigned or wide ids
+    # that wrap on conversion are judged by the values routing would use
+    feature, threshold, left, right, leaf, roots = (
+        arrays[name] if name == "threshold" else np.asarray(arrays[name], dtype=np.intp)
+        for name in FOREST_ARRAYS
+    )
     n = feature.size
     if any(a.shape != (n,) for a in (feature, threshold, left, right, leaf)):
         raise bad("node arrays differ in shape")
-    if roots.ndim != 1 or len(roots) == 0 or roots[0] != 0 or np.any(np.diff(roots) <= 0) \
+    if roots.ndim != 1 or len(roots) == 0 or roots[0] != 0 or np.any(roots[1:] <= roots[:-1]) \
             or roots[-1] >= n:
         raise bad("roots must start at 0 and increase inside the node arrays")
     ids = np.arange(n)

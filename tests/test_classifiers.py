@@ -152,14 +152,14 @@ def test_rf_single_tree_matches_hand_trace():
     )
     s = make_labeled_set(X, ["z", "z", "z", "o", "o", "o", "o", "o"])
     clf = train_rf(s, trees=1, bootstrap=False, feature_sample="all")
-    tree = clf.params["trees"][0]
+    forest = clf.params
     # preorder: root, its lo child, that child's two leaves, the root's hi leaf
-    assert tree["feature"].tolist() == [1, 0, -1, -1, -1]
-    assert tree["threshold"][:2].tolist() == [0.5, 2.5]
-    assert tree["left"][:2].tolist() == [1, 2]
-    assert tree["right"][:2].tolist() == [4, 3]
-    assert tree["leaf"][2:].tolist() == [0, 1, 1]
-    assert clf.params["roots"].tolist() == [0]
+    assert forest["feature"].tolist() == [1, 0, -1, -1, -1]
+    assert forest["threshold"][:2].tolist() == [0.5, 2.5]
+    assert forest["left"][:2].tolist() == [1, 2]
+    assert forest["right"][:2].tolist() == [4, 3]
+    assert forest["leaf"][2:].tolist() == [0, 1, 1]
+    assert forest["roots"].tolist() == [0]
     assert predict(clf, np.array([2.9, 0.0])) == "o"
     assert predict(clf, np.array([0.5, 0.2])) == "z"
     assert accuracy(clf, s) == 1.0

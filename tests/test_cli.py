@@ -207,32 +207,6 @@ def test_train_task_and_predict_round_trip(runner, tmp_path, pipeline):
     assert all(line.split(",")[1] in ("admit", "flag") for line in verdicts[1:])
 
 
-def test_predict_timings_flag_adds_latency_column(runner, tmp_path, pipeline):
-    _, corpus, encoder, _ = pipeline
-    emb = tmp_path / "emb.csv"
-    run_ok(
-        runner,
-        ["embed", "--corpus", str(corpus), "--encoder", str(encoder), "--out", str(emb)],
-    )
-    clf = tmp_path / "clf.opeb"
-    run_ok(
-        runner,
-        [
-            "train-task", "--corpus", str(corpus), "--features", str(emb),
-            "--task", "admission", "--model", "rf", "--out", str(clf),
-        ],
-    )
-    args = ["predict", "--plans", str(corpus), "--classifier", str(clf), "--encoder", str(encoder)]
-    run_ok(runner, args + ["--out", str(tmp_path / "plain.csv")])
-    result = run_ok(runner, args + ["--timings", "--out", str(tmp_path / "timed.csv")])
-    assert "mean latency" in result.output
-    plain = (tmp_path / "plain.csv").read_text().splitlines()
-    timed = (tmp_path / "timed.csv").read_text().splitlines()
-    assert timed[0] == "id,node_type,prediction,latency_ms"
-    assert [line.rsplit(",", 1)[0] for line in timed] == plain
-    assert all(float(line.rsplit(",", 1)[1]) >= 0.0 for line in timed[1:])
-
-
 def test_predict_verdicts_match_flag_query(runner, tmp_path, pipeline):
     from opembed.plans import load_corpus
     from opembed.tasks import flag_query

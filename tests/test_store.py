@@ -280,7 +280,7 @@ def test_rf_bundle_stores_forest_arrays(tmp_path, toy_set):
     loaded, _ = load_classifier_bundle(path)
     for name in FOREST_ARRAYS:
         assert np.array_equal(loaded.params[name], clf.params[name])
-    assert len(loaded.params["trees"]) == 4
+    assert len(loaded.params["roots"]) == 4
     again = tmp_path / "rf2.opeb"
     save_classifier_bundle(again, loaded)
     assert again.read_bytes() == path.read_bytes()
@@ -316,11 +316,26 @@ def _set(name, index, value):
         lambda arrays: arrays.pop("roots"),
     ],
     ids=["root-own-child", "negative-child", "feature-too-big", "feature-negative", "leaf-class",
-         "root-out-of-range", "first-root", "short-threshold", "float-feature", "no-roots"],
+         "root-out-of-range", "first-root", "short-threshold",
+         "float-feature", "no-roots"],
 )
 def test_rf_bundle_rejects_malformed_forest(tmp_path, toy_set, corrupt):
     path = _resave_forest(tmp_path, toy_set, corrupt)
     with pytest.raises(BundleError, match="malformed random forest") as info:
+        load_classifier_bundle(path)
+    assert str(path) in str(info.value)
+
+
+def test_rf_bundle_rejects_unsigned_roots_out_of_order(tmp_path, toy_set):
+    # save_bundle writes signed ids, so relabel the roots entry as <u8 by
+    # hand: an unsigned diff of [0, 10**6, 3] wraps and reads as increasing
+    path = _resave_forest(tmp_path, toy_set, _set("roots", 1, 10**6))
+    raw = path.read_bytes()
+    entry = b'"dtype":"<i8","name":"roots"'
+    assert raw.count(entry) == 1
+    path.write_bytes(raw.replace(entry, entry.replace(b"<i8", b"<u8")))
+    assert load_bundle(path)[1]["roots"].dtype == np.uint64
+    with pytest.raises(BundleError, match="roots must start at 0") as info:
         load_classifier_bundle(path)
     assert str(path) in str(info.value)
 
