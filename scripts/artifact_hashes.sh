@@ -26,11 +26,15 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
   op embed --corpus "$d/corpus.json" --encoder "$d/encoder.opeb" --out "$d/embeddings.csv"
   op reduce --corpus "$d/corpus.json" --schema "$d/schema.opeb" --method pca --dim 8 \
      --model-out "$d/pca.opeb" --out "$d/pca.csv"
+  op reduce --corpus "$d/corpus.json" --schema "$d/schema.opeb" --method fa --dim 8 \
+     --model-out "$d/fa.opeb" --out "$d/fa.csv"
   op reduce --corpus "$d/corpus.json" --schema "$d/schema.opeb" --method sparse --out "$d/sparse.csv"
   op train-task --corpus "$d/corpus.json" --features "$d/embeddings.csv" --task admission \
      --model logreg --provenance "$d/encoder.opeb" --out "$d/clf_admission.opeb"
   op train-task --corpus "$d/corpus.json" --features "$d/pca.csv" --task admission \
      --model knn --percentile 80 --provenance "$d/pca.opeb" --out "$d/clf_pca.opeb"
+  op train-task --corpus "$d/corpus.json" --features "$d/fa.csv" --task admission \
+     --model svm --percentile 80 --seed "$seed" --provenance "$d/fa.opeb" --out "$d/clf_fa.opeb"
   op train-task --corpus "$d/corpus.json" --features "$d/embeddings.csv" --task user \
      --model svm --seed "$seed" --out "$d/clf_user.opeb"
   op train-task --corpus "$d/corpus.json" --features "$d/embeddings.csv" --task card \
@@ -39,14 +43,16 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --encoder "$d/encoder.opeb" --out "$d/pred_enc.csv"
   op predict --plans "$d/corpus.json" --classifier "$d/clf_pca.opeb" \
      --reducer "$d/pca.opeb" --schema "$d/schema.opeb" --out "$d/pred_pca.csv"
-  for f in pred_enc pred_pca; do
+  op predict --plans "$d/corpus.json" --classifier "$d/clf_fa.opeb" \
+     --reducer "$d/fa.opeb" --schema "$d/schema.opeb" --out "$d/pred_fa.csv"
+  for f in pred_enc pred_pca pred_fa; do
     cut -d, -f1-3 "$d/$f.csv" | tr -d "\r" > "$d/$f.cols.csv"; rm "$d/$f.csv"
   done
   for strategy in random temporal; do
     for full in "" --embedding-from-full-log; do
       tag=$strategy${full:+-full}
       op evaluate --corpus "$d/corpus.json" --task "$task" --featurizations sparse,neural-16,pca-8 \
-         --models logreg,knn,dummy --epochs 2 --strategy "$strategy" --seed "$seed" $full \
+         --models logreg,knn,svm,dummy --epochs 2 --strategy "$strategy" --seed "$seed" $full \
          --out "$d/report-$tag.csv" --medians-out "$d/medians-$tag.csv"
     done
   done

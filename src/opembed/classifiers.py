@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
+
 KNN_EPS = 1e-9
 # bytes of the test-row x training-row x dim difference tensor kNN builds at once
 KNN_CHUNK_BYTES = 32 << 20
@@ -94,6 +96,24 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _fit_linear(kind: str, s: LabeledSet, cfg: nn.SgdConfig, grads) -> Classifier:
+    """Train a zero-initialized affine layer with nn.train.
+
+    grads(Xb, yb, W, b) returns one batch's loss and the gradients of W and
+    b; nn.train raises TrainingDivergedError on a non-finite loss.
+    """
+    n, d = s.X.shape
+    c = len(s.classes)
+    layer = nn.DenseLayer(np.zeros((c, d)), np.zeros(c))
+
+    def step(idx):
+        loss, dW, db = grads(s.X[idx], s.y[idx], layer.W, layer.b)
+        return loss, [[nn.LayerGrads(dW, db)]]
+
+    nn.train([nn.Network([layer])], cfg, n, step)
+    return Classifier(kind, s.classes, d, {"W": layer.W, "b": layer.b}, s.provenance)
+
+
 def train_logreg(
     s: LabeledSet,
     l2: float = 1e-4,
@@ -106,22 +126,20 @@ def train_logreg(
     cross-entropy plus 0.5*l2*||W||^2 (bias unregularized). Zero init, so an
     untrained model predicts the uniform distribution."""
     _check_training(s)
-    n, d = s.X.shape
-    c = len(s.classes)
-    W = np.zeros((c, d))
-    b = np.zeros(c)
-    onehot = np.eye(c)[s.y]
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            Xb, Tb = s.X[idx], onehot[idx]
-            P = _softmax_rows(Xb @ W.T + b)
-            G = (P - Tb) / len(idx)
-            W -= lr * (G.T @ Xb + l2 * W)
-            b -= lr * G.sum(axis=0)
-    return Classifier("logreg", s.classes, d, {"W": W, "b": b}, s.provenance)
+
+    def grads(Xb, yb, W, b):
+        Z = Xb @ W.T + b
+        Z -= Z.max(axis=1, keepdims=True)
+        P = np.exp(Z)
+        total = P.sum(axis=1, keepdims=True)
+        at = np.arange(len(yb))
+        loss = float((np.log(total[:, 0]) - Z[at, yb]).sum()) / len(yb)
+        P /= total
+        P[at, yb] -= 1.0
+        G = P / len(yb)
+        return loss, G.T @ Xb + l2 * W, G.sum(axis=0)
+
+    return _fit_linear("logreg", s, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
 
 
 def train_knn(s: LabeledSet, k: int = 6, seed: int = 0) -> Classifier:
@@ -293,23 +311,17 @@ def train_linsvm(
     _check_training(s)
     if c < 0:
         raise ValueError("c must be nonnegative")
-    n, d = s.X.shape
-    n_classes = len(s.classes)
-    W = np.zeros((n_classes, d))
-    b = np.zeros(n_classes)
-    signs = np.where(np.eye(n_classes)[s.y].astype(bool), 1.0, -1.0)  # (n, C)
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            Xb, Sb = s.X[idx], signs[idx]
-            margins = Sb * (Xb @ W.T + b)
-            viol = (margins < 1.0).astype(np.float64)
-            coeff = -(Sb * viol) / len(idx)          # (m, C)
-            W -= lr * (W + c * coeff.T @ Xb)
-            b -= lr * (c * coeff.sum(axis=0))
-    return Classifier("linsvm", s.classes, d, {"W": W, "b": b}, s.provenance)
+    signs = np.where(np.eye(len(s.classes), dtype=bool), 1.0, -1.0)  # row y: +1 at y
+
+    def grads(Xb, yb, W, b):
+        Sb = signs[yb]
+        margins = Sb * (Xb @ W.T + b)
+        viol = (margins < 1.0).astype(np.float64)
+        loss = 0.5 * float(np.vdot(W, W)) + c * float(np.vdot(1.0 - margins, viol)) / len(yb)
+        coeff = -(Sb * viol) / len(yb)          # (m, C)
+        return loss, W + c * coeff.T @ Xb, c * coeff.sum(axis=0)
+
+    return _fit_linear("linsvm", s, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
 
 
 def train_dummy(s: LabeledSet) -> Classifier:

@@ -223,7 +223,7 @@ def reduce(corpus_path, schema_path, method, dim, seed, out, model_out) -> None:
             store.save_pca_bundle(model_out, model, digest, meta={"dim": dim, "seed": seed})
     elif method == "fa":
         model = fit_fa(X, dim)
-        rows = np.atleast_2d(transform_fa(model, X))
+        rows = transform_fa(model, X)
         cols = [f"f{j}" for j in range(dim)]
         if model_out:
             store.save_fa_bundle(model_out, model, digest, meta={"dim": dim})
@@ -325,7 +325,7 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
             F = transform_pca(model, table.X)
         elif header["kind"] == "fa":
             model, _ = store.load_fa_bundle(reducer_path)
-            F = np.atleast_2d(transform_fa(model, table.X))
+            F = transform_fa(model, table.X)
         else:
             raise ValueError(f"{reducer_path} is a {header['kind']} bundle, not a reducer")
     elif schema_path:

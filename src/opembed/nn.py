@@ -3,7 +3,7 @@ and ReLU, mixed segment losses, mini-batch SGD, finite-difference checking.
 
 All math is float64 numpy. Training is single-threaded and deterministic
 for a fixed seed. Loss over a batch is the mean of per-row losses; per-row
-loss is the weighted sum of segment losses:
+loss is the sum of segment losses:
 
 * mse: half the sum of squared errors over the segment's slots
 * bce: logistic loss per slot, computed from the logit (softplus form)
@@ -13,7 +13,8 @@ loss is the weighted sum of segment losses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,26 +87,10 @@ class _LayerCache:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer post-activation outputs plus what backward needs.
-
-    Indexing and len() expose the activations, squeezed back to 1-D when
-    the forward input was a single vector.
-    """
+    """Per-layer post-activation outputs plus what backward needs."""
 
     activations: list[np.ndarray]
     caches: list[_LayerCache]
-    single: bool
-
-    def __len__(self) -> int:
-        return len(self.activations)
-
-    def __getitem__(self, i):
-        a = self.activations[i]
-        return a[0] if self.single else a
-
-    @property
-    def output(self) -> np.ndarray:
-        return self[len(self.activations) - 1]
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -115,42 +100,42 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+def _layer(layer: DenseLayer, a: np.ndarray, caches: list | None = None) -> np.ndarray:
+    """One layer's output. With caches given, also append what backward
+    needs; without, xhat is never bound, so no extra (rows x width) array
+    stays alive."""
+    z = a @ layer.W.T + layer.b
+    xhat = inv_std = None
+    if layer.apply_layer_norm:
+        mu = z.mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(z.var(axis=1, keepdims=True) + LN_EPS)
+        if caches is None:
+            z = layer.gain * ((z - mu) * inv_std) + layer.beta
+        else:
+            xhat = (z - mu) * inv_std
+            z = layer.gain * xhat + layer.beta
+    if caches is not None:
+        caches.append(_LayerCache(a, xhat, inv_std, z))
+    return np.maximum(z, 0.0) if layer.apply_relu else z
+
+
 def forward(net: Network, x: np.ndarray) -> ForwardTrace:
     """Run the network, retaining every activation for backprop."""
-    a, single = _as_batch(x)
+    a = _as_batch(x)[0]
     if a.shape[1] != net.in_dim:
         raise ValueError(f"input dim {a.shape[1]}, network wants {net.in_dim}")
     activations, caches = [], []
     for layer in net.layers:
-        z = a @ layer.W.T + layer.b
-        xhat = inv_std = None
-        if layer.apply_layer_norm:
-            mu = z.mean(axis=1, keepdims=True)
-            var = z.var(axis=1, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + LN_EPS)
-            xhat = (z - mu) * inv_std
-            z = layer.gain * xhat + layer.beta
-        pre_relu = z
-        if layer.apply_relu:
-            z = np.maximum(z, 0.0)
-        caches.append(_LayerCache(a, xhat, inv_std, pre_relu))
-        activations.append(z)
-        a = z
-    return ForwardTrace(activations, caches, single)
+        a = _layer(layer, a, caches)
+        activations.append(a)
+    return ForwardTrace(activations, caches)
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
     """Forward pass without retaining activations."""
     a, single = _as_batch(x)
     for layer in net.layers:
-        z = a @ layer.W.T + layer.b
-        if layer.apply_layer_norm:
-            mu = z.mean(axis=1, keepdims=True)
-            inv = 1.0 / np.sqrt(z.var(axis=1, keepdims=True) + LN_EPS)
-            z = layer.gain * ((z - mu) * inv) + layer.beta
-        if layer.apply_relu:
-            z = np.maximum(z, 0.0)
-        a = z
+        a = _layer(layer, a)
     return a[0] if single else a
 
 
@@ -159,7 +144,6 @@ class LossSpec:
     """Segments (kind, start, stop) covering [0, out_dim) exactly once."""
 
     segments: tuple[tuple[str, int, int], ...]
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         pos = None
@@ -171,15 +155,10 @@ class LossSpec:
             if stop <= start:
                 raise ValueError("empty segment")
             pos = stop
-        if self.weights is not None and len(self.weights) != len(self.segments):
-            raise ValueError("one weight per segment required")
 
     @property
     def dim(self) -> int:
         return self.segments[-1][2]
-
-    def weight(self, i: int) -> float:
-        return 1.0 if self.weights is None else self.weights[i]
 
 
 def _check_spec(spec: LossSpec, dim: int) -> None:
@@ -198,14 +177,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss(spec: LossSpec, prediction: np.ndarray, target: np.ndarray) -> float:
-    """Mean over rows of the summed, weighted segment losses."""
+    """Mean over rows of the summed segment losses."""
     p, _ = _as_batch(prediction)
     t, _ = _as_batch(target)
     _check_spec(spec, p.shape[1])
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
         raise ValueError("non-finite prediction or target")
     per_row = np.zeros(p.shape[0])
-    for i, (kind, start, stop) in enumerate(spec.segments):
+    for kind, start, stop in spec.segments:
         ps, ts = p[:, start:stop], t[:, start:stop]
         if kind == "mse":
             seg = 0.5 * np.square(ps - ts).sum(axis=1)
@@ -215,7 +194,7 @@ def loss(spec: LossSpec, prediction: np.ndarray, target: np.ndarray) -> float:
             logp = ps - ps.max(axis=1, keepdims=True)
             logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
             seg = -(ts * logp).sum(axis=1)
-        per_row += spec.weight(i) * seg
+        per_row += seg
     return float(per_row.mean())
 
 
@@ -225,7 +204,7 @@ def output_grad(spec: LossSpec, prediction: np.ndarray, target: np.ndarray) -> n
     t, _ = _as_batch(target)
     _check_spec(spec, p.shape[1])
     grad = np.zeros_like(p)
-    for i, (kind, start, stop) in enumerate(spec.segments):
+    for kind, start, stop in spec.segments:
         ps, ts = p[:, start:stop], t[:, start:stop]
         if kind == "mse":
             g = ps - ts
@@ -234,7 +213,7 @@ def output_grad(spec: LossSpec, prediction: np.ndarray, target: np.ndarray) -> n
         else:
             # all-zero target rows get exactly zero gradient here
             g = _softmax(ps) * ts.sum(axis=1, keepdims=True) - ts
-        grad[:, start:stop] = spec.weight(i) * g
+        grad[:, start:stop] = g
     grad /= p.shape[0]
     return grad[0] if single else grad
 
@@ -298,23 +277,9 @@ def backward(
     return backprop_layers(net, trace, dout)[0]
 
 
-def sgd_step(
-    net: Network,
-    grads: list[LayerGrads],
-    lr: float,
-    momentum: float = 0.0,
-    velocity: list[LayerGrads] | None = None,
-) -> Network:
-    """In-place w <- w - lr * grad, with optional classical momentum."""
-    for i, (layer, g) in enumerate(zip(net.layers, grads)):
-        if momentum > 0.0 and velocity is not None:
-            v = velocity[i]
-            v.dW = momentum * v.dW + g.dW
-            v.db = momentum * v.db + g.db
-            if layer.apply_layer_norm:
-                v.dgain = momentum * v.dgain + g.dgain
-                v.dbeta = momentum * v.dbeta + g.dbeta
-            g = v
+def sgd_step(net: Network, grads: list[LayerGrads], lr: float) -> Network:
+    """In-place w <- w - lr * grad."""
+    for layer, g in zip(net.layers, grads):
         layer.W -= lr * g.dW
         layer.b -= lr * g.db
         if layer.apply_layer_norm:
@@ -323,25 +288,12 @@ def sgd_step(
     return net
 
 
-def zero_velocity(net: Network) -> list[LayerGrads]:
-    return [
-        LayerGrads(
-            np.zeros_like(l.W),
-            np.zeros_like(l.b),
-            np.zeros_like(l.gain) if l.apply_layer_norm else None,
-            np.zeros_like(l.beta) if l.apply_layer_norm else None,
-        )
-        for l in net.layers
-    ]
-
-
 @dataclass(frozen=True)
 class SgdConfig:
     learning_rate: float = 0.01
     batch_size: int = 64
     epochs: int = 100
     seed: int = 0
-    momentum: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
@@ -370,18 +322,19 @@ def train(
     if n_rows == 0:
         raise ValueError("empty training set")
     rng = np.random.default_rng(cfg.seed)
-    velocity = [zero_velocity(net) if cfg.momentum > 0 else None for net in nets]
     trace_losses: list[float] = []
     for epoch in range(cfg.epochs):
         batch_losses = []
         for b, idx in enumerate(iter_batches(n_rows, cfg, rng)):
             batch_loss, grads = step(idx)
-            if not np.isfinite(batch_loss):
+            if not math.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, b)
-            for net, g, v in zip(nets, grads, velocity):
-                sgd_step(net, g, cfg.learning_rate, cfg.momentum, v)
+            for net, g in zip(nets, grads):
+                sgd_step(net, g, cfg.learning_rate)
             batch_losses.append(batch_loss)
-        trace_losses.append(float(np.mean(batch_losses)))
+        # np.mean's arithmetic, bit for bit, without its Python overhead: a
+        # linear classifier runs one batch per epoch, so this is per step
+        trace_losses.append(float(np.add.reduce(batch_losses) / len(batch_losses)))
     return trace_losses
 
 

@@ -106,10 +106,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def arrival_order(self) -> range:
-        return range(len(self.records))
-
 
 @dataclass(frozen=True)
 class WalkItem:
@@ -132,14 +128,29 @@ class CorpusSummary:
     user_label_coverage: float
 
 
-def _check_scalar(value, name: str, path: str) -> float:
+def _check_scalar(value, name: str, path: str, nonnegative: bool = True) -> float:
     try:
         v = float(value)
     except (TypeError, ValueError):
         raise PlanFormatError(f"{path}: field {name!r} is not a number: {value!r}")
-    if not math.isfinite(v) or v < 0:
-        raise PlanFormatError(f"{path}: field {name!r} must be finite and >= 0, got {v}")
+    if not math.isfinite(v) or (nonnegative and v < 0):
+        bound = " and >= 0" if nonnegative else ""
+        raise PlanFormatError(f"{path}: field {name!r} must be finite{bound}, got {v}")
     return v
+
+
+def _check_stats(seq, name: str, path: str) -> tuple[float, ...]:
+    """A list of finite numbers. Attribute statistics may be negative (a
+    column's minimum), unlike the scalar fields."""
+    try:
+        values = tuple(map(float, seq))
+    except (TypeError, ValueError):
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        # only reached for a bad entry: name the first one, which raises
+        for j, v in enumerate(seq):
+            _check_scalar(v, f"{name}[{j}]", path, nonnegative=False)
+    return values
 
 
 def _parse_node(obj, path: str) -> PlanNode:
@@ -170,21 +181,20 @@ def _parse_node(obj, path: str) -> PlanNode:
             seq = obj[name]
             if not isinstance(seq, list):
                 raise PlanFormatError(f"{path}: field {name!r} must be a list of numbers")
-            setattr(node, name, tuple(float(v) for v in seq))
+            setattr(node, name, _check_stats(seq, name, path))
 
     for i, child in enumerate(obj.get("children") or []):
         node.children.append(_parse_node(child, f"{path}.children[{i}]"))
     return node
 
 
-def load_corpus(path, format: str = "canonical") -> Corpus:
+def load_corpus(path) -> Corpus:
     """Load a canonical plan file, preserving document order as arrival order.
 
     Raises :class:`PlanFormatError` with node-path context on parse errors or
-    invariant violations (negative/non-finite numerics, missing node_type).
+    invariant violations (non-objects, negative/non-finite numerics, missing
+    node_type).
     """
-    if format != "canonical":
-        raise ValueError(f"unsupported corpus format: {format!r}")
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -194,10 +204,15 @@ def load_corpus(path, format: str = "canonical") -> Corpus:
     if not isinstance(doc, dict) or "queries" not in doc:
         raise PlanFormatError(f"{path}: top level must be an object with a 'queries' list")
 
+    queries = doc["queries"]
+    if not isinstance(queries, list):
+        raise PlanFormatError(f"queries: must be a list, got {type(queries).__name__}")
     corpus = Corpus()
     seen_ids: set[str] = set()
-    for i, q in enumerate(doc["queries"]):
+    for i, q in enumerate(queries):
         qpath = f"queries[{i}]"
+        if not isinstance(q, dict):
+            raise PlanFormatError(f"{qpath}: must be an object, got {type(q).__name__}")
         if "query_id" not in q or "plan" not in q:
             raise PlanFormatError(f"{qpath}: needs 'query_id' and 'plan'")
         qid = str(q["query_id"])

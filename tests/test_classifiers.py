@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opembed import classifiers
+from opembed.errors import TrainingDivergedError
 from opembed.classifiers import (
     FeatProvenance,
     LabeledSet,
@@ -284,6 +285,74 @@ def test_linsvm_mirror_symmetry(separable, rng):
     clf_m = train_linsvm(mirrored, seed=3)
     probe = rng.normal(size=(20, 2))
     assert predict(clf, probe) == predict(clf_m, -probe)
+
+
+def _reference_logreg(s, l2, lr, epochs, batch_size, seed):
+    """Softmax regression as its own inline mini-batch loop: an oracle for
+    train_logreg, which trains through nn.train."""
+    n, d = s.X.shape
+    c = len(s.classes)
+    W, b = np.zeros((c, d)), np.zeros(c)
+    onehot = np.eye(c)[s.y]
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            Xb = s.X[idx]
+            Z = Xb @ W.T + b
+            Z = Z - Z.max(axis=1, keepdims=True)
+            e = np.exp(Z)
+            G = (e / e.sum(axis=1, keepdims=True) - onehot[idx]) / len(idx)
+            W -= lr * (G.T @ Xb + l2 * W)
+            b -= lr * G.sum(axis=0)
+    return W, b
+
+
+def _reference_linsvm(s, c, lr, epochs, batch_size, seed):
+    """One-vs-rest hinge subgradient descent as its own inline loop: an
+    oracle for train_linsvm."""
+    n, d = s.X.shape
+    k = len(s.classes)
+    W, b = np.zeros((k, d)), np.zeros(k)
+    signs = np.where(np.eye(k)[s.y].astype(bool), 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            Xb, Sb = s.X[idx], signs[idx]
+            viol = (Sb * (Xb @ W.T + b) < 1.0).astype(np.float64)
+            coeff = -(Sb * viol) / len(idx)
+            W -= lr * (W + c * coeff.T @ Xb)
+            b -= lr * (c * coeff.sum(axis=0))
+    return W, b
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("batch_size", [8, 7])  # 8 divides the 40 rows, 7 does not
+def test_linear_trainers_match_inline_reference_bitwise(n_classes, batch_size):
+    rng = np.random.default_rng(n_classes * 10 + batch_size)
+    X = rng.normal(size=(40, 5))
+    y = np.arange(40) % n_classes
+    X[:, 0] += y
+    s = LabeledSet(X, y, tuple("abc"[:n_classes]))
+    clf = train_logreg(s, l2=1e-3, lr=0.2, epochs=30, batch_size=batch_size, seed=4)
+    W, b = _reference_logreg(s, 1e-3, 0.2, 30, batch_size, 4)
+    assert np.array_equal(clf.params["W"], W) and np.array_equal(clf.params["b"], b)
+    clf = train_linsvm(s, c=2.0, lr=0.05, epochs=30, batch_size=batch_size, seed=4)
+    W, b = _reference_linsvm(s, 2.0, 0.05, 30, batch_size, 4)
+    assert np.array_equal(clf.params["W"], W) and np.array_equal(clf.params["b"], b)
+    assert np.any(W != 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_linear_trainers_raise_on_divergence():
+    s = make_labeled_set(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]),
+                         ["a", "b", "a", "b"])
+    for trainer in (train_logreg, train_linsvm):
+        with pytest.raises(TrainingDivergedError):
+            trainer(s, lr=1e300)
 
 
 def test_dummy_predicts_majority_with_smallest_id_ties():

@@ -416,3 +416,44 @@ def test_missing_bundle_is_one_line_error(runner, tmp_path, pipeline):
          "--out", str(tmp_path / "e.csv")],
     )
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [('{"queries": [7]}', "queries[0]: "),
+     ('{"queries": [{"query_id": "a", "plan": {"node_type": "Scan", "attr_mins": [1, "x"]}}]}',
+      "queries[0].plan: ")],
+    ids=["int-query", "str-attr-entry"],
+)
+def test_malformed_plan_file_is_one_line_error(runner, tmp_path, doc, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    err = run_err(
+        runner,
+        ["train-embedding", "--corpus", str(bad), "--epochs", "1",
+         "--encoder-out", str(tmp_path / "e.opeb"), "--schema-out", str(tmp_path / "s.opeb")],
+    )
+    assert err.startswith(f"error: {where}")
+
+
+@pytest.mark.parametrize("method", ["pca", "fa"])
+def test_predict_reducer_matches_classifier_on_reduce_rows(runner, tmp_path, pipeline, method):
+    from opembed.classifiers import predict as clf_predict
+    from opembed.cli import _read_feature_csv
+
+    _, corpus, _, schema = pipeline
+    feats, reducer, clf = (tmp_path / n for n in ("f.csv", "r.opeb", "clf.opeb"))
+    run_ok(runner, ["reduce", "--corpus", str(corpus), "--schema", str(schema),
+                    "--method", method, "--dim", "6", "--model-out", str(reducer),
+                    "--out", str(feats)])
+    run_ok(runner, ["train-task", "--corpus", str(corpus), "--features", str(feats),
+                    "--task", "admission", "--percentile", "50", "--model", "logreg",
+                    "--provenance", str(reducer), "--out", str(clf)])
+    preds = tmp_path / "p.csv"
+    run_ok(runner, ["predict", "--plans", str(corpus), "--classifier", str(clf),
+                    "--reducer", str(reducer), "--schema", str(schema), "--out", str(preds)])
+    ids, X = _read_feature_csv(feats)
+    rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ids
+    assert [r[2] for r in rows] == clf_predict(store.load_classifier_bundle(clf)[0], X)
+    assert len(set(r[2] for r in rows)) == 2

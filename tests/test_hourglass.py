@@ -121,7 +121,7 @@ def test_training_halves_initial_loss():
     enet = build(spec, schema)
     # full-batch descent so the epoch-1 entry is the pre-update loss
     cfg = nn.SgdConfig(
-        epochs=100, seed=0, learning_rate=0.1, momentum=0.9, batch_size=2000
+        epochs=100, seed=0, learning_rate=0.1, batch_size=2000
     )
     _, trace = train_embedding(enet, table.X, children, cfg)
     assert len(trace) == 100
@@ -140,6 +140,41 @@ def test_zero_epochs_leaves_network_at_init(schema60, corpus60):
         assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
     assert np.array_equal(fresh.head1.layers[0].W, trained.head1.layers[0].W)
     assert np.array_equal(fresh.head2.layers[0].W, trained.head2.layers[0].W)
+
+
+def _params(enet):
+    return [p for net in (enet.trunk, enet.head1, enet.head2) for l in net.layers
+            for p in (l.W, l.b, l.gain, l.beta) if p is not None]
+
+
+def test_masked_loss_equals_plain_loss_when_every_child_is_present(schema60, corpus60):
+    table = encode_corpus(schema60, corpus60)
+    children = np.random.default_rng(5).integers(0, len(table.X), size=(120, 2))
+    spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    cfg = nn.SgdConfig(epochs=3, seed=2, batch_size=32)
+    plain, plain_trace = train_embedding(build(spec, schema60), table.X, children, cfg)
+    masked, masked_trace = train_embedding(
+        build(spec, schema60), table.X, children, cfg, masked=True
+    )
+    assert masked_trace == plain_trace
+    assert all(np.array_equal(a, b) for a, b in zip(_params(plain), _params(masked)))
+    fresh = build(spec, schema60)
+    assert not np.array_equal(plain.head1.layers[0].W, fresh.head1.layers[0].W)
+
+
+def test_masked_loss_without_children_leaves_heads_at_init(schema60, corpus60):
+    table = encode_corpus(schema60, corpus60)
+    children = np.full((120, 2), -1)
+    spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    cfg = nn.SgdConfig(epochs=3, seed=2, batch_size=32)
+    fresh = build(spec, schema60)
+    trained, trace = train_embedding(
+        build(spec, schema60), table.X, children, cfg, masked=True
+    )
+    assert trace == [0.0, 0.0, 0.0]
+    for a, b in zip((fresh.head1, fresh.head2), (trained.head1, trained.head2)):
+        assert np.array_equal(a.layers[0].W, b.layers[0].W)
+        assert np.array_equal(a.layers[0].b, b.layers[0].b)
 
 
 def test_train_rejects_empty_and_mismatched_triples(

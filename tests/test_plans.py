@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -79,6 +80,52 @@ def test_negative_cost_names_offending_node(tmp_path):
         load_corpus(path)
     assert "children[0]" in str(err.value)
     assert "total_cost" in str(err.value)
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "plans.json"
+    path.write_text(text)
+    return load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "queries, where",
+    [
+        ("[7]", "queries[0]: must be an object"),
+        ('["q1"]', "queries[0]: must be an object"),
+        ('{"a": {"query_id": "a", "plan": {"node_type": "Sort"}}}', "queries: must be a list"),
+        ('"abc"', "queries: must be a list"),
+    ],
+    ids=["int-entry", "str-entry", "dict-queries", "str-queries"],
+)
+def test_malformed_queries_name_their_path(tmp_path, queries, where):
+    with pytest.raises(PlanFormatError, match=re.escape(where)):
+        _load_text(tmp_path, '{"queries": %s}' % queries)
+
+
+@pytest.mark.parametrize(
+    "attr, where",
+    [('[1, "x"]', "'attr_mins[1]' is not a number"),
+     ("[NaN]", "'attr_mins[0]' must be finite"),
+     ("[2, Infinity]", "'attr_mins[1]' must be finite"),
+     ("[null]", "'attr_mins[0]' is not a number")],
+    ids=["str", "nan", "inf", "null"],
+)
+def test_bad_attr_stat_entry_names_node_and_index(tmp_path, attr, where):
+    text = ('{"queries": [{"query_id": "a", "plan": {"node_type": "Sort", "children": '
+            '[{"node_type": "SeqScan", "attr_mins": %s}]}}]}' % attr)
+    with pytest.raises(PlanFormatError) as err:
+        _load_text(tmp_path, text)
+    assert str(err.value).startswith("queries[0].plan.children[0]: ")
+    assert where in str(err.value)
+
+
+def test_attr_stats_may_be_negative(tmp_path):
+    text = ('{"queries": [{"query_id": "a", "plan": {"node_type": "SeqScan", '
+            '"attr_mins": [-3.5, 0], "attr_maxs": [-1, 2]}}]}')
+    node = _load_text(tmp_path, text).records[0].root
+    assert node.attr_mins == (-3.5, 0.0)
+    assert node.attr_maxs == (-1.0, 2.0)
 
 
 def test_walk_leaf_has_no_children():
