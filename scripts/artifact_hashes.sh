@@ -23,7 +23,11 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --encoder-out "$d/encoder.opeb" --schema-out "$d/schema.opeb"
   op train-embedding --corpus "$d/corpus.json" --epochs 3 --seed "$seed" --masked-loss \
      --encoder-out "$d/encoder_masked.opeb"
+  op train-embedding --corpus "$d/corpus.json" --epochs 3 --seed "$seed" --pre-activation \
+     --encoder-out "$d/encoder_pre.opeb"
   op embed --corpus "$d/corpus.json" --encoder "$d/encoder.opeb" --out "$d/embeddings.csv"
+  op embed --corpus "$d/corpus.json" --encoder "$d/encoder_pre.opeb" --out "$d/embeddings_pre.csv"
+  op project2d --features "$d/embeddings.csv" --out "$d/project2d.csv"
   op reduce --corpus "$d/corpus.json" --schema "$d/schema.opeb" --method pca --dim 8 \
      --model-out "$d/pca.opeb" --out "$d/pca.csv"
   op reduce --corpus "$d/corpus.json" --schema "$d/schema.opeb" --method fa --dim 8 \

@@ -46,7 +46,7 @@ from .synth import (
     planted_card_config,
     tpcds_like_config,
 )
-from .tasks import TaskSpec, make_folds, task_labels
+from .tasks import ADMISSION_CLASSES, TaskSpec, make_folds, task_labels
 
 PRESETS = ("default", "planted-card", "tpcds-like", "context-probe")
 
@@ -192,10 +192,10 @@ def embed(corpus_path, encoder_path, out) -> None:
         raise ValueError(
             f"{encoder_path} carries no schema; re-create it with train-embedding"
         )
-    ds = embed_corpus(encoder, schema, corpus)
-    cols = [f"e{j}" for j in range(ds.embeddings.shape[1])]
-    _write_feature_csv(out, ds.ids, cols, ds.embeddings)
-    click.echo(f"embedded {len(ds.ids)} operators at dim {len(cols)} -> {out}")
+    table, E = embed_corpus(encoder, schema, corpus)
+    cols = [f"e{j}" for j in range(E.shape[1])]
+    _write_feature_csv(out, table.ids, cols, E)
+    click.echo(f"embedded {len(table)} operators at dim {len(cols)} -> {out}")
 
 
 @main.command()
@@ -240,11 +240,16 @@ _TASK_CHOICES = ("admission", "card", "user")
 _MODEL_CHOICES = tuple(m for m in MODELS if m != "dummy")
 
 
+# the kind of features each featurizing bundle produces
+_FEATURE_KIND = {"encoder": "neural", "pca": "pca", "fa": "fa", "schema": "sparse"}
+
+
 def _provenance_from_bundle(path) -> FeatProvenance:
     header, _ = store.load_bundle(path)
-    kind = {"encoder": "neural", "pca": "pca", "fa": "fa", "schema": "sparse"}.get(header["kind"])
-    if kind is None:
-        raise ValueError(f"{path} is a {header['kind']} bundle; cannot stamp provenance from it")
+    kind = _FEATURE_KIND.get(header["kind"])
+    if kind is None or not isinstance(header.get("schema_hash"), str):
+        raise ValueError(f"{path} is a {header['kind']} bundle without a schema hash; "
+                         "cannot stamp provenance from it")
     return FeatProvenance(kind, header["schema_hash"])
 
 
@@ -288,12 +293,9 @@ def train_task(corpus_path, features_path, task, model, percentile, factor, seed
 @click.option("--encoder", "encoder_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--reducer", "reducer_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--schema", "schema_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--positive", default="slow", show_default=True,
-              help="Class that flags a query when any of its operators predicts it.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @guarded
-def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path,
-            positive, out) -> None:
+def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path, out) -> None:
     """Predict per operator; admission classifiers also emit query verdicts.
 
     Featurize with exactly one of: --encoder, --reducer plus --schema, or
@@ -317,27 +319,31 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
             raise ValueError("--reducer needs --schema to build sparse vectors")
         schema, _ = store.load_schema_bundle(schema_path)
         header, _ = store.load_bundle(reducer_path)
-        feat_hash = header["schema_hash"]
+        feat_hash = header.get("schema_hash")
+        if header["kind"] not in ("pca", "fa") or not isinstance(feat_hash, str):
+            raise ValueError(f"{reducer_path} is a {header['kind']} bundle without a schema "
+                             "hash, not a reducer")
         store.check_schema_hash(feat_hash, schema_hash(schema), "reducer vs schema")
         table = encode_corpus(schema, corpus)
         if header["kind"] == "pca":
             model, _ = store.load_pca_bundle(reducer_path)
             F = transform_pca(model, table.X)
-        elif header["kind"] == "fa":
+        else:
             model, _ = store.load_fa_bundle(reducer_path)
             F = transform_fa(model, table.X)
-        else:
-            raise ValueError(f"{reducer_path} is a {header['kind']} bundle, not a reducer")
     elif schema_path:
-        schema, _ = store.load_schema_bundle(schema_path)
+        schema, header = store.load_schema_bundle(schema_path)
         feat_hash = schema_hash(schema)
         table = encode_corpus(schema, corpus)
         F = table.X
     else:
         raise ValueError("pass one of --encoder, --reducer + --schema, or --schema")
 
-    if clf.provenance is not None and clf.provenance.digest:
-        store.check_schema_hash(clf.provenance.digest, feat_hash, "classifier provenance")
+    prov, feat_kind = clf.provenance, _FEATURE_KIND[header["kind"]]
+    if prov is not None and prov.digest:
+        if prov.kind != feat_kind:
+            raise ValueError(f"classifier was trained on {prov.kind} features, not {feat_kind}")
+        store.check_schema_hash(prov.digest, feat_hash, "classifier provenance")
     if F.shape[1] != clf.dim:
         raise ValueError(f"features have dim {F.shape[1]} but classifier wants {clf.dim}")
 
@@ -349,10 +355,11 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
         writer.writerows(zip(table.ids, node_types, preds))
 
     flagged = ""
-    if positive in clf.classes:
-        # verdict per query: flag when any of its operators predicts the positive class
+    slow = ADMISSION_CLASSES[1]
+    if slow in clf.classes:
+        # verdict per query: flag when any of its operators predicts "slow"
         hit = np.zeros(len(corpus.records), dtype=bool)
-        hit[table.query_index[np.array(preds) == positive]] = True
+        hit[table.query_index[np.array(preds) == slow]] = True
         with open(f"{out}.verdicts.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["query_id", "verdict"])

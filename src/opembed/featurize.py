@@ -8,6 +8,8 @@ and anything inapplicable to a node encodes as zeros.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -56,16 +58,41 @@ class SlotSpec:
 
 @dataclass(frozen=True)
 class FeatureSchema:
+    """The sparse layout. Only the slots, the z-score stats and the attribute
+    width are stored; every index map below is derived from the slots."""
+
     slots: tuple[SlotSpec, ...]
-    total_dim: int
-    vocab: dict[str, dict[str, int]]       # group -> value -> slot index
-    groups: dict[str, tuple[int, int]]     # group -> (start, stop)
     stats: dict[int, tuple[float, float]]  # numeric slot -> (mean, stddev)
     attr_width: int
-    core_base: int                         # slot index of plan_width
-    hb_slot: int | None                    # hash_buckets slot, if observed
-    attr_base: int | None                  # first attr_mins slot, if any
-    bool_slots: dict[str, int]
+    total_dim: int = dataclasses.field(init=False)
+    vocab: dict[str, dict[str, int]] = dataclasses.field(init=False)  # group -> value -> slot
+    groups: dict[str, tuple[int, int]] = dataclasses.field(init=False)  # group -> (start, stop)
+    core_base: int = dataclasses.field(init=False)  # slot index of plan_width
+    hb_slot: int | None = dataclasses.field(init=False)  # hash_buckets slot, if observed
+    attr_base: int | None = dataclasses.field(init=False)  # first attr_mins slot, if any
+    bool_slots: dict[str, int] = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        vocab: dict[str, dict[str, int]] = {}
+        for i, slot in enumerate(self.slots):
+            if slot.kind == CATEGORICAL:
+                # a categorical slot is named "<group>=<value>"
+                vocab.setdefault(slot.group, {})[slot.name[len(slot.group) + 1:]] = i
+        groups = {}
+        for group, index in vocab.items():
+            start = min(index.values())
+            if max(index.values()) - start + 1 != len(index):
+                raise SchemaError(f"categorical group {group!r} is not contiguous")
+            groups[group] = (start, start + len(index))
+        by_name = {slot.name: i for i, slot in enumerate(self.slots)}
+        derive = functools.partial(object.__setattr__, self)  # the dataclass is frozen
+        derive("total_dim", len(self.slots))
+        derive("vocab", vocab)
+        derive("groups", groups)
+        derive("core_base", by_name[CORE_NUMERIC_FIELDS[0]])
+        derive("hb_slot", by_name.get("hash_buckets"))
+        derive("attr_base", by_name.get(f"{ATTR_STAT_FIELDS[0]}[0]"))
+        derive("bool_slots", {s.name: i for i, s in enumerate(self.slots) if s.kind == BOOLEAN})
 
     def segments(self) -> tuple[tuple[str, int, int], ...]:
         """Partition of [0, total_dim) into loss segments.
@@ -93,10 +120,6 @@ class FeatureSchema:
         return tuple(segs)
 
 
-def _attr_values(node: PlanNode, field: str) -> tuple[float, ...] | None:
-    return getattr(node, field)
-
-
 def build_schema(corpus: Corpus) -> FeatureSchema:
     """Derive the sparse layout, vocabularies and z-score stats from a corpus."""
     if len(corpus) == 0:
@@ -104,24 +127,21 @@ def build_schema(corpus: Corpus) -> FeatureSchema:
 
     nodes = [item.node for item in walk_operators(corpus)]
 
-    vocab_values: dict[str, list[str]] = {g: [] for g in _CATEGORICAL_ORDER}
-    seen: dict[str, set] = {g: set() for g in _CATEGORICAL_ORDER}
+    # each group's observed values as dict keys, in first-appearance order
+    vocab_values: dict[str, dict[str, None]] = {g: {} for g in _CATEGORICAL_ORDER}
     attr_width = 0
     has_hash_buckets = False
     observed_bools = {f: False for f in OPTIONAL_BOOLEAN_FIELDS}
     for node in nodes:
-        if node.node_type not in seen["node_type"]:
-            seen["node_type"].add(node.node_type)
-            vocab_values["node_type"].append(node.node_type)
+        vocab_values["node_type"].setdefault(node.node_type)
         for field in OPTIONAL_CATEGORICAL_FIELDS:
             value = getattr(node, field)
-            if value is not None and value not in seen[field]:
-                seen[field].add(value)
-                vocab_values[field].append(value)
+            if value is not None:
+                vocab_values[field].setdefault(value)
         if node.hash_buckets is not None:
             has_hash_buckets = True
         for field in ATTR_STAT_FIELDS:
-            values = _attr_values(node, field)
+            values = getattr(node, field)
             if values is not None:
                 attr_width = max(attr_width, len(values))
         for field in OPTIONAL_BOOLEAN_FIELDS:
@@ -129,61 +149,30 @@ def build_schema(corpus: Corpus) -> FeatureSchema:
                 observed_bools[field] = True
 
     slots: list[SlotSpec] = []
-    vocab: dict[str, dict[str, int]] = {}
-    groups: dict[str, tuple[int, int]] = {}
 
     def add_group(group: str) -> None:
-        values = vocab_values[group]
-        if not values:
-            return
-        start = len(slots)
-        vocab[group] = {}
-        for value in values:
-            vocab[group][value] = len(slots)
-            slots.append(SlotSpec(f"{group}={value}", CATEGORICAL, group))
-        groups[group] = (start, len(slots))
+        slots.extend(SlotSpec(f"{group}={v}", CATEGORICAL, group) for v in vocab_values[group])
 
     add_group("node_type")
-    core_base = len(slots)
-    for name in CORE_NUMERIC_FIELDS:
-        slots.append(SlotSpec(name, NUMERIC))
+    slots.extend(SlotSpec(name, NUMERIC) for name in CORE_NUMERIC_FIELDS)
     add_group("join_type")
     add_group("parent_relationship")
-    hb_slot = None
     if has_hash_buckets:
-        hb_slot = len(slots)
         slots.append(SlotSpec("hash_buckets", NUMERIC))
     add_group("hash_algorithm")
     add_group("sort_key")
     add_group("sort_method")
     add_group("relation_name")
-    attr_base = len(slots) if attr_width else None
     for field in ATTR_STAT_FIELDS:
-        for j in range(attr_width):
-            slots.append(SlotSpec(f"{field}[{j}]", NUMERIC))
+        slots.extend(SlotSpec(f"{field}[{j}]", NUMERIC) for j in range(attr_width))
     add_group("index_name")
-    bool_slots: dict[str, int] = {}
     if observed_bools["scan_direction"]:
-        bool_slots["scan_direction"] = len(slots)
         slots.append(SlotSpec("scan_direction", BOOLEAN))
     add_group("agg_strategy")
     if observed_bools["partial_mode"]:
-        bool_slots["partial_mode"] = len(slots)
         slots.append(SlotSpec("partial_mode", BOOLEAN))
     add_group("agg_operator")
-
-    schema = FeatureSchema(
-        slots=tuple(slots),
-        total_dim=len(slots),
-        vocab=vocab,
-        groups=groups,
-        stats={},
-        attr_width=attr_width,
-        core_base=core_base,
-        hb_slot=hb_slot,
-        attr_base=attr_base,
-        bool_slots=bool_slots,
-    )
+    schema = FeatureSchema(tuple(slots), {}, attr_width)
 
     # z-score stats over the operators where each numeric field applies
     stats: dict[int, tuple[float, float]] = {}
@@ -203,8 +192,7 @@ def build_schema(corpus: Corpus) -> FeatureSchema:
         if std < 1e-12:
             std = STDDEV_SENTINEL
         stats[idx] = (mean, std)
-    object.__setattr__(schema, "stats", stats)
-    return schema
+    return dataclasses.replace(schema, stats=stats)
 
 
 def _numeric_raws(schema: FeatureSchema, node: PlanNode):
@@ -215,7 +203,7 @@ def _numeric_raws(schema: FeatureSchema, node: PlanNode):
         yield float(node.hash_buckets), schema.hb_slot
     if schema.attr_base is not None:
         for f, field in enumerate(ATTR_STAT_FIELDS):
-            values = _attr_values(node, field)
+            values = getattr(node, field)
             if values is None:
                 continue
             if len(values) > schema.attr_width:
@@ -350,33 +338,9 @@ def schema_from_json(text: str) -> FeatureSchema:
         slots = tuple(
             SlotSpec(d["name"], d["kind"], d.get("group")) for d in payload["slots"]
         )
-        vocab: dict[str, dict[str, int]] = {}
-        groups: dict[str, tuple[int, int]] = {}
-        for group, values in payload["vocab"].items():
-            vocab[group] = {}
-            indices = []
-            for i, slot in enumerate(slots):
-                if slot.group == group:
-                    indices.append(i)
-            for value, idx in zip(values, indices):
-                vocab[group][value] = idx
-            groups[group] = (indices[0], indices[-1] + 1)
         stats = {int(k): (v[0], v[1]) for k, v in payload["stats"].items()}
-        by_name = {slot.name: i for i, slot in enumerate(slots)}
-        schema = FeatureSchema(
-            slots=slots,
-            total_dim=int(payload["total_dim"]),
-            vocab=vocab,
-            groups=groups,
-            stats=stats,
-            attr_width=int(payload["attr_width"]),
-            core_base=by_name[CORE_NUMERIC_FIELDS[0]],
-            hb_slot=by_name.get("hash_buckets"),
-            attr_base=by_name.get(f"{ATTR_STAT_FIELDS[0]}[0]"),
-            bool_slots={
-                slot.name: i for i, slot in enumerate(slots) if slot.kind == BOOLEAN
-            },
-        )
+        schema = FeatureSchema(slots, stats, int(payload["attr_width"]))
+        total_dim = int(payload["total_dim"])
     except (KeyError, IndexError, TypeError) as exc:
         raise SchemaError(f"schema JSON is missing fields: {exc}") from exc
     if "hash" in payload and payload["hash"] != schema_hash(schema):
@@ -384,7 +348,7 @@ def schema_from_json(text: str) -> FeatureSchema:
             f"schema hash mismatch: stored {payload['hash'][:12]}..., "
             f"recomputed {schema_hash(schema)[:12]}..."
         )
-    if schema.total_dim != len(slots):
+    if total_dim != schema.total_dim:
         raise SchemaError("total_dim disagrees with slot count")
     return schema
 

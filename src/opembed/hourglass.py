@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .errors import SchemaError
-from .featurize import FeatureSchema, encode, encode_corpus, schema_hash
+from .featurize import FeatureSchema, OperatorTable, encode, encode_corpus, schema_hash
 from .plans import Corpus, PlanNode
 
 DEFAULT_HIDDEN = (256, 256, 128, 128, 64, 64)
@@ -224,31 +224,19 @@ def embed(encoder: Encoder, schema: FeatureSchema, node) -> np.ndarray:
     return encoder(x)
 
 
-@dataclass
-class EmbeddedDataset:
-    """One row per operator: embedding plus provenance."""
-
-    embeddings: np.ndarray           # (n, embedding_dim)
-    ids: list[str]                   # "<query_id>#<pre-order index>"
-    query_index: np.ndarray          # (n,) index into corpus.records
-
-    def __len__(self) -> int:
-        return len(self.embeddings)
-
-
 def embed_corpus(
     encoder: Encoder, schema: FeatureSchema, corpus: Corpus
-) -> EmbeddedDataset:
-    """Embed every operator in walk order."""
+) -> tuple[OperatorTable, np.ndarray]:
+    """Encode every operator in walk order; returns the operator table and
+    its embeddings, one row per table row."""
     _check_schema(encoder, schema)
     table = encode_corpus(schema, corpus)
-    return EmbeddedDataset(encoder(table.X), table.ids, table.query_index)
+    return table, encoder(table.X)
 
 
-def project_2d(dataset) -> np.ndarray:
-    """PCA projection of the embeddings (or any row matrix) to 2 columns."""
+def project_2d(X: np.ndarray) -> np.ndarray:
+    """PCA projection of a row matrix to 2 columns."""
     from .reducers import fit_pca, transform_pca
 
-    X = dataset.embeddings if isinstance(dataset, EmbeddedDataset) else np.asarray(dataset)
-    model = fit_pca(X, 2)
-    return transform_pca(model, X)
+    X = np.asarray(X)
+    return transform_pca(fit_pca(X, 2), X)

@@ -109,12 +109,10 @@ class Corpus:
 
 @dataclass(frozen=True)
 class WalkItem:
-    """One operator plus its (truncated) first and second children."""
+    """One operator and the query it belongs to."""
 
     record: QueryRecord
     node: PlanNode
-    child1: Optional[PlanNode]
-    child2: Optional[PlanNode]
 
 
 @dataclass
@@ -200,6 +198,8 @@ def load_corpus(path) -> Corpus:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise PlanFormatError(f"{path}: line {e.lineno} col {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise PlanFormatError(f"{path}: plan nesting is too deep to parse") from e
 
     if not isinstance(doc, dict) or "queries" not in doc:
         raise PlanFormatError(f"{path}: top level must be an object with a 'queries' list")
@@ -267,16 +267,10 @@ def iter_nodes(root: PlanNode) -> Iterator[PlanNode]:
 
 
 def walk_operators(corpus: Corpus) -> Iterator[WalkItem]:
-    """Yield one item per operator, pre-order per query in arrival order.
-
-    A node's first two children are carried along; children beyond the second
-    are truncated, and missing children are ``None``.
-    """
+    """Yield one item per operator, pre-order per query in arrival order."""
     for record in corpus.records:
         for node in iter_nodes(record.root):
-            c1 = node.children[0] if len(node.children) >= 1 else None
-            c2 = node.children[1] if len(node.children) >= 2 else None
-            yield WalkItem(record, node, c1, c2)
+            yield WalkItem(record, node)
 
 
 def _tree_depth(node: PlanNode) -> int:

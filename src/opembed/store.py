@@ -12,7 +12,9 @@ environment variable is set.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -101,7 +103,36 @@ def save_bundle(path, kind: str, body: dict, arrays: dict[str, np.ndarray] | Non
     return target
 
 
+# 8-byte little-endian dtypes a manifest may name; save_bundle writes only the
+# signed two, and the forest check turns unsigned ids into signed ones
+_DTYPES = ("<f8", "<i8", "<u8")
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _read_array(raw: bytes, blob_start: int, entry, target) -> tuple[str, np.ndarray]:
+    """Check one manifest entry against the file, then copy its array out."""
+    name, dtype, shape, offset, nbytes = (
+        entry.get(key) if isinstance(entry, dict) else None
+        for key in ("name", "dtype", "shape", "offset", "nbytes")
+    )
+    if not (isinstance(name, str) and dtype in _DTYPES and isinstance(shape, list)
+            and all(map(_is_count, shape)) and _is_count(offset)
+            and nbytes == 8 * math.prod(shape)):
+        raise BundleError(
+            f"bad array entry in {target}: {entry!r}; want a string name, a dtype in "
+            f"{_DTYPES}, non-negative int shape and offset, and nbytes = 8 x shape size"
+        )
+    start = blob_start + offset
+    if start + nbytes > len(raw):
+        raise BundleError(f"truncated bundle: {target}")
+    return name, np.frombuffer(raw[start:start + nbytes], dtype=dtype).reshape(shape).copy()
+
+
 def load_bundle(path, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a bundle, checking its header and array manifest against the file."""
     target = resolve_store_path(path)
     try:
         raw = target.read_bytes()
@@ -113,23 +144,36 @@ def load_bundle(path, expected_kind: str | None = None) -> tuple[dict, dict[str,
     if version != VERSION:
         raise BundleError(f"unsupported bundle version {version} (expected {VERSION})")
     (header_len,) = struct.unpack_from("<Q", raw, 8)
+    blob_start = 16 + header_len
+    if blob_start > len(raw):
+        raise BundleError(f"truncated bundle: {target}")
     try:
-        header = json.loads(raw[16:16 + header_len].decode())
+        header = json.loads(raw[16:blob_start].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleError(f"corrupt bundle header in {target}: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
+        raise BundleError(f"corrupt bundle header in {target}: want an object with an arrays list")
     kind = header.get("kind")
+    if kind not in KINDS:
+        raise BundleError(f"{target} has unknown bundle kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise BundleError(f"expected a {expected_kind} bundle, got {kind!r}")
-    blob_start = 16 + header_len
-    arrays = {}
-    for entry in header.get("arrays", ()):
-        start = blob_start + entry["offset"]
-        stop = start + entry["nbytes"]
-        if stop > len(raw):
-            raise BundleError(f"truncated bundle: {target}")
-        arr = np.frombuffer(raw[start:stop], dtype=entry["dtype"])
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    arrays = dict(_read_array(raw, blob_start, e, target) for e in header.get("arrays", []))
     return header, arrays
+
+
+def _header_checked(load):
+    """Make a loader that cannot find, or cannot use, a header key or array it
+    needs raise one BundleError naming the file."""
+    @functools.wraps(load)
+    def checked(path):
+        try:
+            return load(path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BundleError(
+                f"malformed bundle {resolve_store_path(path)}: {type(exc).__name__} {exc}"
+            ) from exc
+    return checked
 
 
 def check_schema_hash(expected: str, found: str, context: str) -> None:
@@ -149,6 +193,7 @@ def save_schema_bundle(path, schema: FeatureSchema, meta: dict | None = None) ->
     return save_bundle(path, "schema", body)
 
 
+@_header_checked
 def load_schema_bundle(path) -> tuple[FeatureSchema, dict]:
     header, _ = load_bundle(path, "schema")
     schema = schema_from_json(json.dumps(header["schema"]))
@@ -192,6 +237,7 @@ def bundle_schema(header: dict) -> FeatureSchema | None:
     return schema_from_json(json.dumps(header["schema"]))
 
 
+@_header_checked
 def load_encoder_bundle(path) -> tuple[Encoder, dict]:
     header, arrays = load_bundle(path, "encoder")
     layers = []
@@ -228,6 +274,7 @@ def save_pca_bundle(path, model: PcaModel, schema_hash: str, meta: dict | None =
     return save_bundle(path, "pca", body, arrays)
 
 
+@_header_checked
 def load_pca_bundle(path) -> tuple[PcaModel, dict]:
     header, arrays = load_bundle(path, "pca")
     model = PcaModel(arrays["mean"], arrays["components"], arrays["explained_variance"])
@@ -244,6 +291,7 @@ def save_fa_bundle(path, model: FaModel, schema_hash: str, meta: dict | None = N
     return save_bundle(path, "fa", body)
 
 
+@_header_checked
 def load_fa_bundle(path) -> tuple[FaModel, dict]:
     header, _ = load_bundle(path, "fa")
     clusters = tuple(tuple(int(i) for i in c) for c in header["clusters"])
@@ -319,6 +367,7 @@ def _check_forest(arrays: dict[str, np.ndarray], dim: int, n_classes: int, targe
         raise bad(f"leaf class outside [0, {n_classes})")
 
 
+@_header_checked
 def load_classifier_bundle(path) -> tuple[Classifier, dict]:
     header, arrays = load_bundle(path, "classifier")
     kind = header["model"]

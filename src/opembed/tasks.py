@@ -102,6 +102,9 @@ def label_card(corpus: Corpus, f: float = 2.0) -> list[str]:
 
 def label_user(corpus: Corpus) -> list[str]:
     """Each operator labeled with its query's user_label, walk order."""
+    missing = sum(record.user_label is None for record in corpus.records)
+    if missing:
+        raise CoverageError(f"{missing} queries lack a user; user labels need full coverage")
     return [item.record.user_label for item in walk_operators(corpus)]
 
 
@@ -123,14 +126,8 @@ def task_labels(
     return labels, tuple(dict.fromkeys(labels)), None
 
 
-def flag_query(
-    classifier,
-    schema: FeatureSchema,
-    record: QueryRecord,
-    transform=None,
-    positive: str = "slow",
-) -> str:
-    """"flag" if the classifier marks any operator of the query positive,
+def flag_query(classifier, schema: FeatureSchema, record: QueryRecord, transform=None) -> str:
+    """"flag" if the classifier marks any operator of the query "slow",
     else "admit". transform maps encoded rows to the classifier's feature
     space (None = raw sparse)."""
     from .classifiers import predict
@@ -139,7 +136,7 @@ def flag_query(
     if transform is not None:
         X = transform(X)
     preds = predict(classifier, X)
-    return "flag" if any(p == positive for p in preds) else "admit"
+    return "flag" if ADMISSION_CLASSES[1] in preds else "admit"
 
 
 @dataclass

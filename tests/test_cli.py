@@ -285,6 +285,43 @@ def test_predict_refuses_mismatched_provenance(runner, tmp_path, pipeline):
     assert "schema hash mismatch" in err
 
 
+def test_predict_refuses_classifier_of_another_featurization(runner, tmp_path, pipeline):
+    # the pipeline encoder is 8-dim and shares the schema, so only the
+    # provenance kind tells the pca-8 classifier apart from an encoder one
+    _, corpus, encoder, schema = pipeline
+    feats, pca, clf = (tmp_path / n for n in ("pca.csv", "pca.opeb", "clf.opeb"))
+    run_ok(runner, ["reduce", "--corpus", str(corpus), "--schema", str(schema),
+                    "--method", "pca", "--dim", "8", "--model-out", str(pca),
+                    "--out", str(feats)])
+    run_ok(runner, ["train-task", "--corpus", str(corpus), "--features", str(feats),
+                    "--task", "admission", "--model", "logreg",
+                    "--provenance", str(pca), "--out", str(clf)])
+    err = run_err(runner, ["predict", "--plans", str(corpus), "--classifier", str(clf),
+                           "--encoder", str(encoder), "--out", str(tmp_path / "p.csv")])
+    assert "pca" in err and "neural" in err
+
+
+def test_reducer_bundle_without_schema_hash_is_one_line_error(runner, tmp_path, pipeline):
+    _, corpus, _, schema = pipeline
+    feats, pca, clf = (tmp_path / n for n in ("pca.csv", "pca.opeb", "clf.opeb"))
+    run_ok(runner, ["reduce", "--corpus", str(corpus), "--schema", str(schema),
+                    "--method", "pca", "--dim", "4", "--model-out", str(pca),
+                    "--out", str(feats)])
+    run_ok(runner, ["train-task", "--corpus", str(corpus), "--features", str(feats),
+                    "--task", "admission", "--model", "logreg", "--out", str(clf)])
+    header, arrays = store.load_bundle(pca)
+    del header["schema_hash"]
+    store.save_bundle(pca, "pca", header, arrays)
+    err = run_err(runner, ["train-task", "--corpus", str(corpus), "--features", str(feats),
+                           "--task", "admission", "--model", "logreg",
+                           "--provenance", str(pca), "--out", str(clf)])
+    assert "without a schema hash" in err
+    err = run_err(runner, ["predict", "--plans", str(corpus), "--classifier", str(clf),
+                           "--reducer", str(pca), "--schema", str(schema),
+                           "--out", str(tmp_path / "p.csv")])
+    assert "without a schema hash" in err
+
+
 def test_predict_requires_exactly_one_featurization(runner, tmp_path, pipeline):
     _, corpus, encoder, schema = pipeline
     emb = tmp_path / "emb.csv"

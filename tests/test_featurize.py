@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -130,7 +131,8 @@ def test_encode_corpus_rows_and_children_match_encode(corpus60, schema60):
     assert len(table.X) == len(items)
     for r, item in enumerate(items):
         assert np.array_equal(table.X[r], encode(schema60, item.node))
-        for k, child in enumerate((item.child1, item.child2)):
+        kids = item.node.children[:2]
+        for k, child in enumerate(kids + [None] * (2 - len(kids))):
             if child is None:
                 assert table.children[r, k] == -1
             else:
@@ -141,8 +143,35 @@ def test_schema_json_round_trip(schema60):
     text = schema_to_json(schema60)
     again = schema_from_json(text)
     assert schema_hash(again) == schema_hash(schema60)
-    assert again.groups == schema60.groups
-    assert again.stats == schema60.stats
+    for name in ("total_dim", "vocab", "groups", "core_base", "hb_slot", "attr_base",
+                 "bool_slots", "stats"):
+        assert getattr(again, name) == getattr(schema60, name), name
+
+
+def _unhashed_payload(schema):
+    payload = json.loads(schema_to_json(schema))
+    del payload["hash"]
+    return payload
+
+
+def test_schema_json_slots_decide_where_values_encode():
+    corpus = mini_corpus()
+    payload = _unhashed_payload(build_schema(corpus))
+    payload["vocab"]["node_type"].reverse()
+    schema = schema_from_json(json.dumps(payload))
+    for item in walk_operators(corpus):
+        start, stop = schema.groups["node_type"]
+        (hot,) = np.flatnonzero(encode(schema, item.node)[start:stop]) + start
+        assert schema.slots[hot].name == f"node_type={item.node.node_type}"
+
+
+def test_schema_json_rejects_split_group(schema60):
+    payload = _unhashed_payload(schema60)
+    slots = payload["slots"]
+    start, _ = schema60.groups["node_type"]
+    slots.insert(start + 1, slots.pop(schema60.core_base))
+    with pytest.raises(SchemaError, match="node_type.*not contiguous"):
+        schema_from_json(json.dumps(payload))
 
 
 def test_schema_json_rejects_tampering(schema60):

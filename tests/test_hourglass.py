@@ -264,16 +264,16 @@ def test_embed_rejects_foreign_schema(sorted_run, corpus60):
 def test_embed_corpus_rows_and_ids(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
     encoder = cut_off(enet)
-    ds = embed_corpus(encoder, schema, sorted_corpus)
+    table, E = embed_corpus(encoder, schema, sorted_corpus)
     n_ops = sum(1 for _ in walk_operators(sorted_corpus))
-    assert len(ds) == n_ops
-    assert ds.embeddings.shape == (n_ops, encoder.embedding_dim)
+    assert len(table) == n_ops
+    assert E.shape == (n_ops, encoder.embedding_dim)
     first = sorted_corpus.records[0]
     n_first = sum(1 for it in walk_operators(sorted_corpus) if it.record is first)
-    assert ds.ids[0] == f"{first.query_id}#0"
-    assert ds.ids[n_first - 1] == f"{first.query_id}#{n_first - 1}"
-    assert ds.ids[n_first].endswith("#0")
-    assert (ds.query_index[:n_first] == 0).all()
+    assert table.ids[0] == f"{first.query_id}#0"
+    assert table.ids[n_first - 1] == f"{first.query_id}#{n_first - 1}"
+    assert table.ids[n_first].endswith("#0")
+    assert (table.query_index[:n_first] == 0).all()
 
 
 def _mean_dist(P, Q):
@@ -283,10 +283,10 @@ def _mean_dist(P, Q):
 def test_embeddings_cluster_by_node_type(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
     encoder = cut_off(enet)
-    ds = embed_corpus(encoder, schema, sorted_corpus)
+    _, E = embed_corpus(encoder, schema, sorted_corpus)
     lab = np.array([it.node.node_type for it in walk_operators(sorted_corpus)])
-    a = ds.embeddings[lab == "SeqScan"][:150]
-    b = ds.embeddings[lab == "MergeJoin"][:150]
+    a = E[lab == "SeqScan"][:150]
+    b = E[lab == "MergeJoin"][:150]
     assert len(a) > 20 and len(b) > 20
     intra = 0.5 * (_mean_dist(a, a) + _mean_dist(b, b))
     inter = _mean_dist(a, b)
@@ -309,9 +309,9 @@ def test_logreg_on_embeddings_tracks_head_accuracy(sorted_corpus, sorted_run):
     )
     idxs = [i for i, _ in slot_list]
     names = [t for _, t in slot_list]
-    items = [it for it in walk_operators(sorted_corpus) if it.child1 is not None]
+    items = [it for it in walk_operators(sorted_corpus) if it.node.children]
     X = np.stack([encode(schema, it.node) for it in items])
-    truth = [it.child1.node_type for it in items]
+    truth = [it.node.children[0].node_type for it in items]
     p1, _ = predict_children(enet, X)
     head_pred = [names[int(np.argmax(p1[r, idxs]))] for r in range(len(items))]
     head_acc = np.mean([a == b for a, b in zip(head_pred, truth)])
@@ -323,9 +323,9 @@ def test_logreg_on_embeddings_tracks_head_accuracy(sorted_corpus, sorted_run):
 
 def test_project_2d_shape(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
-    ds = embed_corpus(cut_off(enet), schema, sorted_corpus)
-    P = project_2d(ds)
-    assert P.shape == (len(ds), 2)
+    table, E = embed_corpus(cut_off(enet), schema, sorted_corpus)
+    P = project_2d(E)
+    assert P.shape == (len(table), 2)
 
 
 def test_project_2d_preserves_distances_of_planar_data(rng):

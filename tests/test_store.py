@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 
 import numpy as np
@@ -105,6 +107,58 @@ def test_load_rejects_magic_version_kind_truncation(tmp_path, rng):
 
     with pytest.raises(BundleError, match="cannot read"):
         load_bundle(tmp_path / "missing.opeb")
+
+
+def _edit_header(path, edit):
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + n])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
+
+
+def _set_w(key, value):
+    # arrays are stored in sorted name order, so entry 0 is the weight matrix W
+    def edit(header):
+        assert header["arrays"][0]["name"] == "W"
+        header["arrays"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_set_w("offset", -8), "'offset': -8"),
+        (_set_w("shape", [3, 5]), "'shape': [3, 5]"),
+        (_set_w("shape", [2.0, 4]), "'shape': [2.0, 4]"),
+        (_set_w("dtype", "|O"), "'dtype': '|O'"),
+        (_set_w("name", 5), "'name': 5"),
+        (lambda h: h.update(arrays={"W": h["arrays"][0]}), "arrays list"),
+        (lambda h: h.pop("kind"), "unknown bundle kind None"),
+        (lambda h: h.pop("dim"), "KeyError 'dim'"),
+        (lambda h: h.update(classes=3), "TypeError"),
+    ],
+    ids=["negative-offset", "wrong-shape", "float-shape", "object-dtype",
+         "int-name", "arrays-dict", "no-kind", "no-dim", "int-classes"],
+)
+def test_classifier_bundle_with_bad_header_is_refused(tmp_path, toy_set, edit, match):
+    path = tmp_path / "clf.opeb"
+    save_classifier_bundle(path, train_logreg(toy_set, seed=0))
+    _edit_header(path, edit)
+    with pytest.raises(BundleError, match=re.escape(match)) as info:
+        load_classifier_bundle(path)
+    assert str(path) in str(info.value)
+
+
+def test_header_running_past_the_file_is_truncation(tmp_path, rng):
+    path = tmp_path / "b.opeb"
+    save_bundle(path, "pca", {"x": 1}, {"m": rng.normal(size=8)})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(raw)) + raw[16:])
+    with pytest.raises(BundleError, match="truncated") as info:
+        load_bundle(path)
+    assert str(path) in str(info.value)
 
 
 def test_check_schema_hash_message():

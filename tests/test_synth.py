@@ -34,12 +34,8 @@ def test_merge_join_sort_fraction_near_configured():
         if item.node.node_type != "MergeJoin":
             continue
         total += 1
-        wrapped += (
-            item.child1 is not None
-            and item.child1.node_type == "Sort"
-            and item.child2 is not None
-            and item.child2.node_type == "Sort"
-        )
+        kids = item.node.children
+        wrapped += len(kids) >= 2 and kids[0].node_type == "Sort" and kids[1].node_type == "Sort"
     assert total == truth.merge_joins
     assert wrapped == truth.merge_joins_with_sorts
     assert abs(wrapped / total - 0.9) <= 0.03

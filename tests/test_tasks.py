@@ -130,6 +130,12 @@ def test_label_user_repeats_per_operator():
     assert label_user(corpus) == ["alice", "alice", "bob"]
 
 
+def test_label_user_requires_every_query_to_have_a_user():
+    corpus = Corpus([one_op_query(0, 1.0), one_op_query(1, 1.0, user=None)])
+    with pytest.raises(CoverageError, match="1 queries lack a user"):
+        label_user(corpus)
+
+
 def test_flag_query_any_positive_flags():
     corpus = Corpus([one_op_query(i, float(i + 1)) for i in range(30)])
     schema = build_schema(corpus)
