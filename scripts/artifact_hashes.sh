@@ -56,12 +56,12 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
     for full in "" --embedding-from-full-log; do
       tag=$strategy${full:+-full}
       op evaluate --corpus "$d/corpus.json" --task "$task" --featurizations sparse,neural-16,pca-8 \
-         --models logreg,knn,svm,dummy --epochs 2 --strategy "$strategy" --seed "$seed" $full \
+         --models logreg,knn,rf,svm,dummy --epochs 2 --strategy "$strategy" --seed "$seed" $full \
          --out "$d/report-$tag.csv" --medians-out "$d/medians-$tag.csv"
     done
   done
   op evaluate --corpus "$d/corpus.json" --task user --featurizations sparse,neural-16 \
-     --models logreg,dummy --epochs 2 --seed "$seed" --out "$d/report-user.csv" \
+     --models logreg,rf,dummy --epochs 2 --seed "$seed" --out "$d/report-user.csv" \
      --medians-out "$d/medians-user.csv"
 done
 (cd "$OUT" && find . -type f ! -name '*.manifest.txt' | sort | xargs sha256sum)

@@ -18,6 +18,8 @@ from . import nn
 KNN_EPS = 1e-9
 # bytes of the test-row x training-row x dim difference tensor kNN builds at once
 KNN_CHUNK_BYTES = 32 << 20
+# bytes of the node x feature x row x class counts one forest split batch holds
+RF_SPLIT_BYTES = 1 << 18
 MODELS = ("logreg", "knn", "rf", "svm", "dummy")
 # a random forest's parallel node arrays, as params and bundle array names
 FOREST_ARRAYS = ("feature", "threshold", "left", "right", "leaf", "roots")
@@ -164,77 +166,62 @@ def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return 1.0 - p.sum(axis=-1)
 
 
-def _gini_best_split(
-    X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, n_classes: int
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity) over candidate features, scoring
-    every cut of every candidate in one pass over n >= 2 rows.
-
-    Thresholds are midpoints between consecutive distinct sorted values;
-    impurity is the size-weighted Gini of the two sides. Ties go to the
-    first candidate feature, then the first cut. Returns None when no
-    candidate feature splits the rows.
+def _best_splits(
+    X: np.ndarray, y: np.ndarray, boot: np.ndarray, spans: np.ndarray, F: np.ndarray, n_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (feature, threshold) of each node (tree, start, stop) in spans,
+    whose rows X[boot[tree, start:stop]] (2 or more) are cut at midpoints
+    between consecutive distinct values of its candidate features F, or of
+    every feature when none of those splits them (feature -1 when none
+    does). Impurity is the size-weighted Gini of the two sides; ties go to
+    the first feature, then the first cut. Nodes are scored in batches,
+    largest first, padded to the batch's largest (under twice any member's
+    rows), whose count tensor fits RF_SPLIT_BYTES (one node at least).
     """
-    n = len(y)
-    cols = X[:, feature_ids]
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = cols[order, np.arange(cols.shape[1])]
-    cum = np.cumsum(np.eye(n_classes)[y][order], axis=0)  # (n, m, C)
-    left = cum[:-1]  # class counts left of a cut after position i
-    nl = np.arange(1.0, n)[:, None]
-    nr = n - nl
-    weighted = (nl * _gini(left, nl) + nr * _gini(cum[-1] - left, nr)) / n
-    weighted[~(np.diff(xs, axis=0) > 0)] = np.inf  # no cut inside a run of ties
-    j, cut = divmod(int(np.argmin(weighted.T)), n - 1)
-    score = float(weighted[cut, j])
-    if score == np.inf:
-        return None
-    threshold = 0.5 * (xs[cut, j] + xs[cut + 1, j])
-    return int(feature_ids[j]), float(threshold), score
-
-
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    n_classes: int,
-    feature_sample: str,
-    nodes: dict[str, list],
-) -> None:
-    """Append one tree to a forest's node lists, in preorder.
-
-    An explicit stack replaces recursion, so no depth limit applies. The hi
-    child is pushed before the lo child, so the lo subtree is numbered, and
-    draws its feature samples, first. Leaves have feature -1 and no
-    children; internal nodes have leaf -1.
-    """
-    d = X.shape[1]
-    stack = [(np.arange(len(y)), -1, "")]  # (rows, parent id, parent's child array)
-    while stack:
-        rows, parent, side = stack.pop()
-        node = len(nodes["feature"])
-        if parent >= 0:
-            nodes[side][parent] = node
-        ys = y[rows]
-        counts = np.bincount(ys, minlength=n_classes)
-        best = None
-        if len(ys) >= 2 and counts.max() < len(ys):
-            if feature_sample == "all":
-                feats = np.arange(d)
-            else:
-                m = max(1, int(np.sqrt(d)))
-                feats = np.sort(rng.choice(d, size=m, replace=False))
-            Xn = X[rows]
-            best = _gini_best_split(Xn, ys, feats, n_classes)
-            if best is None and feature_sample != "all":
-                best = _gini_best_split(Xn, ys, np.arange(d), n_classes)
-        f, t, leaf = (-1, 0.0, int(np.argmax(counts))) if best is None else (*best[:2], -1)
-        for name, value in zip(FOREST_ARRAYS, (f, t, -1, -1, leaf)):
-            nodes[name].append(value)
-        if best is not None:
-            mask = X[rows, f] <= t
-            stack.append((rows[~mask], node, "right"))
-            stack.append((rows[mask], node, "left"))
+    sizes = spans[:, 2] - spans[:, 1]
+    feature, threshold = np.full(len(spans), -1), np.zeros(len(spans))
+    by_size = np.argsort(-sizes, kind="stable")
+    desc = sizes[by_size]
+    m = F.shape[1]
+    i = 0
+    while i < len(by_size):
+        N = int(desc[i])
+        fits = max(1, RF_SPLIT_BYTES // (N * m * n_classes * 8))
+        end = min(i + fits, int(np.searchsorted(-desc, -(N // 2), side="left")))
+        batch = by_size[i:max(end, i + 1)]
+        i += len(batch)
+        B, tree, start, size, Fb = len(batch), *spans[batch, :2].T, sizes[batch], F[batch]
+        R = boot[tree[:, None], start[:, None] + np.minimum(np.arange(N), size[:, None] - 1)]
+        pad = np.arange(N) >= size[:, None]
+        cols = X.take(R[:, None, :] * X.shape[1] + Fb[:, :, None])  # (B, m, N)
+        np.copyto(cols, np.nan, where=pad[:, None, :])  # padding sorts last, never a cut
+        order = cols.argsort(axis=2, kind="stable")
+        xs = cols.take(order + np.arange(0, B * m * N, N).reshape(B, m, 1))
+        ys = y[R].take(order + np.arange(0, B * N, N).reshape(B, 1, 1))
+        # running class counts over all B*m sorted rows, laid end to end
+        running = np.zeros((B * m * N + 1, n_classes))
+        np.cumsum(np.eye(n_classes).take(ys.ravel(), axis=0), axis=0, out=running[1:])
+        at = np.flatnonzero(xs[:, :, 1:] > xs[:, :, :-1])  # only cuts between distinct values
+        row, cut = np.divmod(at, N - 1)
+        n = size.take(row // m)
+        base = running.take(row * N, axis=0)
+        left = running.take(row * N + cut + 1, axis=0) - base  # class counts left of the cut
+        right = running.take(row * N + n, axis=0) - base - left
+        nl = cut + 1.0
+        nr = n - nl
+        scores = np.full((B, m * (N - 1)), np.inf)
+        scores.reshape(-1)[at] = (nl * _gini(left, nl) + nr * _gini(right, nr)) / n
+        best = scores.argmin(axis=1)  # the first feature, then the first cut, among ties
+        node = np.arange(B)
+        j, cut = np.divmod(best, N - 1)
+        found = scores[node, best] < np.inf
+        feature[batch] = np.where(found, Fb[node, j], -1)
+        threshold[batch] = 0.5 * (xs[node, j, cut] + xs[node, j, cut + 1])
+    stuck = np.flatnonzero(feature < 0)
+    if stuck.size and m < X.shape[1]:
+        every = np.tile(np.arange(X.shape[1]), (stuck.size, 1))
+        feature[stuck], threshold[stuck] = _best_splits(X, y, boot, spans[stuck], every, n_classes)
+    return feature, threshold
 
 
 def pack_forest(
@@ -276,24 +263,63 @@ def train_rf(
     feature_sample: str = "sqrt",
 ) -> Classifier:
     """Bagged Gini trees grown until pure or fewer than 2 rows; sqrt(D)
-    candidate features per split. bootstrap=False and feature_sample="all"
-    reduce the forest to deterministic plain trees for oracle checks."""
+    candidate features per split, all D when none of those splits the rows.
+    bootstrap=False and feature_sample="all" reduce the forest to
+    deterministic plain trees for oracle checks.
+
+    The trees grow in lockstep: each step takes the next preorder node of
+    every tree still growing and searches their splits in one batch. Tree t
+    draws its bootstrap, then one feature sample per splittable node in
+    preorder, from default_rng([seed, t]). A node is a range of its tree's
+    row of boot, partitioned in place by its split; each tree's stack pushes
+    the hi child before the lo child. Leaves have feature -1, internal nodes leaf -1.
+    """
     _check_training(s)
-    if feature_sample not in ("sqrt", "all"):
-        raise ValueError("feature_sample must be 'sqrt' or 'all'")
-    n = len(s.X)
-    nodes: dict[str, list] = {name: [] for name in FOREST_ARRAYS[:-1]}
-    roots = []
-    for t in range(trees):
-        rng = np.random.default_rng([seed, t])
-        if bootstrap:
-            idx = rng.integers(0, n, n)
-            Xb, yb = s.X[idx], s.y[idx]
-        else:
-            Xb, yb = s.X, s.y
-        roots.append(len(nodes["feature"]))
-        _grow_tree(Xb, yb, rng, len(s.classes), feature_sample, nodes)
-    params = pack_forest(**nodes, roots=roots)
+    if feature_sample not in ("sqrt", "all") or trees < 1:
+        raise ValueError("feature_sample must be 'sqrt' or 'all', and trees at least 1")
+    n, d = s.X.shape
+    C = len(s.classes)
+    m = d if feature_sample == "all" else max(1, int(np.sqrt(d)))
+    rngs = [np.random.default_rng([seed, t]) for t in range(trees)]
+    boot = np.stack([rng.integers(0, n, n) if bootstrap else np.arange(n) for rng in rngs])
+    stacks = [[(0, n, -1, 0)] for _ in range(trees)]  # (start, stop, parent, parent's child slot)
+    nodes = [[] for _ in range(trees)]  # per tree, [feature, threshold, left, right, leaf]
+    growing = list(range(trees))
+    while growing:
+        tree = np.array(growing)
+        start, stop, parent, slot = np.array([stacks[t].pop() for t in growing]).T
+        size = stop - start
+        node = np.repeat(np.arange(len(tree)), size)
+        at = np.repeat(start - np.cumsum(size) + size, size) + np.arange(len(node))
+        rows = boot[tree[node], at]
+        counts = np.bincount(node * C + s.y[rows], minlength=len(tree) * C).reshape(-1, C)
+        split = np.flatnonzero(counts.max(axis=1) < size)
+        draws = [rngs[t].choice(d, m, replace=False) for t in tree[split].tolist()]
+        F = np.sort(np.reshape(draws, (-1, m)), axis=1)
+        feature, threshold = np.full(len(tree), -1), np.zeros(len(tree))
+        spans = np.column_stack([tree, start, stop])[split]
+        feature[split], threshold[split] = _best_splits(s.X, s.y, boot, spans, F, C)
+        leaf = np.where(feature < 0, counts.argmax(axis=1), -1)
+        # partition every range stably, lo rows first; a leaf's range is never read again
+        go_lo = s.X[rows, feature[node]] <= threshold[node]
+        boot[tree[node], at] = rows[np.argsort(2 * node + ~go_lo, kind="stable")]
+        mid = start + np.bincount(node, weights=go_lo, minlength=len(tree)).astype(np.intp)
+        for t, a, c, b, p, sl, f, th, lf in zip(growing, *(v.tolist() for v in (
+            start, mid, stop, parent, slot, feature, threshold, leaf
+        ))):
+            grown = nodes[t]
+            if p >= 0:
+                grown[p][sl] = len(grown)
+            if f >= 0:
+                stacks[t] += [(c, b, len(grown), 3), (a, c, len(grown), 2)]
+            grown.append([f, th if f >= 0 else 0.0, -1, -1, lf])
+        growing = [t for t in growing if stacks[t]]
+    sizes = [len(grown) for grown in nodes]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, leaf = map(np.array, zip(*(r for g in nodes for r in g)))
+    shift = np.repeat(roots, sizes)  # tree-local child ids become forest-wide
+    left, right = (np.where(ids >= 0, ids + shift, -1) for ids in (left, right))
+    params = pack_forest(feature, threshold, left, right, leaf, roots)
     return Classifier("rf", s.classes, s.dim, params, s.provenance)
 
 

@@ -187,7 +187,7 @@ def embed(corpus_path, encoder_path, out) -> None:
     """Embed every operator; writes id + one column per embedding dim."""
     corpus = load_corpus(corpus_path)
     encoder, header = store.load_encoder_bundle(encoder_path)
-    schema = store.bundle_schema(header)
+    schema = store.bundle_schema(encoder_path, header)
     if schema is None:
         raise ValueError(
             f"{encoder_path} carries no schema; re-create it with train-embedding"
@@ -203,12 +203,11 @@ def embed(corpus_path, encoder_path, out) -> None:
 @click.option("--schema", "schema_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--method", required=True, type=click.Choice(["pca", "fa", "sparse"]))
 @click.option("--dim", default=32, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--model-out", default=None, type=click.Path(dir_okay=False),
               help="Also save the fitted reducer as a bundle (pca/fa only).")
 @guarded
-def reduce(corpus_path, schema_path, method, dim, seed, out, model_out) -> None:
+def reduce(corpus_path, schema_path, method, dim, out, model_out) -> None:
     """Project sparse vectors with pca/fa, or pass them through unchanged."""
     corpus = load_corpus(corpus_path)
     schema, _ = store.load_schema_bundle(schema_path)
@@ -216,11 +215,11 @@ def reduce(corpus_path, schema_path, method, dim, seed, out, model_out) -> None:
     table = encode_corpus(schema, corpus)
     X = table.X
     if method == "pca":
-        model = fit_pca(X, dim, seed=seed)
+        model = fit_pca(X, dim)
         rows = transform_pca(model, X)
         cols = [f"p{j}" for j in range(dim)]
         if model_out:
-            store.save_pca_bundle(model_out, model, digest, meta={"dim": dim, "seed": seed})
+            store.save_pca_bundle(model_out, model, digest, meta={"dim": dim})
     elif method == "fa":
         model = fit_fa(X, dim)
         rows = transform_fa(model, X)
@@ -308,7 +307,7 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
         raise ValueError("pass either --encoder or --reducer, not both")
     if encoder_path:
         encoder, header = store.load_encoder_bundle(encoder_path)
-        schema = store.bundle_schema(header)
+        schema = store.bundle_schema(encoder_path, header)
         if schema is None:
             raise ValueError(f"{encoder_path} carries no schema")
         feat_hash = encoder.schema_digest

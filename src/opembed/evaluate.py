@@ -77,7 +77,7 @@ def fit_featurization(
         encoder = cut_off(enet)
         return FittedFeaturization(name, kind, dim, encoder, encoder.schema_digest)
     if kind == "pca":
-        model = fit_pca(X_train, dim, seed=seed)
+        model = fit_pca(X_train, dim)
         return FittedFeaturization(name, kind, dim, lambda X: transform_pca(model, X))
     model = fit_fa(X_train, dim)
     return FittedFeaturization(name, kind, dim, lambda X: transform_fa(model, X))

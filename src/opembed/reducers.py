@@ -1,5 +1,5 @@
-"""Non-neural featurization baselines: PCA via power iteration with
-deflation, and greedy correlation-based feature agglomeration.
+"""Non-neural featurization baselines: PCA by one eigendecomposition of
+the sample covariance, and greedy correlation-based feature agglomeration.
 """
 
 from __future__ import annotations
@@ -16,18 +16,12 @@ class PcaModel:
     explained_variance: np.ndarray   # (K,), nonincreasing
 
 
-def fit_pca(
-    X: np.ndarray,
-    k: int,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> PcaModel:
+def fit_pca(X: np.ndarray, k: int) -> PcaModel:
     """Leading k principal directions of the sample covariance.
 
-    Power iteration with deflation; every iterate is re-orthogonalized
-    against the components already found. Sign convention: the
-    largest-magnitude coordinate of each component is positive.
+    One symmetric eigendecomposition (LAPACK dsyevd), in descending
+    eigenvalue order. Sign convention: the largest-magnitude coordinate of
+    each component is positive.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -38,34 +32,11 @@ def fit_pca(
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered / (n - 1)
-
-    components = np.zeros((k, d))
-    variances = np.zeros(k)
-    for j in range(k):
-        rng = np.random.default_rng([seed, 23, j])
-        v = rng.normal(0.0, 1.0, d)
-        v -= components[:j].T @ (components[:j] @ v)
-        v /= np.linalg.norm(v)
-        for _ in range(max_iter):
-            w = cov @ v
-            w -= components[:j].T @ (components[:j] @ w)
-            norm = np.linalg.norm(w)
-            if norm < 1e-18:
-                # deflated matrix is (numerically) zero on this subspace:
-                # current v is a valid direction with eigenvalue ~0
-                break
-            w /= norm
-            if np.linalg.norm(w - v) < tol:
-                v = w
-                break
-            v = w
-        lam = float(v @ cov @ v)
-        variances[j] = max(lam, 0.0)
-        cov = cov - lam * np.outer(v, v)
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        components[j] = v
-    return PcaModel(mean, components, variances)
+    values, vectors = np.linalg.eigh(cov)
+    components = vectors[:, ::-1][:, :k].T.copy()
+    flip = components[np.arange(k), np.abs(components).argmax(axis=1)] < 0
+    components[flip] *= -1.0
+    return PcaModel(mean, components, np.maximum(values[::-1][:k], 0.0))
 
 
 def transform_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import nn
 from .classifiers import FOREST_ARRAYS, Classifier, FeatProvenance, pack_forest
-from .errors import BundleError
+from .errors import BundleError, SchemaError
 from .featurize import FeatureSchema, schema_from_json, schema_to_json
 from .hourglass import Encoder
 from .reducers import FaModel, PcaModel
@@ -163,13 +163,13 @@ def load_bundle(path, expected_kind: str | None = None) -> tuple[dict, dict[str,
 
 
 def _header_checked(load):
-    """Make a loader that cannot find, or cannot use, a header key or array it
-    needs raise one BundleError naming the file."""
+    """Make a loader that cannot find, or cannot use, a header key, array or
+    embedded schema it needs raise one BundleError naming the file."""
     @functools.wraps(load)
-    def checked(path):
+    def checked(path, *args):
         try:
-            return load(path)
-        except (KeyError, TypeError, ValueError) as exc:
+            return load(path, *args)
+        except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise BundleError(
                 f"malformed bundle {resolve_store_path(path)}: {type(exc).__name__} {exc}"
             ) from exc
@@ -230,8 +230,9 @@ def save_encoder_bundle(
     return save_bundle(path, "encoder", body, arrays)
 
 
-def bundle_schema(header: dict) -> FeatureSchema | None:
-    """Rebuild the schema embedded in a bundle header, if any."""
+@_header_checked
+def bundle_schema(path, header: dict) -> FeatureSchema | None:
+    """Rebuild the schema embedded in the header of the bundle at path, if any."""
     if "schema" not in header:
         return None
     return schema_from_json(json.dumps(header["schema"]))
@@ -391,5 +392,7 @@ def load_classifier_bundle(path) -> tuple[Classifier, dict]:
     prov = None
     if header.get("provenance"):
         prov = FeatProvenance(header["provenance"]["kind"], header["provenance"].get("digest"))
+        if not isinstance(prov.kind, str) or not isinstance(prov.digest, (str, type(None))):
+            raise TypeError("provenance kind and digest must be strings")
     clf = Classifier(kind, tuple(header["classes"]), int(header["dim"]), params, prov)
     return clf, header

@@ -376,7 +376,7 @@ def test_c10_same_seed_runs_are_byte_identical(tmp_path):
         rows = np.stack(
             [encode(schema, item.node) for item in walk_operators(corpus)]
         )
-        save_pca_bundle(root / "pca.opeb", fit_pca(rows, 8, seed=0), schema_hash(schema))
+        save_pca_bundle(root / "pca.opeb", fit_pca(rows, 8), schema_hash(schema))
         clf = train_logreg(make_labeled_set(encoder(rows), label_card(corpus)), seed=0)
         save_classifier_bundle(root / "classifier.opeb", clf)
         plan = make_folds(corpus, "random", seed=0)

@@ -6,6 +6,7 @@ import pytest
 from opembed import classifiers
 from opembed.errors import TrainingDivergedError
 from opembed.classifiers import (
+    FOREST_ARRAYS,
     FeatProvenance,
     LabeledSet,
     make_labeled_set,
@@ -192,8 +193,9 @@ def _reference_split(X, y, feature_ids, n_classes):
     return best
 
 
-def _reference_tree(X, y, rng, n_classes, feature_sample, nodes):
-    # recursive grower appending one node per call, so ids come out in preorder
+def _reference_tree(X, y, rng, n_classes, feature_sample, nodes, fallbacks):
+    # recursive grower appending one node per call, so ids come out in preorder;
+    # fallbacks collects the ids of nodes split only after trying all features
     node = len(nodes["feature"])
     for name, value in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
         nodes[name].append(value)
@@ -208,6 +210,8 @@ def _reference_tree(X, y, rng, n_classes, feature_sample, nodes):
         best = _reference_split(X, y, feats, n_classes)
         if best is None and feature_sample != "all":
             best = _reference_split(X, y, np.arange(d), n_classes)
+            if best is not None:
+                fallbacks.append(node)
     if best is None:
         nodes["leaf"].append(int(np.argmax(counts)))
         return
@@ -216,38 +220,69 @@ def _reference_tree(X, y, rng, n_classes, feature_sample, nodes):
     nodes["feature"][node], nodes["threshold"][node] = f, t
     mask = X[:, f] <= t
     nodes["left"][node] = len(nodes["feature"])
-    _reference_tree(X[mask], y[mask], rng, n_classes, feature_sample, nodes)
+    _reference_tree(X[mask], y[mask], rng, n_classes, feature_sample, nodes, fallbacks)
     nodes["right"][node] = len(nodes["feature"])
-    _reference_tree(X[~mask], y[~mask], rng, n_classes, feature_sample, nodes)
+    _reference_tree(X[~mask], y[~mask], rng, n_classes, feature_sample, nodes, fallbacks)
 
 
 def _reference_forest(s, trees, seed, bootstrap):
     nodes = {name: [] for name in ("feature", "threshold", "left", "right", "leaf")}
-    roots = []
+    roots, fallbacks = [], []
     for t in range(trees):
         rng = np.random.default_rng([seed, t])
         idx = rng.integers(0, len(s.X), len(s.X)) if bootstrap else np.arange(len(s.X))
         roots.append(len(nodes["feature"]))
-        _reference_tree(s.X[idx], s.y[idx], rng, len(s.classes), "sqrt", nodes)
-    return nodes, roots
+        _reference_tree(s.X[idx], s.y[idx], rng, len(s.classes), "sqrt", nodes, fallbacks)
+    return nodes, roots, fallbacks
 
 
-@pytest.mark.parametrize(
-    "seed, n_classes, dim, bootstrap",
-    [(11, 2, 6, True), (12, 3, 9, False), (13, 3, 16, True)],
-)
-def test_rf_matches_recursive_reference_node_for_node(seed, n_classes, dim, bootstrap):
+def _sparse_set(seed, n_classes, dim, constant=0, label_p=None):
+    # 60 rows, half of each column zero; the last `constant` columns are all
+    # zero, and label_p skews the class frequencies
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(60, dim))
     X[rng.random(X.shape) < 0.5] = 0.0  # sparse columns with runs of ties
-    y = rng.integers(0, n_classes, 60)
-    s = LabeledSet(X, y, tuple(f"c{i}" for i in range(n_classes)))
-    clf = train_rf(s, trees=6, seed=seed, bootstrap=bootstrap)
-    nodes, roots = _reference_forest(s, 6, seed, bootstrap)
+    X[:, dim - constant:] = 0.0
+    y = rng.integers(0, n_classes, 60) if label_p is None else rng.choice(n_classes, 60, p=label_p)
+    return LabeledSet(X, y, tuple(f"c{i}" for i in range(n_classes)))
+
+
+@pytest.mark.parametrize(
+    "seed, n_classes, dim, bootstrap, trees, constant, label_p",
+    [
+        pytest.param(11, 2, 6, True, 6, 0, None, id="11-2-6-True"),
+        pytest.param(12, 3, 9, False, 6, 0, None, id="12-3-9-False"),
+        pytest.param(13, 3, 16, True, 6, 0, None, id="13-3-16-True"),
+        # 22 of 25 columns constant: most 5-feature samples cannot split
+        pytest.param(14, 3, 25, True, 6, 22, None, id="sqrt-fallback"),
+        # mostly one class: trees stop growing at very different steps
+        pytest.param(15, 3, 9, True, 40, 0, (0.85, 0.1, 0.05), id="40-trees-skewed"),
+    ],
+)
+def test_rf_matches_recursive_reference_node_for_node(
+    seed, n_classes, dim, bootstrap, trees, constant, label_p
+):
+    s = _sparse_set(seed, n_classes, dim, constant, label_p)
+    clf = train_rf(s, trees=trees, seed=seed, bootstrap=bootstrap)
+    nodes, roots, fallbacks = _reference_forest(s, trees, seed, bootstrap)
     assert clf.params["roots"].tolist() == roots
     for name, want in nodes.items():
         assert clf.params[name].tolist() == want, name
     assert any(f >= 0 for f in nodes["feature"])
+    if constant:
+        assert len(fallbacks) >= 3
+    if trees > 6:
+        sizes = np.diff(roots + [len(nodes["feature"])])
+        assert sizes.max() >= 3 * sizes.min()
+
+
+def test_rf_split_budget_of_one_byte_grows_the_same_forest(monkeypatch):
+    s = _sparse_set(16, 3, 16, constant=10, label_p=(0.6, 0.3, 0.1))
+    whole = train_rf(s, trees=12, seed=16).params
+    monkeypatch.setattr(classifiers, "RF_SPLIT_BYTES", 1)  # one node per split batch
+    chunked = train_rf(s, trees=12, seed=16).params
+    for name in FOREST_ARRAYS:
+        assert np.array_equal(chunked[name], whole[name]), name
 
 
 def test_rf_grows_a_deep_tree_without_recursion():
@@ -263,6 +298,11 @@ def test_rf_grows_a_deep_tree_without_recursion():
 
 def test_rf_default_tree_count():
     assert inspect.signature(train_rf).parameters["trees"].default == 100
+
+
+def test_rf_needs_at_least_one_tree(separable):
+    with pytest.raises(ValueError, match="trees at least 1"):
+        train_rf(separable, trees=0)
 
 
 def test_linsvm_separates_toy_set(separable):

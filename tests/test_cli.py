@@ -239,7 +239,7 @@ def test_predict_verdicts_match_flag_query(runner, tmp_path, pipeline):
     got = [tuple(line.split(",")) for line in rows]
     clf, _ = store.load_classifier_bundle(clf_path)
     enc, header = store.load_encoder_bundle(encoder)
-    schema = store.bundle_schema(header)
+    schema = store.bundle_schema(encoder, header)
     want = [
         (rec.query_id, flag_query(clf, schema, rec, transform=enc))
         for rec in load_corpus(corpus).records
@@ -320,6 +320,49 @@ def test_reducer_bundle_without_schema_hash_is_one_line_error(runner, tmp_path, 
                            "--reducer", str(pca), "--schema", str(schema),
                            "--out", str(tmp_path / "p.csv")])
     assert "without a schema hash" in err
+
+
+@pytest.mark.parametrize("field, value", [("digest", 5), ("kind", ["neural"])],
+                         ids=["int-digest", "list-kind"])
+def test_predict_with_non_string_provenance_is_one_line_error(
+    runner, tmp_path, pipeline, field, value
+):
+    _, corpus, encoder, _ = pipeline
+    emb, clf = tmp_path / "emb.csv", tmp_path / "clf.opeb"
+    run_ok(runner, ["embed", "--corpus", str(corpus), "--encoder", str(encoder),
+                    "--out", str(emb)])
+    run_ok(runner, ["train-task", "--corpus", str(corpus), "--features", str(emb),
+                    "--task", "admission", "--model", "logreg",
+                    "--provenance", str(encoder), "--out", str(clf)])
+    header, arrays = store.load_bundle(clf)
+    header["provenance"][field] = value
+    store.save_bundle(clf, "classifier", header, arrays)
+    err = run_err(runner, ["predict", "--plans", str(corpus), "--classifier", str(clf),
+                           "--encoder", str(encoder), "--out", str(tmp_path / "p.csv")])
+    assert str(clf) in err and "provenance" in err
+
+
+def test_tampered_schema_hash_error_names_the_bundle(runner, tmp_path, pipeline):
+    _, corpus, encoder, schema = pipeline
+    feats, pca = tmp_path / "pca.csv", tmp_path / "pca.opeb"
+    run_ok(runner, ["reduce", "--corpus", str(corpus), "--schema", str(schema),
+                    "--method", "pca", "--dim", "4", "--model-out", str(pca),
+                    "--out", str(feats)])
+    clf = tmp_path / "clf.opeb"
+    run_ok(runner, ["train-task", "--corpus", str(corpus), "--features", str(feats),
+                    "--task", "admission", "--model", "logreg", "--out", str(clf)])
+    for src, kind in ((schema, "schema"), (encoder, "encoder")):
+        header, arrays = store.load_bundle(src)
+        header["schema"]["hash"] = "0" * 64
+        store.save_bundle(tmp_path / f"bad_{kind}.opeb", kind, header, arrays)
+    bad_schema, bad_encoder = tmp_path / "bad_schema.opeb", tmp_path / "bad_encoder.opeb"
+    err = run_err(runner, ["predict", "--plans", str(corpus), "--classifier", str(clf),
+                           "--reducer", str(pca), "--schema", str(bad_schema),
+                           "--out", str(tmp_path / "p.csv")])
+    assert str(bad_schema) in err and "schema hash mismatch" in err
+    err = run_err(runner, ["embed", "--corpus", str(corpus), "--encoder", str(bad_encoder),
+                           "--out", str(tmp_path / "e.csv")])
+    assert str(bad_encoder) in err and "schema hash mismatch" in err
 
 
 def test_predict_requires_exactly_one_featurization(runner, tmp_path, pipeline):

@@ -49,6 +49,22 @@ def test_pca_matches_eigendecomposition():
     assert np.allclose(model.explained_variance, vars_, atol=1e-6)
 
 
+def test_pca_matches_eigendecomposition_on_rank_deficient_fold():
+    # a cross-validation fold's shape: 49 operators x 83 sparse slots, with
+    # the last 23 slots never set, so the covariance has rank 48 of 83
+    rng = np.random.default_rng(3)
+    X = (rng.random((49, 83)) < 0.15).astype(np.float64)
+    X[:, :10] = rng.normal(size=(49, 10))
+    X[:, 60:] = 0.0
+    assert np.linalg.matrix_rank(X - X.mean(axis=0)) == 48
+    model = fit_pca(X, 32)
+    mean, comps, vars_ = eig_oracle(X, 32)
+    assert np.allclose(model.mean, mean, atol=1e-12)
+    assert np.allclose(model.components, comps, atol=1e-9)
+    assert np.allclose(model.explained_variance, vars_, atol=1e-9)
+    assert np.allclose(model.components @ model.components.T, np.eye(32), atol=1e-9)
+
+
 def test_pca_components_orthonormal_and_variances_sorted(rng):
     X = rng.normal(size=(40, 10)) * np.linspace(3, 0.5, 10)
     model = fit_pca(X, 10)

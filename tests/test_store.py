@@ -215,7 +215,7 @@ def test_encoder_bundle_round_trip(tmp_path, schema60, rng):
     assert np.array_equal(loaded(X), encoder(X))
     assert loaded.embedding_dim == 8
     assert loaded.schema_digest == encoder.schema_digest
-    embedded = bundle_schema(header)
+    embedded = bundle_schema(path, header)
     assert embedded is not None
     assert schema_hash(embedded) == schema_hash(schema60)
     assert header["meta"] == {"epochs": 0}
@@ -223,7 +223,7 @@ def test_encoder_bundle_round_trip(tmp_path, schema60, rng):
     bare = tmp_path / "bare.opeb"
     save_encoder_bundle(bare, encoder)
     _, bare_header = load_encoder_bundle(bare)
-    assert bundle_schema(bare_header) is None
+    assert bundle_schema(bare, bare_header) is None
 
 
 def test_encoder_bundle_pre_activation_round_trip(tmp_path, schema60, rng):
