@@ -25,7 +25,11 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --encoder-out "$d/encoder_masked.opeb"
   op train-embedding --corpus "$d/corpus.json" --epochs 3 --seed "$seed" --pre-activation \
      --encoder-out "$d/encoder_pre.opeb"
+  # a non-default trunk: other widths, an odd batch size and a partial last batch
+  op train-embedding --corpus "$d/corpus.json" --epochs 3 --seed "$seed" --hidden 48,24 \
+     --embedding-dim 8 --batch 7 --encoder-out "$d/encoder_small.opeb"
   op embed --corpus "$d/corpus.json" --encoder "$d/encoder.opeb" --out "$d/embeddings.csv"
+  op embed --corpus "$d/corpus.json" --encoder "$d/encoder_small.opeb" --out "$d/embeddings_small.csv"
   op embed --corpus "$d/corpus.json" --encoder "$d/encoder_pre.opeb" --out "$d/embeddings_pre.csv"
   op project2d --features "$d/embeddings.csv" --out "$d/project2d.csv"
   op reduce --corpus "$d/corpus.json" --schema "$d/schema.opeb" --method pca --dim 8 \

@@ -78,41 +78,6 @@ def build(spec: HourglassSpec, schema: FeatureSchema) -> EmbeddingNetwork:
     )
 
 
-def _head_pass(
-    head: nn.Network,
-    spec: nn.LossSpec,
-    E: np.ndarray,
-    C: np.ndarray,
-    present: np.ndarray,
-    masked: bool,
-) -> tuple[float, list[nn.LayerGrads], np.ndarray]:
-    """One head's loss, parameter grads, and gradient w.r.t. the embedding.
-
-    In masked mode rows whose child is absent are dropped from this head's
-    loss; the returned loss keeps whole-batch mean semantics.
-    """
-    n = len(E)
-    trace = nn.forward(head, E)
-    pred = trace.activations[-1]
-    if masked:
-        m = int(present.sum())
-        if m == 0:
-            zero_grads = [
-                nn.LayerGrads(np.zeros_like(l.W), np.zeros_like(l.b))
-                for l in head.layers
-            ]
-            return 0.0, zero_grads, np.zeros_like(E)
-        sub_loss = nn.loss(spec, pred[present], C[present])
-        dout = np.zeros_like(pred)
-        dout[present] = nn.output_grad(spec, pred[present], C[present]) * (m / n)
-        head_loss = sub_loss * (m / n)
-    else:
-        head_loss = nn.loss(spec, pred, C)
-        dout = nn.output_grad(spec, pred, C)
-    grads, dE = nn.backprop_layers(head, trace, dout)
-    return head_loss, grads, dE
-
-
 def train_embedding(
     enet: EmbeddingNetwork,
     X: np.ndarray,
@@ -135,22 +100,44 @@ def train_embedding(
     # row -1 of Xz is the zero vector an absent child is scored against
     Xz = np.vstack([X, np.zeros((1, X.shape[1]))])
     present = children >= 0
-    spec = enet.loss_spec
+    heads = (enet.head1, enet.head2)
 
     def step(idx):
+        n = len(idx)
         trunk_trace = nn.forward(enet.trunk, X[idx])
         E = trunk_trace.activations[-1]
-        l1, g1, dE1 = _head_pass(
-            enet.head1, spec, E, Xz[children[idx, 0]], present[idx, 0], masked
+        traces = [nn.forward(head, E) for head in heads]
+        # masked mode leaves a head's rows whose child is absent out of its
+        # loss, which keeps whole-batch mean semantics
+        keep = present[idx].T if masked else np.ones((2, n), dtype=bool)
+        # both heads' rows in one loss-and-gradient pass: each row's values
+        # do not depend on which rows share the pass
+        per_row, grad = nn._segment_pass(
+            enet.loss_spec,
+            np.vstack([tr.activations[-1][k] for tr, k in zip(traces, keep)]),
+            Xz[children[idx].T[keep]],
         )
-        l2, g2, dE2 = _head_pass(
-            enet.head2, spec, E, Xz[children[idx, 1]], present[idx, 1], masked
-        )
-        gt, _ = nn.backprop_layers(enet.trunk, trunk_trace, dE1 + dE2)
-        return l1 + l2, [gt, g1, g2]
+        total, grads, dEs, lo = 0.0, [], [], 0
+        for head, tr, k in zip(heads, traces, keep):
+            m = int(k.sum())
+            if m == 0:
+                grads.append([nn.LayerGrads(np.zeros_like(l.W), np.zeros_like(l.b))
+                              for l in head.layers])
+                dEs.append(np.zeros_like(E))
+                continue
+            # m / n is exactly 1.0 unless masked mode dropped rows, which get
+            # no gradient
+            total += float(per_row[lo : lo + m].mean()) * (m / n)
+            dout = np.zeros_like(tr.activations[-1])
+            dout[k] = grad[lo : lo + m] / m * (m / n)
+            lo += m
+            g, dE = nn.backprop_layers(head, tr, dout)
+            grads.append(g)
+            dEs.append(dE)
+        gt, _ = nn.backprop_layers(enet.trunk, trunk_trace, dEs[0] + dEs[1], input_grad=False)
+        return total, [gt, *grads]
 
-    nets = [enet.trunk, enet.head1, enet.head2]
-    return enet, nn.train(nets, cfg, len(children), step)
+    return enet, nn.train([enet.trunk, *heads], cfg, len(children), step)
 
 
 def predict_children(

@@ -1,14 +1,20 @@
 """Minimal dense feed-forward engine: affine layers with optional layer norm
 and ReLU, mixed segment losses, mini-batch SGD, finite-difference checking.
 
-All math is float64 numpy. Training is single-threaded and deterministic
-for a fixed seed. Loss over a batch is the mean of per-row losses; per-row
-loss is the sum of segment losses:
+All math is float64 numpy, single-threaded and deterministic for a fixed
+seed. The kernels repeat the reference formulas' operations in their order
+(np.mean/np.var layer norm, Ba et al. 2016 backward, per-segment loss and
+gradient; tests/test_nn.py keeps them), so the bits are the formulas'. Loss
+over a batch is the mean of per-row losses; per-row loss is the sum of
+segment losses:
 
 * mse: half the sum of squared errors over the segment's slots
 * bce: logistic loss per slot, computed from the logit (softplus form)
 * softmax: cross-entropy of the exp-normalized group; an all-zero target
   contributes zero loss and zero gradient
+
+loss() rejects non-finite input; the training path skips that scan, as
+train() raises TrainingDivergedError on a non-finite batch loss.
 """
 
 from __future__ import annotations
@@ -82,12 +88,12 @@ class _LayerCache:
     x: np.ndarray                      # layer input
     xhat: np.ndarray | None            # normalized pre-activation
     inv_std: np.ndarray | None         # 1/sqrt(var + eps), per row
-    pre_relu: np.ndarray               # value entering ReLU (or the output)
 
 
 @dataclass
 class ForwardTrace:
-    """Per-layer post-activation outputs plus what backward needs."""
+    """Per-layer post-activation outputs plus what backward needs; the
+    post-ReLU output doubles as the ReLU mask (a > 0 exactly when z > 0)."""
 
     activations: list[np.ndarray]
     caches: list[_LayerCache]
@@ -101,22 +107,27 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _layer(layer: DenseLayer, a: np.ndarray, caches: list | None = None) -> np.ndarray:
-    """One layer's output. With caches given, also append what backward
-    needs; without, xhat is never bound, so no extra (rows x width) array
-    stays alive."""
-    z = a @ layer.W.T + layer.b
+    """One layer's output, computed in place on the fresh matmul result.
+    With caches given, also append what backward needs; without, xhat is
+    overwritten, so no extra (rows x width) array stays alive."""
+    z = a @ layer.W.T
+    z += layer.b
     xhat = inv_std = None
     if layer.apply_layer_norm:
-        mu = z.mean(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(z.var(axis=1, keepdims=True) + LN_EPS)
+        n = z.shape[1]
+        z -= np.add.reduce(z, 1, keepdims=True) / n
+        inv_std = 1.0 / np.sqrt(np.add.reduce(z * z, 1, keepdims=True) / n + LN_EPS)
+        z *= inv_std
         if caches is None:
-            z = layer.gain * ((z - mu) * inv_std) + layer.beta
+            z *= layer.gain
         else:
-            xhat = (z - mu) * inv_std
-            z = layer.gain * xhat + layer.beta
+            xhat, z = z, z * layer.gain
+        z += layer.beta
     if caches is not None:
-        caches.append(_LayerCache(a, xhat, inv_std, z))
-    return np.maximum(z, 0.0) if layer.apply_relu else z
+        caches.append(_LayerCache(a, xhat, inv_std))
+    if layer.apply_relu:
+        np.maximum(z, 0.0, out=z)
+    return z
 
 
 def forward(net: Network, x: np.ndarray) -> ForwardTrace:
@@ -166,36 +177,38 @@ def _check_spec(spec: LossSpec, dim: int) -> None:
         raise ValueError(f"loss segments cover [0, {spec.dim}), output is {dim}")
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _segment_pass(spec: LossSpec, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the segments of 2-D p and t: the per-row loss and the
+    gradient of its sum (not yet divided by the row count). Each row's
+    values depend on that row alone. No finite check."""
+    per_row = np.zeros(p.shape[0])
+    grad = np.empty_like(p)
+    for kind, start, stop in spec.segments:
+        ps, ts, g = p[:, start:stop], t[:, start:stop], grad[:, start:stop]
+        if kind == "mse":
+            seg = 0.5 * np.square(np.subtract(ps, ts, out=g)).sum(axis=1)
+        elif kind == "bce":
+            softplus = np.maximum(ps, 0.0) + np.log1p(np.exp(-np.abs(ps)))
+            seg = (softplus - ps * ts).sum(axis=1)
+            np.subtract(1.0 / (1.0 + np.exp(-ps)), ts, out=g)
+        else:
+            shifted = ps - ps.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            total = e.sum(axis=1, keepdims=True)
+            seg = -(ts * (shifted - np.log(total))).sum(axis=1)
+            # all-zero target rows get exactly zero gradient here
+            np.subtract(e / total * ts.sum(axis=1, keepdims=True), ts, out=g)
+        per_row += seg
+    return per_row, grad
 
 
 def loss(spec: LossSpec, prediction: np.ndarray, target: np.ndarray) -> float:
     """Mean over rows of the summed segment losses."""
-    p, _ = _as_batch(prediction)
-    t, _ = _as_batch(target)
+    p, t = _as_batch(prediction)[0], _as_batch(target)[0]
     _check_spec(spec, p.shape[1])
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
         raise ValueError("non-finite prediction or target")
-    per_row = np.zeros(p.shape[0])
-    for kind, start, stop in spec.segments:
-        ps, ts = p[:, start:stop], t[:, start:stop]
-        if kind == "mse":
-            seg = 0.5 * np.square(ps - ts).sum(axis=1)
-        elif kind == "bce":
-            seg = (_softplus(ps) - ps * ts).sum(axis=1)
-        else:
-            logp = ps - ps.max(axis=1, keepdims=True)
-            logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-            seg = -(ts * logp).sum(axis=1)
-        per_row += seg
-    return float(per_row.mean())
+    return float(_segment_pass(spec, p, t)[0].mean())
 
 
 def output_grad(spec: LossSpec, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -203,17 +216,7 @@ def output_grad(spec: LossSpec, prediction: np.ndarray, target: np.ndarray) -> n
     p, single = _as_batch(prediction)
     t, _ = _as_batch(target)
     _check_spec(spec, p.shape[1])
-    grad = np.zeros_like(p)
-    for kind, start, stop in spec.segments:
-        ps, ts = p[:, start:stop], t[:, start:stop]
-        if kind == "mse":
-            g = ps - ts
-        elif kind == "bce":
-            g = 1.0 / (1.0 + np.exp(-ps)) - ts
-        else:
-            # all-zero target rows get exactly zero gradient here
-            g = _softmax(ps) * ts.sum(axis=1, keepdims=True) - ts
-        grad[:, start:stop] = g
+    grad = _segment_pass(spec, p, t)[1]
     grad /= p.shape[0]
     return grad[0] if single else grad
 
@@ -226,7 +229,8 @@ def decode_probabilities(spec: LossSpec, prediction: np.ndarray) -> np.ndarray:
     out = p.copy()
     for kind, start, stop in spec.segments:
         if kind == "softmax":
-            out[:, start:stop] = _softmax(p[:, start:stop])
+            e = np.exp(p[:, start:stop] - p[:, start:stop].max(axis=1, keepdims=True))
+            out[:, start:stop] = e / e.sum(axis=1, keepdims=True)
         elif kind == "bce":
             out[:, start:stop] = 1.0 / (1.0 + np.exp(-p[:, start:stop]))
     return out[0] if single else out
@@ -241,31 +245,34 @@ class LayerGrads:
 
 
 def backprop_layers(
-    net: Network, trace: ForwardTrace, dout: np.ndarray
-) -> tuple[list[LayerGrads], np.ndarray]:
+    net: Network, trace: ForwardTrace, dout: np.ndarray, input_grad: bool = True
+) -> tuple[list[LayerGrads], np.ndarray | None]:
     """Push an output-side gradient through the network.
 
     Returns per-layer parameter gradients and the gradient w.r.t. the
-    network input (needed when this network is a head over a trunk).
+    network input (needed when this network is a head over a trunk); with
+    input_grad false that last matmul is skipped and None returned.
     """
-    da = np.atleast_2d(np.asarray(dout, dtype=np.float64))
+    # a copy, so the updates below run in place without touching dout
+    da = np.array(dout, dtype=np.float64, ndmin=2)
     grads: list[LayerGrads] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer, cache = net.layers[i], trace.caches[i]
         if layer.apply_relu:
-            da = da * (cache.pre_relu > 0)
+            da *= trace.activations[i] > 0
+        dgain = dbeta = None
         if layer.apply_layer_norm:
-            dgain = (da * cache.xhat).sum(axis=0)
-            dbeta = da.sum(axis=0)
-            dxhat = da * layer.gain
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * cache.xhat).mean(axis=1, keepdims=True)
-            dz = cache.inv_std * (dxhat - m1 - cache.xhat * m2)
-        else:
-            dgain = dbeta = None
-            dz = da
-        grads[i] = LayerGrads(dz.T @ cache.x, dz.sum(axis=0), dgain, dbeta)
-        da = dz @ layer.W
+            xhat, n = cache.xhat, da.shape[1]
+            dgain = np.add.reduce(da * xhat, 0)
+            dbeta = np.add.reduce(da, 0)
+            da *= layer.gain                     # da is dxhat from here on
+            m1 = np.add.reduce(da, 1, keepdims=True) / n
+            m2 = np.add.reduce(da * xhat, 1, keepdims=True) / n
+            da -= m1
+            da -= xhat * m2
+            da *= cache.inv_std                  # and dz from here on
+        grads[i] = LayerGrads(da.T @ cache.x, np.add.reduce(da, 0), dgain, dbeta)
+        da = da @ layer.W if i or input_grad else None
     return grads, da
 
 
@@ -274,17 +281,18 @@ def backward(
 ) -> list[LayerGrads]:
     """Exact gradients of loss(spec, forward output, target) per parameter."""
     dout = output_grad(spec, trace.activations[-1], np.atleast_2d(target))
-    return backprop_layers(net, trace, dout)[0]
+    return backprop_layers(net, trace, dout, input_grad=False)[0]
 
 
 def sgd_step(net: Network, grads: list[LayerGrads], lr: float) -> Network:
-    """In-place w <- w - lr * grad."""
+    """In-place w <- w - lr * grad; the grads are scaled by lr in place."""
     for layer, g in zip(net.layers, grads):
-        layer.W -= lr * g.dW
-        layer.b -= lr * g.db
+        params = [(layer.W, g.dW), (layer.b, g.db)]
         if layer.apply_layer_norm:
-            layer.gain -= lr * g.dgain
-            layer.beta -= lr * g.dbeta
+            params += [(layer.gain, g.dgain), (layer.beta, g.dbeta)]
+        for w, dw in params:
+            dw *= lr
+            w -= dw
     return net
 
 
@@ -323,18 +331,21 @@ def train(
         raise ValueError("empty training set")
     rng = np.random.default_rng(cfg.seed)
     trace_losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        batch_losses = []
-        for b, idx in enumerate(iter_batches(n_rows, cfg, rng)):
-            batch_loss, grads = step(idx)
-            if not math.isfinite(batch_loss):
-                raise TrainingDivergedError(epoch, b)
-            for net, g in zip(nets, grads):
-                sgd_step(net, g, cfg.learning_rate)
-            batch_losses.append(batch_loss)
-        # np.mean's arithmetic, bit for bit, without its Python overhead: a
-        # linear classifier runs one batch per epoch, so this is per step
-        trace_losses.append(float(np.add.reduce(batch_losses) / len(batch_losses)))
+    # overflow on the way to a non-finite loss is reported once, with its
+    # location, as TrainingDivergedError rather than as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            batch_losses = []
+            for b, idx in enumerate(iter_batches(n_rows, cfg, rng)):
+                batch_loss, grads = step(idx)
+                if not math.isfinite(batch_loss):
+                    raise TrainingDivergedError(epoch, b)
+                for net, g in zip(nets, grads):
+                    sgd_step(net, g, cfg.learning_rate)
+                batch_losses.append(batch_loss)
+            # np.mean's arithmetic, bit for bit, without its Python overhead:
+            # a linear classifier runs one batch per epoch, so this is per step
+            trace_losses.append(float(np.add.reduce(batch_losses) / len(batch_losses)))
     return trace_losses
 
 

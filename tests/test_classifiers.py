@@ -386,7 +386,7 @@ def test_linear_trainers_match_inline_reference_bitwise(n_classes, batch_size):
     assert np.any(W != 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_linear_trainers_raise_on_divergence():
     s = make_labeled_set(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]),
                          ["a", "b", "a", "b"])

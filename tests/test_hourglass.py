@@ -1,10 +1,11 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from opembed import nn
-from opembed.errors import SchemaError
+from opembed.errors import SchemaError, TrainingDivergedError
 from opembed.featurize import build_schema, encode, encode_corpus
 from opembed.hourglass import (
     DEFAULT_HIDDEN,
@@ -19,7 +20,7 @@ from opembed.hourglass import (
     train_embedding,
 )
 from opembed.plans import walk_operators
-from opembed.synth import SynthConfig, generate
+from opembed.synth import SynthConfig, generate, planted_card_config
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,87 @@ def test_masked_loss_without_children_leaves_heads_at_init(schema60, corpus60):
     for a, b in zip((fresh.head1, fresh.head2), (trained.head1, trained.head2)):
         assert np.array_equal(a.layers[0].W, b.layers[0].W)
         assert np.array_equal(a.layers[0].b, b.layers[0].b)
+
+
+def _reference_training(enet, X, children, cfg, masked):
+    """The step as two per-head passes: each head's own nn.loss and
+    nn.output_grad, the trunk's input gradient computed and dropped, and
+    w -= lr * g; returns the per-epoch losses and the number of batches
+    whose rows are all leaves."""
+    Xz = np.vstack([X, np.zeros((1, X.shape[1]))])
+    present = children >= 0
+    spec = enet.loss_spec
+
+    def head_pass(head, E, C, pres):
+        n = len(E)
+        trace = nn.forward(head, E)
+        pred = trace.activations[-1]
+        if masked:
+            m = int(pres.sum())
+            if m == 0:
+                return (0.0, [nn.LayerGrads(np.zeros_like(l.W), np.zeros_like(l.b))
+                              for l in head.layers], np.zeros_like(E))
+            head_loss = nn.loss(spec, pred[pres], C[pres]) * (m / n)
+            dout = np.zeros_like(pred)
+            dout[pres] = nn.output_grad(spec, pred[pres], C[pres]) * (m / n)
+        else:
+            head_loss = nn.loss(spec, pred, C)
+            dout = nn.output_grad(spec, pred, C)
+        grads, dE = nn.backprop_layers(head, trace, dout)
+        return head_loss, grads, dE
+
+    nets = [enet.trunk, enet.head1, enet.head2]
+    rng, losses, leaf_batches = np.random.default_rng(cfg.seed), [], 0
+    for _ in range(cfg.epochs):
+        batch_losses = []
+        for idx in nn.iter_batches(len(children), cfg, rng):
+            leaf_batches += not present[idx].any()
+            trunk_trace = nn.forward(enet.trunk, X[idx])
+            E = trunk_trace.activations[-1]
+            l1, g1, dE1 = head_pass(enet.head1, E, Xz[children[idx, 0]], present[idx, 0])
+            l2, g2, dE2 = head_pass(enet.head2, E, Xz[children[idx, 1]], present[idx, 1])
+            gt, _ = nn.backprop_layers(enet.trunk, trunk_trace, dE1 + dE2)
+            for net, grads in zip(nets, (gt, g1, g2)):
+                for layer, g in zip(net.layers, grads):
+                    layer.W -= cfg.learning_rate * g.dW
+                    layer.b -= cfg.learning_rate * g.db
+                    if layer.apply_layer_norm:
+                        layer.gain -= cfg.learning_rate * g.dgain
+                        layer.beta -= cfg.learning_rate * g.dbeta
+            batch_losses.append(l1 + l2)
+        losses.append(float(np.mean(batch_losses)))
+    return losses, leaf_batches
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_training_matches_two_pass_reference_step(masked):
+    corpus = generate(SynthConfig(n_queries=12, seed=5))
+    schema = build_schema(corpus)
+    table = encode_corpus(schema, corpus)
+    # 3-row batches, the last one partial: some batch holds only leaves, so
+    # masked mode takes its m == 0 branch for both heads at once
+    assert len(table.children) % 3
+    spec = HourglassSpec(schema.total_dim, seed=3)
+    cfg = nn.SgdConfig(learning_rate=0.05, batch_size=3, epochs=2, seed=6)
+    trained, trace = train_embedding(build(spec, schema), table.X, table.children, cfg, masked)
+    ref = build(spec, schema)
+    ref_trace, leaf_batches = _reference_training(ref, table.X, table.children, cfg, masked)
+    assert trace == ref_trace
+    assert all(np.array_equal(a, b) for a, b in zip(_params(trained), _params(ref), strict=True))
+    assert leaf_batches > 0
+
+
+def test_diverging_training_raises_without_numpy_warnings():
+    corpus = generate(replace(planted_card_config(), n_queries=60, seed=0))
+    schema = build_schema(corpus)
+    table = encode_corpus(schema, corpus)
+    spec = HourglassSpec(schema.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    for masked in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError):
+                train_embedding(build(spec, schema), table.X, table.children,
+                                nn.SgdConfig(learning_rate=1e6, epochs=10), masked)
 
 
 def test_train_rejects_empty_and_mismatched_triples(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opembed.errors import TrainingDivergedError
+from opembed import nn
 from opembed.nn import (
     DenseLayer,
     LayerGrads,
@@ -196,7 +197,7 @@ def test_train_same_seed_bitwise_identical(rng):
     assert runs[0][1] == runs[1][1]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises_with_location(rng):
     X = rng.normal(size=(32, 3)) * 1e3
     T = rng.normal(size=(32, 3)) * 1e3
@@ -211,3 +212,176 @@ def test_iter_batches_partitions_everything():
     cfg = SgdConfig(batch_size=10, seed=3)
     seen = np.concatenate(list(iter_batches(25, cfg, np.random.default_rng(3))))
     assert sorted(seen.tolist()) == list(range(25))
+
+
+# -- reference formulas: the kernels must reproduce them bit for bit --------
+
+def _reference_forward(net, x):
+    """Per layer: np.mean/np.var layer norm, a separate pre-ReLU array."""
+    a, acts, caches = np.atleast_2d(x), [], []
+    for layer in net.layers:
+        z = a @ layer.W.T + layer.b
+        xhat = inv_std = None
+        if layer.apply_layer_norm:
+            mu = z.mean(axis=1, keepdims=True)
+            inv_std = 1.0 / np.sqrt(z.var(axis=1, keepdims=True) + nn.LN_EPS)
+            xhat = (z - mu) * inv_std
+            z = layer.gain * xhat + layer.beta
+        caches.append((a, xhat, inv_std, z))
+        a = np.maximum(z, 0.0) if layer.apply_relu else z
+        acts.append(a)
+    return acts, caches
+
+
+def _reference_backprop(net, caches, dout):
+    """Ba et al. 2016 layer-norm backward with .sum/.mean and the pre-ReLU
+    mask; returns (dW, db, dgain, dbeta) per layer and the input gradient."""
+    da, grads = np.atleast_2d(dout), []
+    for layer, (x, xhat, inv_std, pre_relu) in reversed(list(zip(net.layers, caches))):
+        if layer.apply_relu:
+            da = da * (pre_relu > 0)
+        dgain = dbeta = None
+        dz = da
+        if layer.apply_layer_norm:
+            dgain = (da * xhat).sum(axis=0)
+            dbeta = da.sum(axis=0)
+            dxhat = da * layer.gain
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            dz = inv_std * (dxhat - m1 - xhat * m2)
+        grads.insert(0, (dz.T @ x, dz.sum(axis=0), dgain, dbeta))
+        da = dz @ layer.W
+    return grads, da
+
+
+def _reference_loss(spec, p, t):
+    per_row = np.zeros(p.shape[0])
+    for kind, start, stop in spec.segments:
+        ps, ts = p[:, start:stop], t[:, start:stop]
+        if kind == "mse":
+            seg = 0.5 * np.square(ps - ts).sum(axis=1)
+        elif kind == "bce":
+            seg = (np.maximum(ps, 0.0) + np.log1p(np.exp(-np.abs(ps))) - ps * ts).sum(axis=1)
+        else:
+            logp = ps - ps.max(axis=1, keepdims=True)
+            logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            seg = -(ts * logp).sum(axis=1)
+        per_row += seg
+    return float(per_row.mean())
+
+
+def _reference_output_grad(spec, p, t):
+    grad = np.zeros_like(p)
+    for kind, start, stop in spec.segments:
+        ps, ts = p[:, start:stop], t[:, start:stop]
+        if kind == "mse":
+            g = ps - ts
+        elif kind == "bce":
+            g = 1.0 / (1.0 + np.exp(-ps)) - ts
+        else:
+            e = np.exp(ps - ps.max(axis=1, keepdims=True))
+            g = e / e.sum(axis=1, keepdims=True) * ts.sum(axis=1, keepdims=True) - ts
+        grad[:, start:stop] = g
+    return grad / p.shape[0]
+
+
+def _assert_grads_equal(got, want):
+    for g, (dW, db, dgain, dbeta) in zip(got, want, strict=True):
+        assert np.array_equal(g.dW, dW) and np.array_equal(g.db, db)
+        assert (g.dgain is None) == (dgain is None)
+        if dgain is not None:
+            assert np.array_equal(g.dgain, dgain) and np.array_equal(g.dbeta, dbeta)
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_layer_kernels_match_reference_formulas_bitwise(rows):
+    rng = np.random.default_rng(rows)
+    net = Network([
+        dense_layer(rng, 83, 256, layer_norm=True, relu=True),
+        dense_layer(rng, 256, 40, layer_norm=True, relu=False),
+        dense_layer(rng, 40, 24, relu=True),
+        dense_layer(rng, 24, 17),
+    ])
+    for layer in net.layers:
+        if layer.apply_layer_norm:   # off their init, so gain and beta count
+            layer.gain += rng.normal(0.0, 0.3, layer.out_dim)
+            layer.beta += rng.normal(0.0, 0.3, layer.out_dim)
+    x = rng.normal(size=(rows, 83))
+    dout = rng.normal(size=(rows, 17))
+    acts, caches = _reference_forward(net, x)
+    trace = forward(net, x)
+    assert all(np.array_equal(a, b) for a, b in zip(trace.activations, acts, strict=True))
+    assert np.array_equal(predict(net, x), acts[-1])
+    for cache, (_, xhat, inv_std, _) in zip(trace.caches, caches):
+        assert (cache.xhat is None) == (xhat is None)
+        if xhat is not None:
+            assert np.array_equal(cache.xhat, xhat) and np.array_equal(cache.inv_std, inv_std)
+    want, want_dx = _reference_backprop(net, caches, dout)
+    before = dout.copy()
+    grads, dx = nn.backprop_layers(net, trace, dout)
+    _assert_grads_equal(grads, want)
+    assert np.array_equal(dx, want_dx)
+    assert np.array_equal(dout, before)
+    grads, dx = nn.backprop_layers(net, trace, dout, input_grad=False)
+    _assert_grads_equal(grads, want)
+    assert dx is None
+
+
+SEGMENT_SPECS = {
+    "mse": LossSpec((("mse", 0, 11),)),
+    "bce": LossSpec((("bce", 0, 1), ("bce", 1, 2), ("bce", 2, 3))),
+    "softmax": LossSpec((("softmax", 0, 3), ("softmax", 3, 12))),
+    "mixed": LossSpec((("softmax", 0, 8), ("mse", 8, 13), ("bce", 13, 14),
+                       ("softmax", 14, 17), ("mse", 17, 40), ("softmax", 40, 45))),
+}
+
+
+def _segment_case(spec, rows, seed):
+    """Predictions and targets of the shape the heads train on: one-hot or
+    all-zero softmax groups, 0/1 booleans, real numerics."""
+    rng = np.random.default_rng(seed)
+    p = rng.normal(0.0, 3.0, size=(rows, spec.dim))
+    t = rng.normal(size=(rows, spec.dim))
+    for kind, start, stop in spec.segments:
+        if kind == "bce":
+            t[:, start:stop] = rng.integers(0, 2, size=(rows, stop - start))
+        elif kind == "softmax":
+            t[:, start:stop] = 0.0
+            hot = rng.integers(start, stop, size=rows)
+            t[np.arange(rows), hot] = 1.0
+            t[0, start:stop] = 0.0        # an all-zero target row
+    return p, t
+
+
+@pytest.mark.parametrize("kind", sorted(SEGMENT_SPECS))
+@pytest.mark.parametrize("rows", [1, 64])
+def test_segment_kernel_matches_reference_formulas_bitwise(kind, rows):
+    spec = SEGMENT_SPECS[kind]
+    p, t = _segment_case(spec, rows, seed=rows)
+    assert loss(spec, p, t) == _reference_loss(spec, p, t)
+    assert np.array_equal(output_grad(spec, p, t), _reference_output_grad(spec, p, t))
+
+
+def test_segment_kernel_rows_do_not_depend_on_their_neighbours():
+    """Both hourglass heads share one pass; each head's slice must carry
+    the bits a pass of its own rows gives."""
+    spec = SEGMENT_SPECS["mixed"]
+    p, t = _segment_case(spec, 64, seed=3)
+    per_row, grad = nn._segment_pass(spec, p, t)
+    for lo, hi in ((0, 1), (0, 31), (31, 64), (5, 6)):
+        alone_row, alone_grad = nn._segment_pass(spec, p[lo:hi], t[lo:hi])
+        assert np.array_equal(per_row[lo:hi], alone_row)
+        assert np.array_equal(grad[lo:hi], alone_grad)
+    assert float(per_row[:31].mean()) == _reference_loss(spec, p[:31], t[:31])
+    assert np.array_equal(grad[31:] / 33, _reference_output_grad(spec, p[31:], t[31:]))
+
+
+def test_sgd_step_matches_reference_update():
+    rng = np.random.default_rng(4)
+    layer = dense_layer(rng, 6, 5, layer_norm=True, relu=True)
+    g = LayerGrads(*(rng.normal(size=s) for s in ((5, 6), 5, 5, 5)))
+    want = [w - 0.037 * dw for w, dw in ((layer.W, g.dW), (layer.b, g.db),
+                                         (layer.gain, g.dgain), (layer.beta, g.dbeta))]
+    sgd_step(Network([layer]), [g], 0.037)
+    assert all(np.array_equal(a, b) for a, b in
+               zip((layer.W, layer.b, layer.gain, layer.beta), want, strict=True))
