@@ -7,12 +7,14 @@
 # SRC_DIR is the checkout's src/ directory; OUT_DIR is wiped and refilled.
 # Only predict's id,node_type,prediction columns are hashed, carriage returns
 # dropped, so a checkout whose predict still writes a wall-clock latency_ms
-# column compares too.
+# column compares too. Each evaluate's console table is kept as table-*.txt:
+# without --timings it holds no wall-clock figure either.
 set -euo pipefail
 SRC=$1; OUT=$2
 export PYTHONPATH=$SRC OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 rm -rf "$OUT"; mkdir -p "$OUT"
 op() { python -m opembed.cli "$@" > /dev/null; }
+table() { local f=$1; shift; python -m opembed.cli evaluate "$@" > "$f"; }
 # preset:seed:queries:evaluate task (a 40-query tpcds-like fifth can hold a
 # single card class, so that corpus is graded on admission)
 for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admission; do
@@ -59,13 +61,14 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
   for strategy in random temporal; do
     for full in "" --embedding-from-full-log; do
       tag=$strategy${full:+-full}
-      op evaluate --corpus "$d/corpus.json" --task "$task" --featurizations sparse,neural-16,pca-8 \
-         --models logreg,knn,rf,svm,dummy --epochs 2 --strategy "$strategy" --seed "$seed" $full \
+      table "$d/table-$tag.txt" --corpus "$d/corpus.json" --task "$task" \
+         --featurizations sparse,neural-16,pca-8 --models logreg,knn,rf,svm,dummy --epochs 2 \
+         --strategy "$strategy" --seed "$seed" $full \
          --out "$d/report-$tag.csv" --medians-out "$d/medians-$tag.csv"
     done
   done
-  op evaluate --corpus "$d/corpus.json" --task user --featurizations sparse,neural-16 \
-     --models logreg,rf,dummy --epochs 2 --seed "$seed" --out "$d/report-user.csv" \
-     --medians-out "$d/medians-user.csv"
+  table "$d/table-user.txt" --corpus "$d/corpus.json" --task user \
+     --featurizations sparse,neural-16 --models logreg,rf,dummy --epochs 2 --seed "$seed" \
+     --out "$d/report-user.csv" --medians-out "$d/medians-user.csv"
 done
 (cd "$OUT" && find . -type f ! -name '*.manifest.txt' | sort | xargs sha256sum)

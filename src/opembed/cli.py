@@ -384,7 +384,7 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
 @click.option("--embedding-from-full-log", is_flag=True,
               help="Fit schema and encoder on the whole unlabeled corpus instead of each train fold.")
 @click.option("--timings", is_flag=True,
-              help="Include wall-clock columns (breaks byte-identical reports).")
+              help="Add wall-clock columns and run the one-row latency probe (breaks byte-identical output).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--medians-out", default=None, type=click.Path(dir_okay=False))
 @guarded
@@ -398,7 +398,7 @@ def evaluate_cmd(corpus_path, task, featurizations, models, strategy, percentile
     sgd = SgdConfig(learning_rate=lr, batch_size=batch, epochs=epochs, seed=seed)
     report = run_evaluate(
         corpus, spec, _parse_list(featurizations), _parse_list(models), plan,
-        sgd=sgd, embedding_from_full_log=embedding_from_full_log, seed=seed,
+        sgd=sgd, embedding_from_full_log=embedding_from_full_log, seed=seed, timings=timings,
     )
     report.to_csv(out, timings=timings)
     if medians_out:

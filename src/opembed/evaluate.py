@@ -24,6 +24,8 @@ from .plans import Corpus, subcorpus
 from .reducers import fit_fa, fit_pca, transform_fa, transform_pca
 from .tasks import FoldPlan, TaskSpec, task_labels
 
+INFER_SAMPLE = 100  # test rows per cell for the one-row latency probe
+
 
 def parse_featurization(name: str) -> tuple[str, int | None]:
     """"sparse" or "<kind>-<dim>" with kind in {neural, pca, fa}."""
@@ -92,8 +94,8 @@ class CellResult:
     accuracy: float
     prior: float
     recalls: dict[str, float]
-    mean_infer_ms: float
-    train_seconds: float
+    mean_infer_ms: float | None     # None when evaluated without timings
+    train_seconds: float | None
     threshold: float | None = None
 
 
@@ -103,6 +105,10 @@ class EvalReport:
     strategy: str
     classes: tuple[str, ...]
     cells: list[CellResult] = field(default_factory=list)
+
+    @property
+    def timed(self) -> bool:
+        return all(None not in (c.mean_infer_ms, c.train_seconds) for c in self.cells)
 
     def median_rows(self) -> list[dict]:
         """One row per (featurization, model): median over the folds."""
@@ -122,7 +128,8 @@ class EvalReport:
                     "folds": len(sub),
                     "accuracy": float(np.median([c.accuracy for c in sub])),
                     "prior": float(np.median([c.prior for c in sub])),
-                    "mean_infer_ms": float(np.median([c.mean_infer_ms for c in sub])),
+                    "mean_infer_ms": float(np.median([c.mean_infer_ms for c in sub]))
+                    if self.timed else None,
                 }
             )
         return rows
@@ -133,6 +140,8 @@ class EvalReport:
         timings=False drops the wall-clock columns so identical seeds yield
         byte-identical files.
         """
+        if timings and not self.timed:
+            raise ValueError("report has no timings; evaluate it with timings=True")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             timing_cols = ["mean_infer_ms", "train_seconds"] if timings else []
@@ -150,6 +159,8 @@ class EvalReport:
                 )
 
     def medians_to_csv(self, path, timings: bool = True) -> None:
+        if timings and not self.timed:
+            raise ValueError("report has no timings; evaluate it with timings=True")
         rows = self.median_rows()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -163,15 +174,18 @@ class EvalReport:
 
     def format_table(self) -> str:
         rows = self.median_rows()
+        timed = self.timed
         lines = [
             f"task={self.spec.task} strategy={self.strategy} "
             f"(median over {len(set(c.fold for c in self.cells))} folds)",
-            f"{'featurization':<14} {'model':<8} {'accuracy':>9} {'prior':>9} {'infer ms':>10}",
+            f"{'featurization':<14} {'model':<8} {'accuracy':>9} {'prior':>9}"
+            + (f" {'infer ms':>10}" if timed else ""),
         ]
         for r in rows:
             lines.append(
                 f"{r['featurization']:<14} {r['model']:<8} "
-                f"{r['accuracy']:>9.4f} {r['prior']:>9.4f} {r['mean_infer_ms']:>10.4f}"
+                f"{r['accuracy']:>9.4f} {r['prior']:>9.4f}"
+                + (f" {r['mean_infer_ms']:>10.4f}" if timed else "")
             )
         return "\n".join(lines) + "\n"
 
@@ -185,12 +199,13 @@ def evaluate(
     sgd: nn.SgdConfig | None = None,
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN,
     embedding_from_full_log: bool = False,
-    infer_sample: int = 100,
+    timings: bool = True,
     seed: int = 0,
 ) -> EvalReport:
     """Train on each fold's train fifth, test on its test side, and record
-    accuracy, per-class recall, the test-side prior of the train-majority
-    class, and single-item inference latency.
+    accuracy, per-class recall and the test-side prior of the train-majority
+    class. With timings, each cell also gets its training wall time and mean
+    one-row predict latency over up to INFER_SAMPLE test rows (else None).
 
     With embedding_from_full_log the schema and the embedding are fit once on
     the whole (unlabeled) corpus and shared by every fold; classifiers and the
@@ -258,9 +273,9 @@ def evaluate(
                 clf_mod.FeatProvenance(fitted.kind, fitted.digest),
             )
             for model in models:
-                t0 = time.perf_counter()
+                t0 = time.perf_counter() if timings else None
                 clf = clf_mod.train(model, train_set, seed)
-                train_seconds = time.perf_counter() - t0
+                train_seconds = time.perf_counter() - t0 if timings else None
                 preds = np.array(clf_mod.predict(clf, F_test))
                 accuracy = float(np.mean(preds == y_test_arr))
                 recalls = {}
@@ -268,13 +283,12 @@ def evaluate(
                     mask = y_test_arr == cls
                     if mask.any():
                         recalls[cls] = float(np.mean(preds[mask] == cls))
-                stats = clf_mod.measure_inference(
-                    clf, F_test[: min(infer_sample, len(F_test))]
-                )
+                infer_ms = (clf_mod.measure_inference(clf, F_test[:INFER_SAMPLE]).mean_ms
+                            if timings else None)
                 report.cells.append(
                     CellResult(
                         spec.task, feat_name, model, fold_idx, accuracy, prior,
-                        recalls, stats.mean_ms, train_seconds, threshold,
+                        recalls, infer_ms, train_seconds, threshold,
                     )
                 )
     return report

@@ -463,6 +463,19 @@ def test_evaluate_timings_flag_adds_columns(runner, tmp_path, pipeline):
     assert "mean_infer_ms" in header and "train_seconds" in header
 
 
+def test_evaluate_table_is_deterministic_without_timings(runner, tmp_path, pipeline):
+    _, corpus, _, _ = pipeline
+    args = [
+        "evaluate", "--corpus", str(corpus), "--task", "card",
+        "--featurizations", "sparse,pca-8", "--models", "dummy,knn,rf",
+        "--out", str(tmp_path / "cells.csv"),
+    ]
+    first = run_ok(runner, args).output
+    assert "infer ms" not in first and "accuracy" in first
+    assert run_ok(runner, args).output == first
+    assert "infer ms" in run_ok(runner, args + ["--timings"]).output
+
+
 def test_project2d_static_header(runner, tmp_path, pipeline):
     _, corpus, encoder, _ = pipeline
     emb = tmp_path / "emb.csv"

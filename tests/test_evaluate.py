@@ -208,3 +208,36 @@ def test_prior_uses_train_majority_on_test_side():
     # train side: threshold = 30th pct of {100x4, 1x2} = 1.0; slow = latency > 1
     assert cell.prior == pytest.approx(0.2)
     assert cell.accuracy == cell.prior
+
+
+def test_untimed_evaluate_skips_the_latency_probe(eval_corpus, eval_plan, tmp_path, monkeypatch):
+    import time
+
+    from opembed import classifiers
+
+    args = (eval_corpus, TaskSpec("admission"), ["sparse", "pca-8"], ["dummy", "knn"], eval_plan)
+    timed = evaluate(*args)
+
+    def boom(*a, **k):
+        raise AssertionError("untimed evaluate must not time anything")
+
+    monkeypatch.setattr(classifiers, "measure_inference", boom)
+    monkeypatch.setattr(time, "perf_counter", boom)
+    bare = evaluate(*args, timings=False)
+    monkeypatch.undo()
+
+    assert timed.timed and not bare.timed
+    assert len(bare.cells) == len(timed.cells) == 20
+    assert all(c.mean_infer_ms is None and c.train_seconds is None for c in bare.cells)
+    assert all(r["mean_infer_ms"] is None for r in bare.median_rows())
+    for write in ("to_csv", "medians_to_csv"):
+        a, b = tmp_path / f"timed-{write}.csv", tmp_path / f"bare-{write}.csv"
+        getattr(timed, write)(a, timings=False)
+        getattr(bare, write)(b, timings=False)
+        assert a.read_bytes() == b.read_bytes()
+        with pytest.raises(ValueError, match="timings"):
+            getattr(bare, write)(tmp_path / "never.csv", timings=True)
+        assert not (tmp_path / "never.csv").exists()
+    assert "infer ms" in timed.format_table()
+    assert "infer ms" not in bare.format_table()
+    assert bare.format_table() == evaluate(*args, timings=False).format_table()
