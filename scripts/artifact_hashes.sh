@@ -45,6 +45,8 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --model knn --percentile 80 --provenance "$d/pca.opeb" --out "$d/clf_pca.opeb"
   op train-task --corpus "$d/corpus.json" --features "$d/fa.csv" --task admission \
      --model svm --percentile 80 --seed "$seed" --provenance "$d/fa.opeb" --out "$d/clf_fa.opeb"
+  op train-task --corpus "$d/corpus.json" --features "$d/sparse.csv" --task admission \
+     --model logreg --seed "$seed" --provenance "$d/schema.opeb" --out "$d/clf_sparse.opeb"
   op train-task --corpus "$d/corpus.json" --features "$d/embeddings.csv" --task user \
      --model svm --seed "$seed" --out "$d/clf_user.opeb"
   op train-task --corpus "$d/corpus.json" --features "$d/embeddings.csv" --task card \
@@ -55,7 +57,9 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --reducer "$d/pca.opeb" --schema "$d/schema.opeb" --out "$d/pred_pca.csv"
   op predict --plans "$d/corpus.json" --classifier "$d/clf_fa.opeb" \
      --reducer "$d/fa.opeb" --schema "$d/schema.opeb" --out "$d/pred_fa.csv"
-  for f in pred_enc pred_pca pred_fa; do
+  op predict --plans "$d/corpus.json" --classifier "$d/clf_sparse.opeb" \
+     --schema "$d/schema.opeb" --out "$d/pred_sparse.csv"
+  for f in pred_enc pred_pca pred_fa pred_sparse; do
     cut -d, -f1-3 "$d/$f.csv" | tr -d "\r" > "$d/$f.cols.csv"; rm "$d/$f.csv"
   done
   for strategy in random temporal; do

@@ -30,7 +30,6 @@ from .hourglass import (
     HourglassSpec,
     build,
     cut_off,
-    embed,
     embed_corpus,
     predict_children,
     train_embedding,
@@ -44,7 +43,6 @@ from .plans import (
     load_corpus,
     save_corpus,
     subcorpus,
-    summarize,
     walk_operators,
 )
 from .synth import (
@@ -92,7 +90,6 @@ __all__ = [
     "build_schema",
     "context_probe_config",
     "cut_off",
-    "embed",
     "embed_corpus",
     "encode",
     "encode_corpus",
@@ -112,7 +109,6 @@ __all__ = [
     "schema_hash",
     "schema_to_json",
     "subcorpus",
-    "summarize",
     "tpcds_like_config",
     "train_embedding",
     "walk_operators",

@@ -92,12 +92,6 @@ def _check_training(s: LabeledSet) -> None:
         raise ValueError("training requires at least 2 distinct classes")
 
 
-def _softmax_rows(Z: np.ndarray) -> np.ndarray:
-    Z = Z - Z.max(axis=1, keepdims=True)
-    e = np.exp(Z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _fit_linear(kind: str, s: LabeledSet, cfg: nn.SgdConfig, grads) -> Classifier:
     """Train a zero-initialized affine layer with nn.train.
 
@@ -450,22 +444,6 @@ def predict(clf: Classifier, x: np.ndarray):
     ids = np.argmax(predict_scores(clf, x), axis=1)
     labels = [clf.classes[i] for i in ids]
     return labels[0] if single else labels
-
-
-def predict_proba(clf: Classifier, x: np.ndarray) -> np.ndarray:
-    """Class distribution; supported for logreg, knn, rf, dummy."""
-    single = np.asarray(x).ndim == 1
-    scores = predict_scores(clf, x)
-    if clf.kind == "logreg":
-        proba = _softmax_rows(scores)
-    elif clf.kind in ("knn", "rf", "dummy"):
-        totals = scores.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0):
-            raise ValueError("degenerate scores, cannot normalize")
-        proba = scores / totals
-    else:
-        raise ValueError(f"{clf.kind} does not support predict_proba")
-    return proba[0] if single else proba
 
 
 @dataclass

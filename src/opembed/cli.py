@@ -26,7 +26,8 @@ from .classifiers import (
 )
 from .errors import OpembedError
 from .evaluate import evaluate as run_evaluate
-from .featurize import build_schema, encode_corpus, schema_hash
+from .featurize import build_schema, encode_corpus
+from .featurizer import fit_featurization
 from .hourglass import (
     HourglassSpec,
     build,
@@ -37,7 +38,6 @@ from .hourglass import (
 )
 from .nn import SgdConfig
 from .plans import load_corpus, save_corpus, walk_operators
-from .reducers import fit_fa, fit_pca, transform_fa, transform_pca
 from .synth import (
     SynthConfig,
     context_probe_config,
@@ -90,12 +90,17 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _write_feature_csv(path, ids: list[str], columns: list[str], rows: np.ndarray) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
+    """csv writes a float as its repr, so every value reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id"] + columns)
-        for rid, row in zip(ids, rows):
-            writer.writerow([rid] + [repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_feature_csv(path, ids: list[str], columns: list[str], rows: np.ndarray) -> None:
+    # a row at a time, so no Python list of the whole matrix is held
+    _write_csv(path, ["id"] + columns, ([rid] + row.tolist() for rid, row in zip(ids, rows)))
 
 
 def _read_feature_csv(path) -> tuple[list[str], np.ndarray]:
@@ -186,13 +191,8 @@ def train_embedding_cmd(corpus_path, embedding_dim, hidden, epochs, lr, batch, s
 def embed(corpus_path, encoder_path, out) -> None:
     """Embed every operator; writes id + one column per embedding dim."""
     corpus = load_corpus(corpus_path)
-    encoder, header = store.load_encoder_bundle(encoder_path)
-    schema = store.bundle_schema(encoder_path, header)
-    if schema is None:
-        raise ValueError(
-            f"{encoder_path} carries no schema; re-create it with train-embedding"
-        )
-    table, E = embed_corpus(encoder, schema, corpus)
+    feat = store.load_featurizer(encoder=encoder_path)
+    table, E = embed_corpus(feat.model, feat.schema, corpus)
     cols = [f"e{j}" for j in range(E.shape[1])]
     _write_feature_csv(out, table.ids, cols, E)
     click.echo(f"embedded {len(table)} operators at dim {len(cols)} -> {out}")
@@ -209,47 +209,26 @@ def embed(corpus_path, encoder_path, out) -> None:
 @guarded
 def reduce(corpus_path, schema_path, method, dim, out, model_out) -> None:
     """Project sparse vectors with pca/fa, or pass them through unchanged."""
+    if method == "sparse" and model_out:
+        raise ValueError("--model-out applies to pca/fa, not sparse")
     corpus = load_corpus(corpus_path)
     schema, _ = store.load_schema_bundle(schema_path)
-    digest = schema_hash(schema)
     table = encode_corpus(schema, corpus)
-    X = table.X
-    if method == "pca":
-        model = fit_pca(X, dim)
-        rows = transform_pca(model, X)
-        cols = [f"p{j}" for j in range(dim)]
-        if model_out:
-            store.save_pca_bundle(model_out, model, digest, meta={"dim": dim})
-    elif method == "fa":
-        model = fit_fa(X, dim)
-        rows = transform_fa(model, X)
-        cols = [f"f{j}" for j in range(dim)]
-        if model_out:
-            store.save_fa_bundle(model_out, model, digest, meta={"dim": dim})
-    else:
-        if model_out:
-            raise ValueError("--model-out applies to pca/fa, not sparse")
-        rows = X
+    feat = fit_featurization(method if method == "sparse" else f"{method}-{dim}", schema, table.X)
+    rows = feat.transform(table.X)
+    if method == "sparse":
         cols = [slot.name for slot in schema.slots]
+    else:
+        cols = [f"{method[0]}{j}" for j in range(dim)]  # p0.. for pca, f0.. for fa
+    if model_out:
+        save = store.save_pca_bundle if method == "pca" else store.save_fa_bundle
+        save(model_out, feat.model, feat.provenance.digest, meta={"dim": dim})
     _write_feature_csv(out, table.ids, cols, rows)
     click.echo(f"wrote {rows.shape[0]}x{rows.shape[1]} {method} features -> {out}")
 
 
 _TASK_CHOICES = ("admission", "card", "user")
 _MODEL_CHOICES = tuple(m for m in MODELS if m != "dummy")
-
-
-# the kind of features each featurizing bundle produces
-_FEATURE_KIND = {"encoder": "neural", "pca": "pca", "fa": "fa", "schema": "sparse"}
-
-
-def _provenance_from_bundle(path) -> FeatProvenance:
-    header, _ = store.load_bundle(path)
-    kind = _FEATURE_KIND.get(header["kind"])
-    if kind is None or not isinstance(header.get("schema_hash"), str):
-        raise ValueError(f"{path} is a {header['kind']} bundle without a schema hash; "
-                         "cannot stamp provenance from it")
-    return FeatProvenance(kind, header["schema_hash"])
 
 
 @main.command("train-task")
@@ -274,7 +253,7 @@ def train_task(corpus_path, features_path, task, model, percentile, factor, seed
         raise ValueError(
             f"{features_path} has {len(X)} rows but the corpus has {len(labels)} operators"
         )
-    prov = _provenance_from_bundle(provenance_path) if provenance_path else FeatProvenance("csv")
+    prov = store.bundle_provenance(provenance_path) if provenance_path else FeatProvenance("csv")
     clf = train_classifier(model, make_labeled_set(X, labels, classes, prov), seed)
     meta = {"task": task, "seed": seed}
     if task == "admission":
@@ -302,56 +281,12 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
     """
     corpus = load_corpus(plans_path)
     clf, _ = store.load_classifier_bundle(classifier_path)
-
-    if encoder_path and reducer_path:
-        raise ValueError("pass either --encoder or --reducer, not both")
-    if encoder_path:
-        encoder, header = store.load_encoder_bundle(encoder_path)
-        schema = store.bundle_schema(encoder_path, header)
-        if schema is None:
-            raise ValueError(f"{encoder_path} carries no schema")
-        feat_hash = encoder.schema_digest
-        table = encode_corpus(schema, corpus)
-        F = encoder(table.X)
-    elif reducer_path:
-        if not schema_path:
-            raise ValueError("--reducer needs --schema to build sparse vectors")
-        schema, _ = store.load_schema_bundle(schema_path)
-        header, _ = store.load_bundle(reducer_path)
-        feat_hash = header.get("schema_hash")
-        if header["kind"] not in ("pca", "fa") or not isinstance(feat_hash, str):
-            raise ValueError(f"{reducer_path} is a {header['kind']} bundle without a schema "
-                             "hash, not a reducer")
-        store.check_schema_hash(feat_hash, schema_hash(schema), "reducer vs schema")
-        table = encode_corpus(schema, corpus)
-        if header["kind"] == "pca":
-            model, _ = store.load_pca_bundle(reducer_path)
-            F = transform_pca(model, table.X)
-        else:
-            model, _ = store.load_fa_bundle(reducer_path)
-            F = transform_fa(model, table.X)
-    elif schema_path:
-        schema, header = store.load_schema_bundle(schema_path)
-        feat_hash = schema_hash(schema)
-        table = encode_corpus(schema, corpus)
-        F = table.X
-    else:
-        raise ValueError("pass one of --encoder, --reducer + --schema, or --schema")
-
-    prov, feat_kind = clf.provenance, _FEATURE_KIND[header["kind"]]
-    if prov is not None and prov.digest:
-        if prov.kind != feat_kind:
-            raise ValueError(f"classifier was trained on {prov.kind} features, not {feat_kind}")
-        store.check_schema_hash(prov.digest, feat_hash, "classifier provenance")
-    if F.shape[1] != clf.dim:
-        raise ValueError(f"features have dim {F.shape[1]} but classifier wants {clf.dim}")
-
+    feat = store.load_featurizer(encoder=encoder_path, reducer=reducer_path, schema=schema_path)
+    feat.accept(clf)
+    table = encode_corpus(feat.schema, corpus)
+    preds = clf_predict(clf, feat.transform(table.X))
     node_types = [item.node.node_type for item in walk_operators(corpus)]
-    preds = clf_predict(clf, F)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "node_type", "prediction"])
-        writer.writerows(zip(table.ids, node_types, preds))
+    _write_csv(out, ["id", "node_type", "prediction"], zip(table.ids, node_types, preds))
 
     flagged = ""
     slow = ADMISSION_CLASSES[1]
@@ -359,11 +294,9 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
         # verdict per query: flag when any of its operators predicts "slow"
         hit = np.zeros(len(corpus.records), dtype=bool)
         hit[table.query_index[np.array(preds) == slow]] = True
-        with open(f"{out}.verdicts.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query_id", "verdict"])
-            for record, flag in zip(corpus.records, hit):
-                writer.writerow([record.query_id, "flag" if flag else "admit"])
+        verdicts = ("flag" if flag else "admit" for flag in hit)
+        _write_csv(f"{out}.verdicts.csv", ["query_id", "verdict"],
+                   zip((r.query_id for r in corpus.records), verdicts))
         flagged = f"; {int(hit.sum())}/{len(hit)} queries flagged"
     click.echo(f"predicted {len(preds)} operators{flagged} -> {out}")
 
@@ -414,11 +347,7 @@ def project2d(features_path, out) -> None:
     """Project a feature CSV to two principal columns for plotting."""
     _, X = _read_feature_csv(features_path)
     XY = project_2d(X)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in XY:
-            writer.writerow([repr(float(x)), repr(float(y))])
+    _write_csv(out, ["x", "y"], XY.tolist())
     click.echo(f"projected {len(XY)} rows -> {out}")
 
 

@@ -18,71 +18,13 @@ import numpy as np
 
 from . import classifiers as clf_mod
 from . import nn
-from .featurize import FeatureSchema, build_schema, encode_corpus, schema_hash
-from .hourglass import DEFAULT_HIDDEN, HourglassSpec, build, cut_off, train_embedding
+from .featurize import build_schema, encode_corpus
+from .featurizer import Featurizer, fit_featurization, parse_featurization
+from .hourglass import DEFAULT_HIDDEN
 from .plans import Corpus, subcorpus
-from .reducers import fit_fa, fit_pca, transform_fa, transform_pca
 from .tasks import FoldPlan, TaskSpec, task_labels
 
 INFER_SAMPLE = 100  # test rows per cell for the one-row latency probe
-
-
-def parse_featurization(name: str) -> tuple[str, int | None]:
-    """"sparse" or "<kind>-<dim>" with kind in {neural, pca, fa}."""
-    if name == "sparse":
-        return "sparse", None
-    if "-" in name:
-        kind, _, dim = name.partition("-")
-        if kind in ("neural", "pca", "fa") and dim.isdigit() and int(dim) > 0:
-            return kind, int(dim)
-    raise ValueError(
-        f"bad featurization {name!r}; want sparse, neural-<k>, pca-<k>, or fa-<k>"
-    )
-
-
-@dataclass
-class FittedFeaturization:
-    name: str
-    kind: str
-    dim: int
-    transform: object               # callable (n, sparse_dim) -> (n, dim)
-    digest: str | None = None
-
-
-def fit_featurization(
-    name: str,
-    schema: FeatureSchema,
-    X_train: np.ndarray,
-    children: np.ndarray | None = None,
-    sgd: nn.SgdConfig | None = None,
-    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN,
-    seed: int = 0,
-) -> FittedFeaturization:
-    """Fit one featurization on train-side data. neural-<k> needs the child
-    rows of X_train (an OperatorTable's children) to train on."""
-    kind, dim = parse_featurization(name)
-    if kind == "sparse":
-        return FittedFeaturization(
-            name, kind, schema.total_dim, lambda X: X, schema_hash(schema)
-        )
-    if kind == "neural":
-        if children is None:
-            raise ValueError("neural featurization needs training triples")
-        spec = HourglassSpec(
-            input_dim=schema.total_dim,
-            hidden_dims=hidden_dims,
-            embedding_dim=dim,
-            seed=seed,
-        )
-        enet = build(spec, schema)
-        train_embedding(enet, X_train, children, sgd or nn.SgdConfig())
-        encoder = cut_off(enet)
-        return FittedFeaturization(name, kind, dim, encoder, encoder.schema_digest)
-    if kind == "pca":
-        model = fit_pca(X_train, dim)
-        return FittedFeaturization(name, kind, dim, lambda X: transform_pca(model, X))
-    model = fit_fa(X_train, dim)
-    return FittedFeaturization(name, kind, dim, lambda X: transform_fa(model, X))
 
 
 @dataclass
@@ -215,7 +157,7 @@ def evaluate(
         parse_featurization(name)
 
     full = None
-    shared_fits: dict[str, FittedFeaturization] = {}
+    shared_fits: dict[str, Featurizer] = {}
     if embedding_from_full_log:
         full_schema = build_schema(corpus)
         full = encode_corpus(full_schema, corpus)
@@ -268,10 +210,7 @@ def evaluate(
                 )
             F_train = fitted.transform(X_train)
             F_test = fitted.transform(X_test)
-            train_set = clf_mod.make_labeled_set(
-                F_train, y_train, classes,
-                clf_mod.FeatProvenance(fitted.kind, fitted.digest),
-            )
+            train_set = clf_mod.make_labeled_set(F_train, y_train, classes, fitted.provenance)
             for model in models:
                 t0 = time.perf_counter() if timings else None
                 clf = clf_mod.train(model, train_set, seed)

@@ -71,6 +71,10 @@ class FeatureSchema:
     hb_slot: int | None = dataclasses.field(init=False)  # hash_buckets slot, if observed
     attr_base: int | None = dataclasses.field(init=False)  # first attr_mins slot, if any
     bool_slots: dict[str, int] = dataclasses.field(init=False)
+    # set by the first digest read; declared so the attribute exists from
+    # construction: adding one later (as functools.cached_property does) takes
+    # the schema off CPython's fast attribute path, which encode reads it by
+    _digest: str | None = dataclasses.field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vocab: dict[str, dict[str, int]] = {}
@@ -93,6 +97,15 @@ class FeatureSchema:
         derive("hb_slot", by_name.get("hash_buckets"))
         derive("attr_base", by_name.get(f"{ATTR_STAT_FIELDS[0]}[0]"))
         derive("bool_slots", {s.name: i for i, s in enumerate(self.slots) if s.kind == BOOLEAN})
+
+    @property
+    def digest(self) -> str:
+        """sha256 of the canonical schema JSON. Computed once per schema:
+        nothing mutates one (build_schema adds the stats by replace)."""
+        if self._digest is None:
+            payload = json.dumps(_schema_payload(self), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_digest", hashlib.sha256(payload.encode("utf-8")).hexdigest())
+        return self._digest
 
     def segments(self) -> tuple[tuple[str, int, int], ...]:
         """Partition of [0, total_dim) into loss segments.
@@ -248,25 +261,6 @@ def encode(
     return vec
 
 
-def check_vector(schema: FeatureSchema, vec: np.ndarray) -> list[str]:
-    """Return invariant violations for an encoded vector (empty list = valid)."""
-    problems = []
-    if vec.shape != (schema.total_dim,):
-        return [f"wrong shape {vec.shape}, want ({schema.total_dim},)"]
-    if not np.all(np.isfinite(vec)):
-        problems.append("non-finite entries")
-    for group, (start, stop) in schema.groups.items():
-        seg = vec[start:stop]
-        if not np.all(np.isin(seg, (0.0, 1.0))):
-            problems.append(f"group {group} has values outside {{0,1}}")
-        if seg.sum() > 1.0:
-            problems.append(f"group {group} has more than one active slot")
-    for i, slot in enumerate(schema.slots):
-        if slot.kind == BOOLEAN and vec[i] not in (0.0, 1.0):
-            problems.append(f"boolean slot {slot.name} = {vec[i]!r}")
-    return problems
-
-
 @dataclass(frozen=True)
 class OperatorTable:
     """Every operator of a corpus encoded once, in walk order."""
@@ -319,8 +313,7 @@ def _schema_payload(schema: FeatureSchema) -> dict:
 
 
 def schema_hash(schema: FeatureSchema) -> str:
-    payload = json.dumps(_schema_payload(schema), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return schema.digest
 
 
 def schema_to_json(schema: FeatureSchema) -> str:

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import nn
 from .errors import SchemaError
-from .featurize import FeatureSchema, OperatorTable, encode, encode_corpus, schema_hash
-from .plans import Corpus, PlanNode
+from .featurize import FeatureSchema, OperatorTable, encode_corpus, schema_hash
+from .plans import Corpus
 
 DEFAULT_HIDDEN = (256, 256, 128, 128, 64, 64)
 
@@ -165,6 +165,15 @@ class Encoder:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return nn.predict(self.trunk, x)
 
+    def check_schema(self, schema: FeatureSchema) -> None:
+        """Refuse a schema other than the one the trunk was trained against."""
+        digest = schema_hash(schema)
+        if digest != self.schema_digest:
+            raise SchemaError(
+                f"encoder was trained against schema {self.schema_digest[:12]}..., "
+                f"got {digest[:12]}..."
+            )
+
 
 def _copy_layer(layer: nn.DenseLayer, strip_activation: bool = False) -> nn.DenseLayer:
     if strip_activation:
@@ -195,28 +204,12 @@ def cut_off(enet: EmbeddingNetwork, pre_activation: bool = False) -> Encoder:
     )
 
 
-def _check_schema(encoder: Encoder, schema: FeatureSchema) -> None:
-    digest = schema_hash(schema)
-    if digest != encoder.schema_digest:
-        raise SchemaError(
-            f"encoder was trained against schema {encoder.schema_digest[:12]}..., "
-            f"got {digest[:12]}..."
-        )
-
-
-def embed(encoder: Encoder, schema: FeatureSchema, node) -> np.ndarray:
-    """Embed one operator (a PlanNode or an already-encoded vector)."""
-    _check_schema(encoder, schema)
-    x = encode(schema, node) if isinstance(node, PlanNode) else np.asarray(node)
-    return encoder(x)
-
-
 def embed_corpus(
     encoder: Encoder, schema: FeatureSchema, corpus: Corpus
 ) -> tuple[OperatorTable, np.ndarray]:
     """Encode every operator in walk order; returns the operator table and
     its embeddings, one row per table row."""
-    _check_schema(encoder, schema)
+    encoder.check_schema(schema)
     table = encode_corpus(schema, corpus)
     return table, encoder(table.X)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -113,17 +112,6 @@ class WalkItem:
 
     record: QueryRecord
     node: PlanNode
-
-
-@dataclass
-class CorpusSummary:
-    n_queries: int
-    n_operators: int
-    operator_counts: Counter
-    depth_counts: Counter
-    latency_coverage: float
-    actual_rows_coverage: float
-    user_label_coverage: float
 
 
 def _check_scalar(value, name: str, path: str, nonnegative: bool = True) -> float:
@@ -271,40 +259,6 @@ def walk_operators(corpus: Corpus) -> Iterator[WalkItem]:
     for record in corpus.records:
         for node in iter_nodes(record.root):
             yield WalkItem(record, node)
-
-
-def _tree_depth(node: PlanNode) -> int:
-    if not node.children:
-        return 1
-    return 1 + max(_tree_depth(c) for c in node.children)
-
-
-def summarize(corpus: Corpus) -> CorpusSummary:
-    """Per-corpus counts: operators by type, tree depths, label coverage."""
-    op_counts: Counter = Counter()
-    depth_counts: Counter = Counter()
-    n_ops = 0
-    n_lat = 0
-    n_rows = 0
-    for record in corpus.records:
-        depth_counts[_tree_depth(record.root)] += 1
-        for node in iter_nodes(record.root):
-            n_ops += 1
-            op_counts[node.node_type] += 1
-            if node.actual_latency_ms is not None:
-                n_lat += 1
-            if node.actual_rows is not None:
-                n_rows += 1
-    n_users = sum(1 for r in corpus.records if r.user_label is not None)
-    return CorpusSummary(
-        n_queries=len(corpus.records),
-        n_operators=n_ops,
-        operator_counts=op_counts,
-        depth_counts=depth_counts,
-        latency_coverage=n_lat / n_ops if n_ops else 0.0,
-        actual_rows_coverage=n_rows / n_ops if n_ops else 0.0,
-        user_label_coverage=n_users / len(corpus.records) if corpus.records else 0.0,
-    )
 
 
 def subcorpus(corpus: Corpus, query_indices) -> Corpus:

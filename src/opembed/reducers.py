@@ -45,12 +45,6 @@ def transform_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
     return (x - model.mean) @ model.components.T
 
 
-def reconstruct_pca(model: PcaModel, z: np.ndarray) -> np.ndarray:
-    """Back-projection from component coordinates to input space."""
-    z = np.asarray(z, dtype=np.float64)
-    return z @ model.components + model.mean
-
-
 @dataclass
 class FaModel:
     clusters: tuple[tuple[int, ...], ...]  # disjoint, sorted, cover [0, D)

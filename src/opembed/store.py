@@ -24,7 +24,8 @@ import numpy as np
 from . import nn
 from .classifiers import FOREST_ARRAYS, Classifier, FeatProvenance, pack_forest
 from .errors import BundleError, SchemaError
-from .featurize import FeatureSchema, schema_from_json, schema_to_json
+from .featurize import FeatureSchema, schema_from_json, schema_hash, schema_to_json
+from .featurizer import Featurizer, check_schema_hash
 from .hourglass import Encoder
 from .reducers import FaModel, PcaModel
 
@@ -176,15 +177,6 @@ def _header_checked(load):
     return checked
 
 
-def check_schema_hash(expected: str, found: str, context: str) -> None:
-    """Refuse mismatched schema lineages with both hash prefixes visible."""
-    if expected != found:
-        raise BundleError(
-            f"schema hash mismatch for {context}: "
-            f"expected {expected[:12]}, found {found[:12]}"
-        )
-
-
 # -- schema -------------------------------------------------------------
 
 def save_schema_bundle(path, schema: FeatureSchema, meta: dict | None = None) -> Path:
@@ -298,6 +290,55 @@ def load_fa_bundle(path) -> tuple[FaModel, dict]:
     clusters = tuple(tuple(int(i) for i in c) for c in header["clusters"])
     model = FaModel(clusters=clusters, dim=int(header["dim"]))
     return model, header
+
+
+# -- featurizers --------------------------------------------------------
+
+# the kind of features each featurizing bundle produces
+BUNDLE_FEATURES = {"schema": "sparse", "encoder": "neural", "pca": "pca", "fa": "fa"}
+
+
+def bundle_provenance(path) -> FeatProvenance:
+    """The feature kind and schema hash a schema, encoder or reducer bundle
+    stands for, as a classifier trained on its features records them."""
+    header, _ = load_bundle(path)
+    kind = BUNDLE_FEATURES.get(header["kind"])
+    if kind is None or not isinstance(header.get("schema_hash"), str):
+        raise BundleError(f"{path} is a {header['kind']} bundle without a schema hash; "
+                          "it cannot stand for a featurization")
+    return FeatProvenance(kind, header["schema_hash"])
+
+
+@_header_checked
+def _encoder_featurizer(path) -> Featurizer:
+    encoder, header = load_encoder_bundle(path)
+    schema = bundle_schema(path, header)
+    if schema is None:
+        raise BundleError(f"{path} carries no schema; re-create it with train-embedding")
+    return Featurizer(schema, encoder)
+
+
+def load_featurizer(encoder=None, reducer=None, schema=None) -> Featurizer:
+    """The featurizer named by bundle paths: an encoder bundle with its
+    embedded schema, a pca/fa reducer plus the schema bundle it was fit
+    against, or a schema bundle alone for raw sparse rows."""
+    if encoder and reducer:
+        raise ValueError("pass either --encoder or --reducer, not both")
+    if encoder:
+        return _encoder_featurizer(encoder)
+    if reducer and not schema:
+        raise ValueError("--reducer needs --schema to build sparse vectors")
+    if not schema:
+        raise ValueError("pass one of --encoder, --reducer + --schema, or --schema")
+    sparse, _ = load_schema_bundle(schema)
+    if not reducer:
+        return Featurizer(sparse)
+    prov = bundle_provenance(reducer)
+    if prov.kind not in ("pca", "fa"):
+        raise BundleError(f"{reducer} holds {prov.kind} features, not a pca or fa reducer")
+    check_schema_hash(prov.digest, schema_hash(sparse), "reducer vs schema")
+    model, _ = load_pca_bundle(reducer) if prov.kind == "pca" else load_fa_bundle(reducer)
+    return Featurizer(sparse, model)
 
 
 # -- classifiers --------------------------------------------------------

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import predict
 from .errors import CoverageError
 from .featurize import FeatureSchema, encode_corpus
+from .featurizer import Featurizer
 from .plans import Corpus, QueryRecord, walk_operators
 
 ADMISSION_CLASSES = ("ok", "slow")
@@ -128,14 +130,13 @@ def task_labels(
 
 def flag_query(classifier, schema: FeatureSchema, record: QueryRecord, transform=None) -> str:
     """"flag" if the classifier marks any operator of the query "slow",
-    else "admit". transform maps encoded rows to the classifier's feature
-    space (None = raw sparse)."""
-    from .classifiers import predict
-
-    X = encode_corpus(schema, Corpus([record])).X
-    if transform is not None:
-        X = transform(X)
-    preds = predict(classifier, X)
+    else "admit". transform is the model that maps encoded rows to the
+    classifier's feature space: an Encoder, PcaModel or FaModel, or None for
+    raw sparse rows. A classifier trained on another featurization kind,
+    schema or width is refused, as predict refuses it."""
+    feat = Featurizer(schema, transform)
+    feat.accept(classifier)
+    preds = predict(classifier, feat.transform(encode_corpus(schema, Corpus([record])).X))
     return "flag" if ADMISSION_CLASSES[1] in preds else "admit"
 
 

@@ -365,6 +365,25 @@ def test_tampered_schema_hash_error_names_the_bundle(runner, tmp_path, pipeline)
     assert str(bad_encoder) in err and "schema hash mismatch" in err
 
 
+def test_predict_refuses_encoder_whose_header_hash_disagrees_with_its_schema(
+    runner, tmp_path, pipeline
+):
+    _, corpus, encoder, _ = pipeline
+    emb, clf = tmp_path / "emb.csv", tmp_path / "clf.opeb"
+    run_ok(runner, ["embed", "--corpus", str(corpus), "--encoder", str(encoder),
+                    "--out", str(emb)])
+    run_ok(runner, ["train-task", "--corpus", str(corpus), "--features", str(emb),
+                    "--task", "admission", "--model", "logreg", "--out", str(clf)])
+    header, arrays = store.load_bundle(encoder)
+    header["schema_hash"] = "f" * 64
+    bad = tmp_path / "bad_encoder.opeb"
+    store.save_bundle(bad, "encoder", header, arrays)
+    for cmd in (["predict", "--plans", str(corpus), "--classifier", str(clf)],
+                ["embed", "--corpus", str(corpus)]):
+        err = run_err(runner, cmd + ["--encoder", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert str(bad) in err and "trained against schema ffffffffffff" in err
+
+
 def test_predict_requires_exactly_one_featurization(runner, tmp_path, pipeline):
     _, corpus, encoder, schema = pipeline
     emb = tmp_path / "emb.csv"

@@ -6,9 +6,9 @@ import pytest
 
 from opembed.errors import SchemaError
 from opembed.featurize import (
+    BOOLEAN,
     STDDEV_SENTINEL,
     build_schema,
-    check_vector,
     encode,
     encode_corpus,
     schema_from_json,
@@ -78,6 +78,25 @@ def test_unseen_categorical_encodes_all_zero_and_tallies(corpus60, schema60):
     lo, hi = schema60.groups["index_name"]
     assert not vec[lo:hi].any()
     assert tally["index_name"] == 1
+
+
+def check_vector(schema, vec: np.ndarray) -> list[str]:
+    """Invariant violations of an encoded vector (empty list = valid)."""
+    problems = []
+    if vec.shape != (schema.total_dim,):
+        return [f"wrong shape {vec.shape}, want ({schema.total_dim},)"]
+    if not np.all(np.isfinite(vec)):
+        problems.append("non-finite entries")
+    for group, (start, stop) in schema.groups.items():
+        seg = vec[start:stop]
+        if not np.all(np.isin(seg, (0.0, 1.0))):
+            problems.append(f"group {group} has values outside {{0,1}}")
+        if seg.sum() > 1.0:
+            problems.append(f"group {group} has more than one active slot")
+    for i, slot in enumerate(schema.slots):
+        if slot.kind == BOOLEAN and vec[i] not in (0.0, 1.0):
+            problems.append(f"boolean slot {slot.name} = {vec[i]!r}")
+    return problems
 
 
 def test_thousand_random_nodes_no_violations():

@@ -13,13 +13,12 @@ from opembed.hourglass import (
     HourglassSpec,
     build,
     cut_off,
-    embed,
     embed_corpus,
     predict_children,
     project_2d,
     train_embedding,
 )
-from opembed.plans import walk_operators
+from opembed.plans import Corpus, walk_operators
 from opembed.synth import SynthConfig, generate, planted_card_config
 
 
@@ -321,7 +320,7 @@ def test_cut_off_pre_activation_strips_final_norm(sorted_run, rng):
 def test_embed_zero_vector_is_finite(sorted_run):
     schema, enet, _ = sorted_run
     encoder = cut_off(enet)
-    e = embed(encoder, schema, np.zeros(schema.total_dim))
+    e = encoder(np.zeros(schema.total_dim))
     assert e.shape == (encoder.embedding_dim,)
     assert np.isfinite(e).all()
 
@@ -329,10 +328,10 @@ def test_embed_zero_vector_is_finite(sorted_run):
 def test_embed_is_pure(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
     encoder = cut_off(enet)
-    node = sorted_corpus.records[0].root
-    assert np.array_equal(
-        embed(encoder, schema, node), embed(encoder, schema, node)
-    )
+    first = Corpus(sorted_corpus.records[:1])
+    table, E = embed_corpus(encoder, schema, first)
+    again_table, again = embed_corpus(encoder, schema, first)
+    assert np.array_equal(E, again) and np.array_equal(table.X, again_table.X)
 
 
 def test_embed_rejects_foreign_schema(sorted_run, corpus60):
@@ -340,7 +339,7 @@ def test_embed_rejects_foreign_schema(sorted_run, corpus60):
     encoder = cut_off(enet)
     other = build_schema(corpus60)
     with pytest.raises(SchemaError, match="schema"):
-        embed(encoder, other, np.zeros(other.total_dim))
+        embed_corpus(encoder, other, corpus60)
 
 
 def test_embed_corpus_rows_and_ids(sorted_corpus, sorted_run):

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,6 @@ from opembed.plans import (
     load_corpus,
     save_corpus,
     subcorpus,
-    summarize,
     walk_operators,
 )
 from opembed.synth import SynthConfig, generate, ground_truth
@@ -157,28 +157,14 @@ def test_walk_preorder_binary_join():
     assert [it.node.node_type for it in items] == ["HashJoin", "SeqScan", "SeqScan"]
 
 
-def test_summarize_chain_depth():
-    chain = scan()
-    for _ in range(3):
-        chain = PlanNode(node_type="Sort", plan_rows=1.0, children=[chain])
-    summary = summarize(Corpus([QueryRecord("q", None, chain)]))
-    assert summary.n_operators == 4
-    assert summary.depth_counts == {4: 1}
-
-
-def test_summarize_latency_coverage_zero():
-    corpus = Corpus([QueryRecord("q", None, scan())])
-    assert summarize(corpus).latency_coverage == 0.0
-
-
-def test_summarize_matches_generator_bookkeeping():
+def test_ground_truth_counts_match_the_corpus():
     cfg = SynthConfig(n_queries=80, seed=7)
     corpus = generate(cfg)
     truth = ground_truth(cfg)
-    summary = summarize(corpus)
-    assert summary.n_queries == truth.n_queries == 80
-    assert summary.n_operators == truth.n_operators
-    assert summary.operator_counts == truth.op_type_counts
+    op_counts = Counter(item.node.node_type for item in walk_operators(corpus))
+    assert len(corpus) == truth.n_queries == 80
+    assert sum(op_counts.values()) == truth.n_operators
+    assert op_counts == truth.op_type_counts
 
 
 def test_save_load_round_trip(tmp_path, corpus60):

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from opembed.classifiers import make_labeled_set, train_dummy, train_logreg
-from opembed.errors import CoverageError
-from opembed.featurize import build_schema, encode
+from opembed.classifiers import (
+    FeatProvenance,
+    make_labeled_set,
+    predict,
+    train_dummy,
+    train_logreg,
+)
+from opembed.errors import BundleError, CoverageError
+from opembed.featurize import build_schema, encode, encode_corpus, schema_hash
+from opembed.hourglass import HourglassSpec, build, cut_off
 from opembed.plans import Corpus, PlanNode, QueryRecord, walk_operators
+from opembed.reducers import fit_fa, fit_pca, transform_fa, transform_pca
 from opembed.synth import SynthConfig, generate, ground_truth
 from opembed.tasks import (
     ADMISSION_CLASSES,
@@ -150,19 +158,49 @@ def test_flag_query_any_positive_flags():
     assert flag_query(always_slow, schema, corpus.records[0]) == "flag"
 
 
+def ramp_corpus(n=10):
+    """One-operator queries whose row estimates rise with their latency."""
+    return Corpus([one_op_query(i, float(i + 1), rows_est=float(10 * i + 1)) for i in range(n)])
+
+
 def test_flag_query_transform_applies():
-    corpus = Corpus([one_op_query(i, float(i + 1)) for i in range(10)])
+    corpus = ramp_corpus()
     schema = build_schema(corpus)
-    X = np.stack([encode(schema, it.node) for it in walk_operators(corpus)])
-    reduced = X[:, :2]
-    clf = train_logreg(
-        make_labeled_set(reduced, ["ok"] * 5 + ["slow"] * 5, classes=ADMISSION_CLASSES),
-        epochs=1,
-    )
-    verdict = flag_query(clf, schema, corpus.records[0], transform=lambda M: M[:, :2])
-    assert verdict in ("admit", "flag")
+    X = encode_corpus(schema, corpus).X
+    labels = ["ok"] * 5 + ["slow"] * 5
+    for kind, model, transform in (("pca", fit_pca(X, 2), transform_pca),
+                                   ("fa", fit_fa(X, 2), transform_fa)):
+        F = transform(model, X)
+        prov = FeatProvenance(kind, schema_hash(schema))
+        clf = train_logreg(make_labeled_set(F, labels, ADMISSION_CLASSES, prov), epochs=1)
+        verdicts = [flag_query(clf, schema, rec, transform=model) for rec in corpus.records]
+        assert verdicts == ["flag" if p == "slow" else "admit" for p in predict(clf, F)]
+    bare = train_logreg(make_labeled_set(F, labels, ADMISSION_CLASSES), epochs=1)
     with pytest.raises(ValueError, match="dim"):
-        flag_query(clf, schema, corpus.records[0])
+        flag_query(bare, schema, corpus.records[0])
+
+
+def test_flag_query_refuses_a_classifier_of_another_featurization():
+    # a 2-dim encoder on the same schema feeds rows as wide as pca-2, so
+    # only the provenance tells the two featurizations apart
+    corpus = ramp_corpus()
+    schema = build_schema(corpus)
+    X = encode_corpus(schema, corpus).X
+    pca = fit_pca(X, 2)
+    prov = FeatProvenance("pca", schema_hash(schema))
+    clf = train_logreg(make_labeled_set(
+        transform_pca(pca, X), ["ok"] * 5 + ["slow"] * 5, ADMISSION_CLASSES, prov), epochs=1)
+    record = corpus.records[0]
+    encoder = cut_off(build(HourglassSpec(schema.total_dim, (8,), 2), schema))
+    with pytest.raises(ValueError, match="trained on pca features, not neural"):
+        flag_query(clf, schema, record, transform=encoder)
+    assert flag_query(clf, schema, record, transform=pca) in ("admit", "flag")
+    other = build_schema(Corpus(corpus.records[:5]))  # same slots, other z-score stats
+    assert other.total_dim == schema.total_dim
+    with pytest.raises(BundleError, match="schema hash mismatch"):
+        flag_query(clf, other, record, transform=pca)
+    with pytest.raises(TypeError, match="featurize"):
+        flag_query(clf, schema, record, transform=lambda M: transform_pca(pca, M))
 
 
 def test_flag_query_beats_operator_prior_on_planted_corpus():
