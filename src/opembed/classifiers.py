@@ -76,13 +76,98 @@ def make_labeled_set(
     return LabeledSet(np.asarray(X, dtype=np.float64), y, classes, provenance)
 
 
+# each kind's params: a scalar's type, or an array's dtype kind and axes,
+# where "C" is len(classes), "dim" the input width, and any other axis name
+# must agree across the kind's arrays
+PARAMS = {
+    "logreg": {"W": (np.floating, "C", "dim"), "b": (np.floating, "C")},
+    "linsvm": {"W": (np.floating, "C", "dim"), "b": (np.floating, "C")},
+    "knn": {"X": (np.floating, "n", "dim"), "y": (np.integer, "n"), "k": (int,)},
+    "rf": {"feature": (np.integer, "nodes"), "threshold": (np.floating, "nodes"),
+           "left": (np.integer, "nodes"), "right": (np.integer, "nodes"),
+           "leaf": (np.integer, "nodes"), "roots": (np.integer, "trees")},
+    "dummy": {"majority": (int,)},
+}
+
+
 @dataclass
 class Classifier:
-    kind: str                      # logreg | knn | rf | linsvm | dummy
+    """A model of one kind in PARAMS. Building one checks its params against
+    the classes and dim and holds each in its dtype, so a classifier cannot
+    index out of range or loop when it predicts."""
+
+    kind: str
     classes: tuple[str, ...]
     dim: int
     params: dict
     provenance: FeatProvenance | None = None
+
+    def __post_init__(self):
+        spec = PARAMS.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown classifier kind {self.kind!r}; want one of {tuple(PARAMS)}")
+        what = "random forest" if self.kind == "rf" else self.kind
+
+        def bad(reason: str) -> ValueError:
+            return ValueError(f"malformed {what}: {reason}")
+
+        missing = [name for name in spec if name not in self.params]
+        if missing:
+            retired = self.kind == "rf" and "trees" in self.params
+            raise bad("its nested-dict format is retired; retrain it" if retired
+                      else f"missing params {missing}")
+        C = len(self.classes)
+        sizes = {"C": C, "dim": self.dim}
+        params = {}
+        for name, (dtype, *axes) in spec.items():
+            value = self.params[name]
+            if dtype is int:
+                if not isinstance(value, (int, np.integer)):
+                    raise bad(f"{name} is {value!r}, want an int")
+                params[name] = int(value)
+                continue
+            value = np.asarray(value)
+            if not np.issubdtype(value.dtype, dtype):
+                raise bad(f"{name} holds {value.dtype}, want {dtype.__name__}")
+            for axis, n in zip(axes, value.shape):
+                sizes.setdefault(axis, n)
+            want = tuple(sizes.get(axis, axis) for axis in axes)
+            if value.shape != want:
+                raise bad(f"{name} has shape {value.shape}, want {want}".replace("'", ""))
+            # ids are judged as routing will hold them, after any unsigned wrap
+            params[name] = np.asarray(value, dtype=np.float64 if dtype is np.floating else np.intp)
+        self.params = params
+        if self.kind == "knn" and (sizes["n"] < 1 or params["k"] < 1):
+            raise bad(f"X has {sizes['n']} rows and k is {params['k']}; want at least 1 of each")
+        for name in ("y", "majority"):
+            if name in params and np.any((params[name] < 0) | (params[name] >= C)):
+                raise bad(f"{name} holds a class id outside [0, {C})")
+        if self.kind == "rf":
+            _check_forest(params, self.dim, C, bad)
+            # compatibility shim read only by perfbench's traced train_rf hook;
+            # remove it once the benchmark counts nodes from the arrays
+            starts = params["roots"].tolist() + [len(params["leaf"])]
+            params["trees"] = [{"leaf": params["leaf"][a:b]} for a, b in zip(starts, starts[1:])]
+
+
+def _check_forest(params: dict, dim: int, n_classes: int, bad) -> None:
+    """Refuse a forest whose routing could index out of range or loop: tree t
+    holds ids roots[t] up to the next root, and every child id must exceed
+    its parent's and stay inside its tree."""
+    feature, _, left, right, leaf, roots = (params[name] for name in FOREST_ARRAYS)
+    n = len(feature)
+    if len(roots) == 0 or roots[0] != 0 or np.any(roots[1:] <= roots[:-1]) or roots[-1] >= n:
+        raise bad("roots must start at 0 and increase inside the node arrays")
+    ids = np.arange(n)
+    stop = np.append(roots[1:], n)[np.searchsorted(roots, ids, side="right") - 1]
+    inner = feature >= 0
+    for child in (left, right):
+        if np.any(inner & ((child <= ids) | (child >= stop))):
+            raise bad("a child id is not after its parent inside the same tree")
+    if np.any(feature < -1) or np.any(feature >= dim):
+        raise bad(f"split feature outside [0, {dim})")
+    if np.any(~inner & ((leaf < 0) | (leaf >= n_classes))):
+        raise bad(f"leaf class outside [0, {n_classes})")
 
 
 def _check_training(s: LabeledSet) -> None:
@@ -142,8 +227,6 @@ def train_knn(s: LabeledSet, k: int = 6, seed: int = 0) -> Classifier:
     """Memorize the training set; prediction weights the k nearest Euclidean
     neighbors by 1/(distance + 1e-9)."""
     _check_training(s)
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return Classifier(
         "knn",
         s.classes,
@@ -218,37 +301,6 @@ def _best_splits(
     return feature, threshold
 
 
-def pack_forest(
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    leaf: np.ndarray,
-    roots: np.ndarray,
-) -> dict:
-    """Random-forest params from parallel node arrays over all trees.
-
-    Tree t holds ids roots[t] up to the next root, and child ids index the
-    whole forest.
-    """
-    params = {
-        "feature": np.asarray(feature, dtype=np.intp),
-        "threshold": np.asarray(threshold, dtype=np.float64),
-        "left": np.asarray(left, dtype=np.intp),
-        "right": np.asarray(right, dtype=np.intp),
-        "leaf": np.asarray(leaf, dtype=np.intp),
-        "roots": np.asarray(roots, dtype=np.intp),
-    }
-    # Temporary compatibility shim, read by nothing in opembed: perfbench's
-    # traced train_rf hook walks params["trees"] and stops at a dict holding
-    # "leaf". Remove it with the benchmark change that counts nodes from the
-    # arrays.
-    starts = params["roots"].tolist()
-    stops = starts[1:] + [len(params["feature"])]
-    params["trees"] = [{"leaf": params["leaf"][a:b]} for a, b in zip(starts, stops)]
-    return params
-
-
 def train_rf(
     s: LabeledSet,
     trees: int = 100,
@@ -313,7 +365,7 @@ def train_rf(
     feature, threshold, left, right, leaf = map(np.array, zip(*(r for g in nodes for r in g)))
     shift = np.repeat(roots, sizes)  # tree-local child ids become forest-wide
     left, right = (np.where(ids >= 0, ids + shift, -1) for ids in (left, right))
-    params = pack_forest(feature, threshold, left, right, leaf, roots)
+    params = dict(zip(FOREST_ARRAYS, (feature, threshold, left, right, leaf, roots)))
     return Classifier("rf", s.classes, s.dim, params, s.provenance)
 
 
@@ -431,11 +483,9 @@ def predict_scores(clf: Classifier, x: np.ndarray) -> np.ndarray:
         return _knn_scores(clf, rows)
     if clf.kind == "rf":
         return _forest_votes(clf.params, rows, len(clf.classes))
-    if clf.kind == "dummy":
-        scores = np.zeros((len(rows), len(clf.classes)))
-        scores[:, clf.params["majority"]] = 1.0
-        return scores
-    raise ValueError(f"unknown classifier kind {clf.kind!r}")
+    scores = np.zeros((len(rows), len(clf.classes)))  # dummy
+    scores[:, clf.params["majority"]] = 1.0
+    return scores
 
 
 def predict(clf: Classifier, x: np.ndarray):

@@ -38,28 +38,8 @@ from .hourglass import (
 )
 from .nn import SgdConfig
 from .plans import load_corpus, save_corpus, walk_operators
-from .synth import (
-    SynthConfig,
-    context_probe_config,
-    describe,
-    generate,
-    planted_card_config,
-    tpcds_like_config,
-)
+from .synth import PRESETS, describe, generate
 from .tasks import ADMISSION_CLASSES, TaskSpec, make_folds, task_labels
-
-PRESETS = ("default", "planted-card", "tpcds-like", "context-probe")
-
-
-def _preset_config(preset: str) -> SynthConfig:
-    if preset == "planted-card":
-        return planted_card_config()
-    if preset == "tpcds-like":
-        return tpcds_like_config()
-    if preset == "context-probe":
-        return context_probe_config()
-    return SynthConfig()
-
 
 def guarded(fn):
     """Convert contract violations into one-line nonzero exits."""
@@ -126,12 +106,12 @@ def main() -> None:
 @main.command()
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--queries", default=None, type=int, help="Override the preset's query count.")
-@click.option("--preset", default="default", show_default=True, type=click.Choice(PRESETS))
+@click.option("--preset", default="default", show_default=True, type=click.Choice(list(PRESETS)))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @guarded
 def synth(seed: int, queries: int | None, preset: str, out: str) -> None:
     """Generate a synthetic plan corpus plus a manifest sidecar."""
-    cfg = replace(_preset_config(preset), seed=seed)
+    cfg = PRESETS[preset](seed=seed)
     if queries is not None:
         cfg = replace(cfg, n_queries=queries)
     corpus = generate(cfg)

@@ -31,21 +31,6 @@ from .plans import (
 
 NUMERIC, BOOLEAN, CATEGORICAL = "numeric", "boolean", "categorical"
 
-# layout order: operator identity first, then the per-operator property
-# blocks roughly as EXPLAIN presents them
-_CATEGORICAL_ORDER = (
-    "node_type",
-    "join_type",
-    "parent_relationship",
-    "hash_algorithm",
-    "sort_key",
-    "sort_method",
-    "relation_name",
-    "index_name",
-    "agg_strategy",
-    "agg_operator",
-)
-
 STDDEV_SENTINEL = 1.0
 
 
@@ -141,7 +126,7 @@ def build_schema(corpus: Corpus) -> FeatureSchema:
     nodes = [item.node for item in walk_operators(corpus)]
 
     # each group's observed values as dict keys, in first-appearance order
-    vocab_values: dict[str, dict[str, None]] = {g: {} for g in _CATEGORICAL_ORDER}
+    vocab_values = {g: {} for g in ("node_type",) + OPTIONAL_CATEGORICAL_FIELDS}
     attr_width = 0
     has_hash_buckets = False
     observed_bools = {f: False for f in OPTIONAL_BOOLEAN_FIELDS}

@@ -46,6 +46,11 @@ class Featurizer:
             )
         if isinstance(self.model, Encoder):
             self.model.check_schema(self.schema)
+        elif self.model is not None:
+            width = len(self.model.mean) if isinstance(self.model, PcaModel) else self.model.dim
+            if width != self.schema.total_dim:
+                raise ValueError(f"{self.kind} model reads {width} columns but the schema "
+                                 f"encodes {self.schema.total_dim}")
 
     @property
     def kind(self) -> str:

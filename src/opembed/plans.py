@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -238,11 +239,26 @@ def corpus_to_dict(corpus: Corpus) -> dict:
     }
 
 
+def _depth(root: PlanNode) -> int:
+    level, depth = [root], 0
+    while level:
+        level, depth = [c for node in level for c in node.children], depth + 1
+    return depth
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus back to the canonical plan-file format."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(corpus_to_dict(corpus), f, indent=1)
-        f.write("\n")
+    """Write a corpus back to the canonical plan-file format, atomically: a
+    plan too deep to encode leaves no file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(corpus_to_dict(corpus), f, indent=1)
+            f.write("\n")
+    except RecursionError:
+        os.remove(tmp)
+        q = max(corpus.records, key=lambda r: _depth(r.root))
+        raise PlanFormatError(f"query {q.query_id!r}: plan nesting is too deep to save") from None
+    os.replace(tmp, path)
 
 
 def iter_nodes(root: PlanNode) -> Iterator[PlanNode]:

@@ -15,6 +15,12 @@ class PcaModel:
     components: np.ndarray           # (K, D), rows orthonormal
     explained_variance: np.ndarray   # (K,), nonincreasing
 
+    def __post_init__(self):
+        shapes = tuple(np.shape(a) for a in (self.mean, self.components, self.explained_variance))
+        if len(shapes[1]) != 2 or shapes != ((shapes[1][1],), shapes[1], (shapes[1][0],)):
+            raise ValueError(f"pca mean, components and variances have shapes {shapes}, "
+                             "want (D,), (K, D) and (K,)")
+
 
 def fit_pca(X: np.ndarray, k: int) -> PcaModel:
     """Leading k principal directions of the sample covariance.
@@ -49,6 +55,11 @@ def transform_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
 class FaModel:
     clusters: tuple[tuple[int, ...], ...]  # disjoint, sorted, cover [0, D)
     dim: int
+
+    def __post_init__(self):
+        members = sorted(i for c in self.clusters for i in c)
+        if self.dim < 1 or not all(self.clusters) or members != list(range(self.dim)):
+            raise ValueError(f"fa clusters must be non-empty and partition [0, {self.dim})")
 
     @property
     def k(self) -> int:

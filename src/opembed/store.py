@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .classifiers import FOREST_ARRAYS, Classifier, FeatProvenance, pack_forest
+from .classifiers import Classifier, FeatProvenance
 from .errors import BundleError, SchemaError
 from .featurize import FeatureSchema, schema_from_json, schema_hash, schema_to_json
 from .featurizer import Featurizer, check_schema_hash
@@ -105,7 +105,7 @@ def save_bundle(path, kind: str, body: dict, arrays: dict[str, np.ndarray] | Non
 
 
 # 8-byte little-endian dtypes a manifest may name; save_bundle writes only the
-# signed two, and the forest check turns unsigned ids into signed ones
+# signed two, and a Classifier turns unsigned ids into signed ones
 _DTYPES = ("<f8", "<i8", "<u8")
 
 
@@ -331,34 +331,23 @@ def load_featurizer(encoder=None, reducer=None, schema=None) -> Featurizer:
     if not schema:
         raise ValueError("pass one of --encoder, --reducer + --schema, or --schema")
     sparse, _ = load_schema_bundle(schema)
-    if not reducer:
-        return Featurizer(sparse)
-    prov = bundle_provenance(reducer)
+    return _reducer_featurizer(reducer, sparse) if reducer else Featurizer(sparse)
+
+
+@_header_checked
+def _reducer_featurizer(path, sparse: FeatureSchema) -> Featurizer:
+    prov = bundle_provenance(path)
     if prov.kind not in ("pca", "fa"):
-        raise BundleError(f"{reducer} holds {prov.kind} features, not a pca or fa reducer")
+        raise BundleError(f"{path} holds {prov.kind} features, not a pca or fa reducer")
     check_schema_hash(prov.digest, schema_hash(sparse), "reducer vs schema")
-    model, _ = load_pca_bundle(reducer) if prov.kind == "pca" else load_fa_bundle(reducer)
+    model, _ = load_pca_bundle(path) if prov.kind == "pca" else load_fa_bundle(path)
     return Featurizer(sparse, model)
 
 
 # -- classifiers --------------------------------------------------------
 
 def save_classifier_bundle(path, clf: Classifier, meta: dict | None = None) -> Path:
-    arrays: dict[str, np.ndarray] = {}
-    extra: dict = {}
-    if clf.kind in ("logreg", "linsvm"):
-        arrays["W"] = clf.params["W"]
-        arrays["b"] = clf.params["b"]
-    elif clf.kind == "knn":
-        arrays["X"] = clf.params["X"]
-        arrays["y"] = clf.params["y"]
-        extra["k"] = clf.params["k"]
-    elif clf.kind == "rf":
-        arrays.update((name, clf.params[name]) for name in FOREST_ARRAYS)
-    elif clf.kind == "dummy":
-        extra["majority"] = clf.params["majority"]
-    else:
-        raise BundleError(f"unknown classifier kind {clf.kind!r}")
+    """Array params become bundle arrays, int params the header's "extra"."""
     prov = None
     if clf.provenance is not None:
         prov = {"kind": clf.provenance.kind, "digest": clf.provenance.digest}
@@ -367,73 +356,21 @@ def save_classifier_bundle(path, clf: Classifier, meta: dict | None = None) -> P
         "classes": list(clf.classes),
         "dim": clf.dim,
         "provenance": prov,
-        "extra": extra,
+        "extra": {name: v for name, v in clf.params.items() if isinstance(v, int)},
         "meta": meta or {},
     }
+    arrays = {name: v for name, v in clf.params.items() if isinstance(v, np.ndarray)}
     return save_bundle(path, "classifier", body, arrays)
-
-
-def _check_forest(arrays: dict[str, np.ndarray], dim: int, n_classes: int, target) -> None:
-    """Refuse a forest whose routing could index out of range or loop:
-    every child id must exceed its parent's and stay inside the tree."""
-    def bad(reason: str) -> BundleError:
-        return BundleError(f"malformed random forest in {target}: {reason}")
-
-    missing = [name for name in FOREST_ARRAYS if name not in arrays]
-    if missing:
-        raise bad(f"missing arrays {missing}")
-    if not all(np.issubdtype(arrays[name].dtype, np.integer) for name in FOREST_ARRAYS
-               if name != "threshold"):
-        raise bad("feature, child, leaf and root ids must be integers")
-    # check the ids as pack_forest will hold them, so unsigned or wide ids
-    # that wrap on conversion are judged by the values routing would use
-    feature, threshold, left, right, leaf, roots = (
-        arrays[name] if name == "threshold" else np.asarray(arrays[name], dtype=np.intp)
-        for name in FOREST_ARRAYS
-    )
-    n = feature.size
-    if any(a.shape != (n,) for a in (feature, threshold, left, right, leaf)):
-        raise bad("node arrays differ in shape")
-    if roots.ndim != 1 or len(roots) == 0 or roots[0] != 0 or np.any(roots[1:] <= roots[:-1]) \
-            or roots[-1] >= n:
-        raise bad("roots must start at 0 and increase inside the node arrays")
-    ids = np.arange(n)
-    stop = np.append(roots[1:], n)[np.searchsorted(roots, ids, side="right") - 1]
-    inner = feature >= 0
-    for child in (left, right):
-        if np.any(inner & ((child <= ids) | (child >= stop))):
-            raise bad("a child id is not after its parent inside the same tree")
-    if np.any(feature < -1) or np.any(feature >= dim):
-        raise bad(f"split feature outside [0, {dim})")
-    if np.any(~inner & ((leaf < 0) | (leaf >= n_classes))):
-        raise bad(f"leaf class outside [0, {n_classes})")
 
 
 @_header_checked
 def load_classifier_bundle(path) -> tuple[Classifier, dict]:
     header, arrays = load_bundle(path, "classifier")
-    kind = header["model"]
-    extra = header.get("extra", {})
-    if kind in ("logreg", "linsvm"):
-        params = {"W": arrays["W"], "b": arrays["b"]}
-    elif kind == "knn":
-        params = {"X": arrays["X"], "y": arrays["y"].astype(np.intp), "k": int(extra["k"])}
-    elif kind == "rf":
-        target = resolve_store_path(path)
-        if "trees" in extra:
-            raise BundleError(
-                f"{target} holds a random forest in the retired nested-dict format; retrain it"
-            )
-        _check_forest(arrays, int(header["dim"]), len(header["classes"]), target)
-        params = pack_forest(*(arrays[name] for name in FOREST_ARRAYS))
-    elif kind == "dummy":
-        params = {"majority": int(extra["majority"])}
-    else:
-        raise BundleError(f"unknown classifier kind {kind!r}")
     prov = None
     if header.get("provenance"):
         prov = FeatProvenance(header["provenance"]["kind"], header["provenance"].get("digest"))
         if not isinstance(prov.kind, str) or not isinstance(prov.digest, (str, type(None))):
             raise TypeError("provenance kind and digest must be strings")
-    clf = Classifier(kind, tuple(header["classes"]), int(header["dim"]), params, prov)
+    params = {**arrays, **header.get("extra", {})}
+    clf = Classifier(header["model"], tuple(header["classes"]), int(header["dim"]), params, prov)
     return clf, header

@@ -94,18 +94,18 @@ class GroundTruth:
     """Generator bookkeeping, recorded while the corpus is built."""
 
     n_queries: int
-    n_operators: int
-    op_type_counts: Counter
-    card_labels: list[str]          # walk order (pre-order per query)
-    query_users: list[str]
-    query_templates: list[int]
-    slow_queries: list[int]
-    merge_joins: int
-    merge_joins_with_sorts: int
-    hash_joins: int
-    hash_joins_with_hash: int
-    planted_under: list[tuple[int, int]]  # (query index, pre-order index)
-    planted_over: list[tuple[int, int]]
+    n_operators: int = 0
+    op_type_counts: Counter = field(default_factory=Counter)
+    card_labels: list[str] = field(default_factory=list)  # walk order (pre-order per query)
+    query_users: list[str] = field(default_factory=list)
+    query_templates: list[int] = field(default_factory=list)
+    slow_queries: list[int] = field(default_factory=list)
+    merge_joins: int = 0
+    merge_joins_with_sorts: int = 0
+    hash_joins: int = 0
+    hash_joins_with_hash: int = 0
+    planted_under: list[tuple[int, int]] = field(default_factory=list)  # (query, pre-order index)
+    planted_over: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -359,21 +359,7 @@ def _generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     }
 
     corpus = Corpus()
-    truth = GroundTruth(
-        n_queries=cfg.n_queries,
-        n_operators=0,
-        op_type_counts=Counter(),
-        card_labels=[],
-        query_users=[],
-        query_templates=[],
-        slow_queries=[],
-        merge_joins=0,
-        merge_joins_with_sorts=0,
-        hash_joins=0,
-        hash_joins_with_hash=0,
-        planted_under=[],
-        planted_over=[],
-    )
+    truth = GroundTruth(cfg.n_queries)
 
     for q in range(cfg.n_queries):
         rng = np.random.default_rng([cfg.seed, 17, q])
@@ -466,3 +452,12 @@ def context_probe_config(seed: int = 0) -> SynthConfig:
     MergeJoin's children is the planted 0.9 Sort-wrapping rate itself.
     """
     return replace(SynthConfig(), seed=seed, wrapper_pass_through=True)
+
+
+# the CLI's --preset names, each with the config factory it starts from
+PRESETS = {
+    "default": SynthConfig,
+    "planted-card": planted_card_config,
+    "tpcds-like": tpcds_like_config,
+    "context-probe": context_probe_config,
+}

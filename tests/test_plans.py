@@ -139,6 +139,21 @@ def test_plan_nested_too_deep_for_the_decoder_is_a_format_error(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_save_corpus_writes_what_load_reads_or_no_file(tmp_path):
+    root = scan()
+    for _ in range(520):
+        root = PlanNode(node_type="Sort", children=[root])
+    corpus = Corpus([QueryRecord("flat", None, scan()), QueryRecord("deep", None, root)])
+    path = tmp_path / "deep.json"
+    try:
+        save_corpus(corpus, path)
+    except PlanFormatError as err:
+        assert "'deep'" in str(err)
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert [r.query_id for r in load_corpus(path).records] == ["flat", "deep"]
+
+
 def test_walk_leaf_has_no_children():
     rec = QueryRecord("q", None, scan())
     (item,) = walk_operators(Corpus([rec]))
