@@ -39,7 +39,7 @@ from .hourglass import (
 from .nn import SgdConfig
 from .plans import load_corpus, save_corpus, walk_operators
 from .synth import PRESETS, describe, generate
-from .tasks import ADMISSION_CLASSES, TaskSpec, make_folds, task_labels
+from .tasks import ADMISSION_CLASSES, TASKS, TaskSpec, make_folds, task_labels
 
 def guarded(fn):
     """Convert contract violations into one-line nonzero exits."""
@@ -207,14 +207,13 @@ def reduce(corpus_path, schema_path, method, dim, out, model_out) -> None:
     click.echo(f"wrote {rows.shape[0]}x{rows.shape[1]} {method} features -> {out}")
 
 
-_TASK_CHOICES = ("admission", "card", "user")
 _MODEL_CHOICES = tuple(m for m in MODELS if m != "dummy")
 
 
 @main.command("train-task")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--task", required=True, type=click.Choice(_TASK_CHOICES))
+@click.option("--task", required=True, type=click.Choice(TASKS))
 @click.option("--model", required=True, type=click.Choice(_MODEL_CHOICES))
 @click.option("--percentile", default=95.0, show_default=True, type=float)
 @click.option("--factor", default=2.0, show_default=True, type=float)
@@ -283,7 +282,7 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
 
 @main.command("evaluate")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--task", default="card", show_default=True, type=click.Choice(_TASK_CHOICES))
+@click.option("--task", default="card", show_default=True, type=click.Choice(TASKS))
 @click.option("--featurizations", default="sparse,neural-32,pca-32,fa-32", show_default=True)
 @click.option("--models", default="logreg,knn,rf,svm,dummy", show_default=True)
 @click.option("--strategy", default="random", show_default=True,

@@ -56,7 +56,7 @@ class FeatureSchema:
     hb_slot: int | None = dataclasses.field(init=False)  # hash_buckets slot, if observed
     attr_base: int | None = dataclasses.field(init=False)  # first attr_mins slot, if any
     bool_slots: dict[str, int] = dataclasses.field(init=False)
-    # set by the first digest read; declared so the attribute exists from
+    # set by the first schema_hash call; declared so the attribute exists from
     # construction: adding one later (as functools.cached_property does) takes
     # the schema off CPython's fast attribute path, which encode reads it by
     _digest: str | None = dataclasses.field(init=False, default=None, repr=False, compare=False)
@@ -82,15 +82,6 @@ class FeatureSchema:
         derive("hb_slot", by_name.get("hash_buckets"))
         derive("attr_base", by_name.get(f"{ATTR_STAT_FIELDS[0]}[0]"))
         derive("bool_slots", {s.name: i for i, s in enumerate(self.slots) if s.kind == BOOLEAN})
-
-    @property
-    def digest(self) -> str:
-        """sha256 of the canonical schema JSON. Computed once per schema:
-        nothing mutates one (build_schema adds the stats by replace)."""
-        if self._digest is None:
-            payload = json.dumps(_schema_payload(self), sort_keys=True, separators=(",", ":"))
-            object.__setattr__(self, "_digest", hashlib.sha256(payload.encode("utf-8")).hexdigest())
-        return self._digest
 
     def segments(self) -> tuple[tuple[str, int, int], ...]:
         """Partition of [0, total_dim) into loss segments.
@@ -298,7 +289,12 @@ def _schema_payload(schema: FeatureSchema) -> dict:
 
 
 def schema_hash(schema: FeatureSchema) -> str:
-    return schema.digest
+    """sha256 of the canonical schema JSON. Computed once per schema:
+    nothing mutates one (build_schema adds the stats by replace)."""
+    if schema._digest is None:
+        payload = json.dumps(_schema_payload(schema), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(schema, "_digest", hashlib.sha256(payload.encode("utf-8")).hexdigest())
+    return schema._digest
 
 
 def schema_to_json(schema: FeatureSchema) -> str:

@@ -158,9 +158,18 @@ class Encoder:
     """The trained trunk, detached from the prediction heads."""
 
     trunk: nn.Network
-    embedding_dim: int
     schema_digest: str
-    pre_activation: bool = False
+
+    @property
+    def embedding_dim(self) -> int:
+        return self.trunk.out_dim
+
+    @property
+    def pre_activation(self) -> bool:
+        """Whether the embedding is the raw affine output: the last layer
+        applies neither layer norm nor ReLU."""
+        last = self.trunk.layers[-1]
+        return not (last.apply_layer_norm or last.apply_relu)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return nn.predict(self.trunk, x)
@@ -196,12 +205,7 @@ def cut_off(enet: EmbeddingNetwork, pre_activation: bool = False) -> Encoder:
     """
     layers = [_copy_layer(l) for l in enet.trunk.layers[:-1]]
     layers.append(_copy_layer(enet.trunk.layers[-1], strip_activation=pre_activation))
-    return Encoder(
-        trunk=nn.Network(layers),
-        embedding_dim=enet.spec.embedding_dim,
-        schema_digest=enet.schema_digest,
-        pre_activation=pre_activation,
-    )
+    return Encoder(trunk=nn.Network(layers), schema_digest=enet.schema_digest)
 
 
 def embed_corpus(

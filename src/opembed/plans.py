@@ -48,6 +48,12 @@ OPTIONAL_CATEGORICAL_FIELDS = (
 OPTIONAL_BOOLEAN_FIELDS = ("scan_direction", "partial_mode")
 ATTR_STAT_FIELDS = ("attr_mins", "attr_medians", "attr_maxs")
 
+# Deepest plan, in levels (a lone scan is one), that save_corpus writes and
+# load_corpus reads. The json codec recurses per level and meets the default
+# recursion limit near 495 levels; at 400 a caller may sit about 190 frames
+# deep and still save and load a plan at the bound.
+MAX_PLAN_DEPTH = 400
+
 _KNOWN_NODE_KEYS = (
     {"node_type", "children"}
     | set(CORE_NUMERIC_FIELDS)
@@ -150,7 +156,10 @@ def _parse_node(obj, path: str) -> PlanNode:
     if unknown:
         log.warning("%s: ignoring unknown keys %s", path, sorted(unknown))
 
-    node = PlanNode(node_type=str(obj["node_type"]))
+    node_type = obj["node_type"]
+    if type(node_type) is not str:
+        raise PlanFormatError(f"{path}: field 'node_type' must be a string, got {node_type!r}")
+    node = PlanNode(node_type=node_type)
     for name in CORE_NUMERIC_FIELDS:
         if name in obj and obj[name] is not None:
             setattr(node, name, _check_scalar(obj[name], name, path))
@@ -158,11 +167,17 @@ def _parse_node(obj, path: str) -> PlanNode:
         if obj.get(name) is not None:
             setattr(node, name, _check_scalar(obj[name], name, path))
     for name in OPTIONAL_CATEGORICAL_FIELDS:
-        if obj.get(name) is not None:
-            setattr(node, name, str(obj[name]))
+        value = obj.get(name)
+        if value is not None:
+            if type(value) is not str:
+                raise PlanFormatError(f"{path}: field {name!r} must be a string, got {value!r}")
+            setattr(node, name, value)
     for name in OPTIONAL_BOOLEAN_FIELDS:
-        if obj.get(name) is not None:
-            setattr(node, name, bool(obj[name]))
+        value = obj.get(name)
+        if value is not None:
+            if type(value) is not bool:
+                raise PlanFormatError(f"{path}: field {name!r} must be true or false, got {value!r}")
+            setattr(node, name, value)
     for name in ATTR_STAT_FIELDS:
         if obj.get(name) is not None:
             seq = obj[name]
@@ -170,7 +185,12 @@ def _parse_node(obj, path: str) -> PlanNode:
                 raise PlanFormatError(f"{path}: field {name!r} must be a list of numbers")
             setattr(node, name, _check_stats(seq, name, path))
 
-    for i, child in enumerate(obj.get("children") or []):
+    children = obj.get("children") or []
+    # the path holds one ".children[i]" per level below the root
+    if children and path.count(".children[") + 1 >= MAX_PLAN_DEPTH:
+        raise PlanFormatError(
+            f"{path}.children[0]: plan nesting is deeper than {MAX_PLAN_DEPTH} levels")
+    for i, child in enumerate(children):
         node.children.append(_parse_node(child, f"{path}.children[{i}]"))
     return node
 
@@ -248,16 +268,21 @@ def _depth(root: PlanNode) -> int:
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus back to the canonical plan-file format, atomically: a
-    plan too deep to encode leaves no file behind."""
+    failed write leaves no file behind, and a plan deeper than MAX_PLAN_DEPTH
+    is refused before any file is opened."""
+    for r in corpus.records:
+        if _depth(r.root) > MAX_PLAN_DEPTH:
+            raise PlanFormatError(
+                f"query {r.query_id!r}: plan nesting is deeper than {MAX_PLAN_DEPTH} levels")
     tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
+    with open(tmp, "w", encoding="utf-8") as f:
+        try:
             json.dump(corpus_to_dict(corpus), f, indent=1)
             f.write("\n")
-    except RecursionError:
-        os.remove(tmp)
-        q = max(corpus.records, key=lambda r: _depth(r.root))
-        raise PlanFormatError(f"query {q.query_id!r}: plan nesting is too deep to save") from None
+        except BaseException:
+            f.close()
+            os.remove(tmp)
+            raise
     os.replace(tmp, path)
 
 

@@ -246,12 +246,11 @@ def load_encoder_bundle(path) -> tuple[Encoder, dict]:
                 beta=arrays[f"layer{i}_beta"] if ln else None,
             )
         )
-    encoder = Encoder(
-        trunk=nn.Network(layers),
-        embedding_dim=int(header["embedding_dim"]),
-        schema_digest=header["schema_hash"],
-        pre_activation=bool(header["pre_activation"]),
-    )
+    encoder = Encoder(trunk=nn.Network(layers), schema_digest=header["schema_hash"])
+    for name in ("embedding_dim", "pre_activation"):
+        if header[name] != getattr(encoder, name):
+            raise ValueError(f"header {name} {header[name]!r} disagrees with the trunk's "
+                             f"{getattr(encoder, name)!r}")
     return encoder, header
 
 

@@ -1,8 +1,8 @@
 """Seeded bundle mutations: each rewrites one array or header value of a valid
-classifier, pca or fa bundle to an out-of-range id, a wrong shape or a wrong
-dtype. Loading must raise OpembedError naming the bundle, and predict must
-end in exactly one "error:" line that names it, never in a traceback or NaN
-features.
+classifier, pca, fa or encoder bundle to an out-of-range id, a wrong shape, a
+wrong dtype or a header fact its arrays contradict. Loading must raise
+OpembedError naming the bundle, and predict must end in exactly one "error:"
+line that names it, never in a traceback or NaN features.
 """
 
 import random
@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from opembed import store
+from opembed import nn, store
 from opembed.classifiers import MODELS, FeatProvenance, make_labeled_set, train, train_logreg
 from opembed.cli import main
 from opembed.errors import OpembedError
 from opembed.featurize import build_schema, encode_corpus, schema_hash
+from opembed.hourglass import HourglassSpec, build, cut_off, train_embedding
 from opembed.plans import save_corpus
 from opembed.reducers import fit_fa, fit_pca, transform_fa, transform_pca
 from opembed.synth import SynthConfig, generate
@@ -26,13 +27,15 @@ CLASSES = ("ok", "slow")
 @pytest.fixture(scope="module")
 def bundles(tmp_path_factory):
     """A plan file, its schema bundle, one sparse classifier bundle per kind,
-    and pca-4 and fa-4 reducers, each with a logreg trained on its features."""
+    pca-4 and fa-4 reducers and an 8-dim encoder, each with a logreg trained
+    on its features."""
     root = tmp_path_factory.mktemp("mutations")
     corpus = generate(SynthConfig(n_queries=12, seed=5))
     save_corpus(corpus, root / "plans.json")
     schema = build_schema(corpus)
     store.save_schema_bundle(root / "schema.opeb", schema)
-    X = encode_corpus(schema, corpus).X
+    table = encode_corpus(schema, corpus)
+    X = table.X
     labels = ["slow" if i % 3 == 0 else "ok" for i in range(len(X))]
     digest = schema_hash(schema)
     sparse = make_labeled_set(X, labels, CLASSES, FeatProvenance("sparse", digest))
@@ -44,12 +47,20 @@ def bundles(tmp_path_factory):
         reduced = make_labeled_set(transform(model, X), labels, CLASSES,
                                    FeatProvenance(kind, digest))
         store.save_classifier_bundle(root / f"{kind}_clf.opeb", train_logreg(reduced, epochs=5))
+    enet = build(HourglassSpec(schema.total_dim, hidden_dims=(16, 12), embedding_dim=8), schema)
+    train_embedding(enet, X, table.children, nn.SgdConfig(epochs=1))
+    encoder = cut_off(enet)
+    store.save_encoder_bundle(root / "encoder.opeb", encoder, schema)
+    neural = make_labeled_set(encoder(X), labels, CLASSES, FeatProvenance("neural", digest))
+    store.save_classifier_bundle(root / "encoder_clf.opeb", train_logreg(neural, epochs=5))
     return root
 
 
 def _predict_args(root, name, path):
     """predict's arguments that read the bundle at path in place of `name`."""
-    if name in ("pca", "fa"):
+    if name == "encoder":
+        bundles = ["--classifier", root / "encoder_clf.opeb", "--encoder", path]
+    elif name in ("pca", "fa"):
         bundles = ["--classifier", root / f"{name}_clf.opeb", "--reducer", path]
     else:
         bundles = ["--classifier", path]
@@ -58,6 +69,8 @@ def _predict_args(root, name, path):
 
 
 def _load(root, name, path):
+    if name == "encoder":
+        return store.load_featurizer(encoder=path)
     if name in ("pca", "fa"):
         return store.load_featurizer(reducer=path, schema=root / "schema.opeb")
     return store.load_classifier_bundle(path)
@@ -66,6 +79,12 @@ def _load(root, name, path):
 def _pick(rng, mask):
     """A seeded choice among the positions where mask holds."""
     return rng.choice(np.flatnonzero(mask).tolist())
+
+
+def _set_header(name, value):
+    def mutate(header, arrays, rng):
+        header[name] = value
+    return mutate
 
 
 def _set_extra(name, value):
@@ -166,6 +185,10 @@ MUTATIONS = {
             "narrow": _pca_narrow},
     "fa": {"cluster-9999": _fa_member(9999), "cluster-negative": _fa_member(-1),
            "empty-cluster": _fa_empty_cluster, "wide": _fa_wide},
+    # the trunk's last layer is 8 wide and applies layer norm and ReLU
+    "encoder": {"embedding-dim-7": _set_header("embedding_dim", 7),
+                "embedding-dim-negative": _set_header("embedding_dim", -3),
+                "pre-activation-true": _set_header("pre_activation", True)},
 }
 CASES = [(name, case) for name, cases in MUTATIONS.items() for case in cases]
 

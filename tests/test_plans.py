@@ -3,9 +3,12 @@ import re
 from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
+from opembed.cli import main
 from opembed.errors import PlanFormatError
 from opembed.plans import (
+    MAX_PLAN_DEPTH,
     Corpus,
     PlanNode,
     QueryRecord,
@@ -88,6 +91,12 @@ def _load_text(tmp_path, text):
     return load_corpus(path)
 
 
+def _child_with(fields):
+    """A one-query list whose plan's first child holds the given JSON members."""
+    return ('[{"query_id": "a", "plan": {"node_type": "Sort", "children": '
+            '[{"node_type": "SeqScan", %s}]}}]' % fields)
+
+
 @pytest.mark.parametrize(
     "queries, where",
     [
@@ -95,8 +104,21 @@ def _load_text(tmp_path, text):
         ('["q1"]', "queries[0]: must be an object"),
         ('{"a": {"query_id": "a", "plan": {"node_type": "Sort"}}}', "queries: must be a list"),
         ('"abc"', "queries: must be a list"),
+        (_child_with('"scan_direction": "false"'),
+         "queries[0].plan.children[0]: field 'scan_direction' must be true or false"),
+        (_child_with('"partial_mode": 1'),
+         "queries[0].plan.children[0]: field 'partial_mode' must be true or false"),
+        (_child_with('"relation_name": {"x": 1}'),
+         "queries[0].plan.children[0]: field 'relation_name' must be a string"),
+        (_child_with('"sort_key": 3'),
+         "queries[0].plan.children[0]: field 'sort_key' must be a string"),
+        ('[{"query_id": "a", "plan": {"node_type": 7}}]',
+         "queries[0].plan: field 'node_type' must be a string"),
+        ('[{"query_id": "a", "plan": {"node_type": null}}]',
+         "queries[0].plan: field 'node_type' must be a string"),
     ],
-    ids=["int-entry", "str-entry", "dict-queries", "str-queries"],
+    ids=["int-entry", "str-entry", "dict-queries", "str-queries", "bool-string", "bool-number",
+         "categorical-object", "categorical-number", "node-type-number", "node-type-null"],
 )
 def test_malformed_queries_name_their_path(tmp_path, queries, where):
     with pytest.raises(PlanFormatError, match=re.escape(where)):
@@ -139,19 +161,53 @@ def test_plan_nested_too_deep_for_the_decoder_is_a_format_error(tmp_path):
     assert str(path) in str(err.value)
 
 
-def test_save_corpus_writes_what_load_reads_or_no_file(tmp_path):
+def _chain(levels):
+    """A plan of `levels` levels: Sorts over one scan."""
     root = scan()
-    for _ in range(520):
+    for _ in range(levels - 1):
         root = PlanNode(node_type="Sort", children=[root])
-    corpus = Corpus([QueryRecord("flat", None, scan()), QueryRecord("deep", None, root)])
-    path = tmp_path / "deep.json"
-    try:
-        save_corpus(corpus, path)
-    except PlanFormatError as err:
-        assert "'deep'" in str(err)
-        assert list(tmp_path.iterdir()) == []
-    else:
-        assert [r.query_id for r in load_corpus(path).records] == ["flat", "deep"]
+    return root
+
+
+def test_save_corpus_writes_what_load_reads_or_no_file(tmp_path):
+    deepest = Corpus([QueryRecord("flat", None, scan()),
+                      QueryRecord("deep", None, _chain(MAX_PLAN_DEPTH))])
+    path = tmp_path / "deepest.json"
+    save_corpus(deepest, path)
+    assert corpus_to_dict(load_corpus(path)) == corpus_to_dict(deepest)
+
+    over = tmp_path / "over"
+    over.mkdir()
+    too_deep = Corpus([QueryRecord("flat", None, scan()),
+                       QueryRecord("deep", None, _chain(MAX_PLAN_DEPTH + 1))])
+    with pytest.raises(PlanFormatError, match="query 'deep': plan nesting is deeper than"):
+        save_corpus(too_deep, over / "deep.json")
+    assert list(over.iterdir()) == []
+
+    # a write that fails half way removes its temporary file
+    unencodable = Corpus([QueryRecord("flat", None, scan()),
+                          QueryRecord("odd", None, scan(relation_name=object()))])
+    with pytest.raises(TypeError):
+        save_corpus(unencodable, over / "odd.json")
+    assert list(over.iterdir()) == []
+
+
+def test_hand_written_plan_past_the_depth_bound_is_refused_on_load(tmp_path):
+    levels = MAX_PLAN_DEPTH + 1
+    sort = '{"node_type": "Sort", "children": ['
+    plan = sort * (levels - 1) + '{"node_type": "SeqScan"}' + "]}" * (levels - 1)
+    path = tmp_path / "over.json"
+    path.write_text('{"queries": [{"query_id": "q", "plan": %s}]}' % plan)
+    where = "queries[0].plan" + ".children[0]" * (levels - 1)
+    with pytest.raises(PlanFormatError) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{where}: plan nesting is deeper than {MAX_PLAN_DEPTH}")
+
+    result = CliRunner().invoke(main, ["train-embedding", "--corpus", str(path),
+                                       "--encoder-out", str(tmp_path / "enc.opeb")])
+    assert result.exit_code == 1, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: plan nesting"), lines
 
 
 def test_walk_leaf_has_no_children():
