@@ -8,7 +8,8 @@
 # Only predict's id,node_type,prediction columns are hashed, carriage returns
 # dropped, so a checkout whose predict still writes a wall-clock latency_ms
 # column compares too. Each evaluate's console table is kept as table-*.txt:
-# without --timings it holds no wall-clock figure either.
+# without --timings it holds no wall-clock figure either. Each synth manifest
+# sidecar (corpus.json.manifest.txt) is hashed too: describe() is deterministic.
 set -euo pipefail
 SRC=$1; OUT=$2
 export PYTHONPATH=$SRC OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
@@ -75,4 +76,4 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --featurizations sparse,neural-16 --models logreg,rf,dummy --epochs 2 --seed "$seed" \
      --out "$d/report-user.csv" --medians-out "$d/medians-user.csv"
 done
-(cd "$OUT" && find . -type f ! -name '*.manifest.txt' | sort | xargs sha256sum)
+(cd "$OUT" && find . -type f | sort | xargs sha256sum)

@@ -111,6 +111,14 @@ class Classifier:
         def bad(reason: str) -> ValueError:
             return ValueError(f"malformed {what}: {reason}")
 
+        # classes and dim may come straight from a bundle header's JSON
+        if (not isinstance(self.classes, (tuple, list))
+                or any(type(c) is not str for c in self.classes)):
+            raise TypeError(f"malformed {what}: classes {self.classes!r} are not a list of strings")
+        if type(self.dim) is not int:
+            raise TypeError(f"malformed {what}: dim {self.dim!r} is not an int")
+        self.classes = tuple(self.classes)
+
         missing = [name for name in spec if name not in self.params]
         if missing:
             retired = self.kind == "rf" and "trees" in self.params
@@ -223,7 +231,7 @@ def train_logreg(
     return _fit_linear("logreg", s, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
 
 
-def train_knn(s: LabeledSet, k: int = 6, seed: int = 0) -> Classifier:
+def train_knn(s: LabeledSet, k: int = 6) -> Classifier:
     """Memorize the training set; prediction weights the k nearest Euclidean
     neighbors by 1/(distance + 1e-9)."""
     _check_training(s)

@@ -143,7 +143,7 @@ def train_embedding_cmd(corpus_path, embedding_dim, hidden, epochs, lr, batch, s
     schema = build_schema(corpus)
     table = encode_corpus(schema, corpus)
     hidden_dims = _parse_hidden(hidden)
-    net = build(HourglassSpec(schema.total_dim, hidden_dims, embedding_dim, seed), schema)
+    net = build(HourglassSpec(hidden_dims, embedding_dim, seed), schema)
     sgd = SgdConfig(learning_rate=lr, batch_size=batch, epochs=epochs, seed=seed)
     net, trace = train_embedding(net, table.X, table.children, sgd, masked=masked_loss)
     encoder = cut_off(net, pre_activation=pre_activation)
@@ -312,9 +312,9 @@ def evaluate_cmd(corpus_path, task, featurizations, models, strategy, percentile
         corpus, spec, _parse_list(featurizations), _parse_list(models), plan,
         sgd=sgd, embedding_from_full_log=embedding_from_full_log, seed=seed, timings=timings,
     )
-    report.to_csv(out, timings=timings)
+    report.to_csv(out)
     if medians_out:
-        report.medians_to_csv(medians_out, timings=timings)
+        report.medians_to_csv(medians_out)
     click.echo(report.format_table(), nl=False)
 
 

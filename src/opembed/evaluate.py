@@ -38,7 +38,6 @@ class CellResult:
     recalls: dict[str, float]
     mean_infer_ms: float | None     # None when evaluated without timings
     train_seconds: float | None
-    threshold: float | None = None
 
 
 @dataclass
@@ -76,14 +75,11 @@ class EvalReport:
             )
         return rows
 
-    def to_csv(self, path, timings: bool = True) -> None:
-        """Long-form per-fold cells, one recall column per class.
-
-        timings=False drops the wall-clock columns so identical seeds yield
-        byte-identical files.
-        """
-        if timings and not self.timed:
-            raise ValueError("report has no timings; evaluate it with timings=True")
+    def to_csv(self, path) -> None:
+        """Long-form per-fold cells, one recall column per class, plus the
+        wall-clock columns when the report is timed; an untimed report's
+        file is byte-identical across runs of one seed."""
+        timings = self.timed
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             timing_cols = ["mean_infer_ms", "train_seconds"] if timings else []
@@ -100,9 +96,8 @@ class EvalReport:
                     + [repr(c.recalls.get(cls, float("nan"))) for cls in self.classes]
                 )
 
-    def medians_to_csv(self, path, timings: bool = True) -> None:
-        if timings and not self.timed:
-            raise ValueError("report has no timings; evaluate it with timings=True")
+    def medians_to_csv(self, path) -> None:
+        timings = self.timed
         rows = self.median_rows()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -141,7 +136,7 @@ def evaluate(
     sgd: nn.SgdConfig | None = None,
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN,
     embedding_from_full_log: bool = False,
-    timings: bool = True,
+    timings: bool = False,
     seed: int = 0,
 ) -> EvalReport:
     """Train on each fold's train fifth, test on its test side, and record
@@ -153,8 +148,13 @@ def evaluate(
     the whole (unlabeled) corpus and shared by every fold; classifiers and the
     pca/fa reductions still see only the fold's train fifth.
     """
+    if not featurizations or not models:
+        raise ValueError("evaluate needs at least one featurization and one model")
     for name in featurizations:
         parse_featurization(name)
+    for model in models:
+        if model not in clf_mod.MODELS:
+            raise ValueError(f"unknown model {model!r}; want one of {clf_mod.MODELS}")
 
     full = None
     shared_fits: dict[str, Featurizer] = {}
@@ -224,10 +224,6 @@ def evaluate(
                         recalls[cls] = float(np.mean(preds[mask] == cls))
                 infer_ms = (clf_mod.measure_inference(clf, F_test[:INFER_SAMPLE]).mean_ms
                             if timings else None)
-                report.cells.append(
-                    CellResult(
-                        spec.task, feat_name, model, fold_idx, accuracy, prior,
-                        recalls, infer_ms, train_seconds, threshold,
-                    )
-                )
+                report.cells.append(CellResult(spec.task, feat_name, model, fold_idx, accuracy,
+                                               prior, recalls, infer_ms, train_seconds))
     return report

@@ -250,9 +250,7 @@ class OperatorTable:
         return len(self.ids)
 
 
-def encode_corpus(
-    schema: FeatureSchema, corpus: Corpus, tally: Counter | None = None
-) -> OperatorTable:
+def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
     """Encode each operator once and index its first two children as rows
     of the same matrix; children beyond the second are dropped."""
     ids, query_index, rows, kids = [], [], [], []
@@ -262,7 +260,7 @@ def encode_corpus(
             row_of[id(node)] = len(rows)
             ids.append(f"{record.query_id}#{k}")
             query_index.append(qi)
-            rows.append(encode(schema, node, tally))
+            rows.append(encode(schema, node))
             kids.append(node.children[:2])
     if not rows:
         raise ValueError("corpus has no operators to encode")

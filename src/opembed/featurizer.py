@@ -123,13 +123,7 @@ def fit_featurization(
     if kind == "neural":
         if children is None:
             raise ValueError("neural featurization needs training triples")
-        spec = HourglassSpec(
-            input_dim=schema.total_dim,
-            hidden_dims=hidden_dims,
-            embedding_dim=dim,
-            seed=seed,
-        )
-        enet = build(spec, schema)
+        enet = build(HourglassSpec(hidden_dims, dim, seed), schema)
         train_embedding(enet, X_train, children, sgd or nn.SgdConfig())
         return Featurizer(schema, cut_off(enet))
     if kind == "pca":

@@ -24,13 +24,12 @@ DEFAULT_HIDDEN = (256, 256, 128, 128, 64, 64)
 
 @dataclass(frozen=True)
 class HourglassSpec:
-    input_dim: int
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN
     embedding_dim: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim <= 0 or self.embedding_dim <= 0:
+        if self.embedding_dim <= 0:
             raise ValueError("dimensions must be positive")
         if any(d <= 0 for d in self.hidden_dims):
             raise ValueError("hidden dims must be positive")
@@ -44,7 +43,7 @@ class HourglassSpec:
 @dataclass
 class EmbeddingNetwork:
     trunk: nn.Network       # input -> ... -> embedding, LN+ReLU throughout
-    head1: nn.Network       # embedding -> input_dim, plain affine
+    head1: nn.Network       # embedding -> schema width, plain affine
     head2: nn.Network
     loss_spec: nn.LossSpec
     schema_digest: str
@@ -52,12 +51,9 @@ class EmbeddingNetwork:
 
 
 def build(spec: HourglassSpec, schema: FeatureSchema) -> EmbeddingNetwork:
-    """Assemble the trunk and both heads with seeded He initialization."""
-    if spec.input_dim != schema.total_dim:
-        raise ValueError(
-            f"spec input_dim {spec.input_dim} != schema total_dim {schema.total_dim}"
-        )
-    dims = [spec.input_dim, *spec.hidden_dims, spec.embedding_dim]
+    """Assemble the trunk and both heads with seeded He initialization; the
+    trunk reads, and each head predicts, schema.total_dim columns."""
+    dims = [schema.total_dim, *spec.hidden_dims, spec.embedding_dim]
     layers = []
     for i, (din, dout) in enumerate(zip(dims, dims[1:])):
         rng = np.random.default_rng([spec.seed, 101, i])
@@ -66,7 +62,7 @@ def build(spec: HourglassSpec, schema: FeatureSchema) -> EmbeddingNetwork:
     for h in range(2):
         rng = np.random.default_rng([spec.seed, 202, h])
         heads.append(
-            nn.Network([nn.dense_layer(rng, spec.embedding_dim, spec.input_dim)])
+            nn.Network([nn.dense_layer(rng, spec.embedding_dim, schema.total_dim)])
         )
     return EmbeddingNetwork(
         trunk=nn.Network(layers),
@@ -93,10 +89,8 @@ def train_embedding(
     """
     if len(children) == 0:
         raise ValueError("no training triples")
-    if X.shape[1] != enet.spec.input_dim:
-        raise ValueError(
-            f"triples have dim {X.shape[1]}, network wants {enet.spec.input_dim}"
-        )
+    if X.shape[1] != enet.trunk.in_dim:
+        raise ValueError(f"triples have dim {X.shape[1]}, network wants {enet.trunk.in_dim}")
     # row -1 of Xz is the zero vector an absent child is scored against
     Xz = np.vstack([X, np.zeros((1, X.shape[1]))])
     present = children >= 0

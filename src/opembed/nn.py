@@ -38,6 +38,12 @@ class DenseLayer:
     gain: np.ndarray | None = None
     beta: np.ndarray | None = None
 
+    def __post_init__(self):
+        # bundle headers hold the flags as JSON values, where 0 or "no" is no flag
+        if type(self.apply_layer_norm) is not bool or type(self.apply_relu) is not bool:
+            raise TypeError(f"layer flags must be booleans, got layer_norm "
+                            f"{self.apply_layer_norm!r} and relu {self.apply_relu!r}")
+
     @property
     def in_dim(self) -> int:
         return self.W.shape[1]

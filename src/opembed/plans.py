@@ -122,10 +122,14 @@ class WalkItem:
 
 
 def _check_scalar(value, name: str, path: str, nonnegative: bool = True) -> float:
+    # json decodes a JSON number to int or float; bool subclasses int but is not one
+    kind = type(value)
+    if kind is not float and kind is not int:
+        raise PlanFormatError(f"{path}: field {name!r} is not a number: {value!r}")
     try:
         v = float(value)
-    except (TypeError, ValueError):
-        raise PlanFormatError(f"{path}: field {name!r} is not a number: {value!r}")
+    except OverflowError:  # an integer literal past the float range
+        v = math.inf
     if not math.isfinite(v) or (nonnegative and v < 0):
         bound = " and >= 0" if nonnegative else ""
         raise PlanFormatError(f"{path}: field {name!r} must be finite{bound}, got {v}")
@@ -135,15 +139,11 @@ def _check_scalar(value, name: str, path: str, nonnegative: bool = True) -> floa
 def _check_stats(seq, name: str, path: str) -> tuple[float, ...]:
     """A list of finite numbers. Attribute statistics may be negative (a
     column's minimum), unlike the scalar fields."""
-    try:
-        values = tuple(map(float, seq))
-    except (TypeError, ValueError):
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        # only reached for a bad entry: name the first one, which raises
-        for j, v in enumerate(seq):
-            _check_scalar(v, f"{name}[{j}]", path, nonnegative=False)
-    return values
+    if {float}.issuperset(map(type, seq)) and all(map(math.isfinite, seq)):
+        return tuple(seq)
+    # an int or a bad entry: check each in turn, which names the first bad one
+    return tuple(_check_scalar(v, f"{name}[{j}]", path, nonnegative=False)
+                 for j, v in enumerate(seq))
 
 
 def _parse_node(obj, path: str) -> PlanNode:

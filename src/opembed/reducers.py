@@ -57,8 +57,13 @@ class FaModel:
     dim: int
 
     def __post_init__(self):
-        members = sorted(i for c in self.clusters for i in c)
-        if self.dim < 1 or not all(self.clusters) or members != list(range(self.dim)):
+        # bundle headers hold JSON values, where 1.0 and true both equal slot 1
+        self.clusters = tuple(map(tuple, self.clusters))
+        members = [i for c in self.clusters for i in c]
+        wrong = [v for v in (self.dim, *members) if type(v) is not int]
+        if wrong:
+            raise TypeError(f"fa dim and cluster ids must be ints, got {wrong[0]!r}")
+        if self.dim < 1 or not all(self.clusters) or sorted(members) != list(range(self.dim)):
             raise ValueError(f"fa clusters must be non-empty and partition [0, {self.dim})")
 
     @property
@@ -116,7 +121,7 @@ def fit_fa(X: np.ndarray, k: int) -> FaModel:
             C[:i, i] = _safe_corr(merged_rep, reps[:, :i])
         if i + 1 < reps.shape[1]:
             C[i, i + 1 :] = _safe_corr(merged_rep, reps[:, i + 1 :])
-    return FaModel(tuple(tuple(c) for c in clusters), d)
+    return FaModel(clusters, d)
 
 
 def transform_fa(model: FaModel, x: np.ndarray) -> np.ndarray:

@@ -194,11 +194,10 @@ def load_schema_bundle(path) -> tuple[FeatureSchema, dict]:
 
 # -- encoder ------------------------------------------------------------
 
-def save_encoder_bundle(
-    path, encoder: Encoder, schema: FeatureSchema | None = None, meta: dict | None = None
-) -> Path:
-    """Persist the trunk; passing the schema embeds it so the bundle can
-    featurize raw plans on its own."""
+def save_encoder_bundle(path, encoder: Encoder, schema: FeatureSchema,
+                        meta: dict | None = None) -> Path:
+    """Persist the trunk with its schema embedded, so the bundle can featurize
+    raw plans on its own."""
     layers = []
     arrays: dict[str, np.ndarray] = {}
     for i, layer in enumerate(encoder.trunk.layers):
@@ -208,25 +207,24 @@ def save_encoder_bundle(
         if layer.apply_layer_norm:
             arrays[f"layer{i}_gain"] = layer.gain
             arrays[f"layer{i}_beta"] = layer.beta
+    payload = json.loads(schema_to_json(schema))
+    check_schema_hash(encoder.schema_digest, payload["hash"], "embedded schema")
     body = {
         "schema_hash": encoder.schema_digest,
         "embedding_dim": encoder.embedding_dim,
         "pre_activation": encoder.pre_activation,
         "layers": layers,
+        "schema": payload,
         "meta": meta or {},
     }
-    if schema is not None:
-        payload = json.loads(schema_to_json(schema))
-        check_schema_hash(encoder.schema_digest, payload["hash"], "embedded schema")
-        body["schema"] = payload
     return save_bundle(path, "encoder", body, arrays)
 
 
 @_header_checked
-def bundle_schema(path, header: dict) -> FeatureSchema | None:
-    """Rebuild the schema embedded in the header of the bundle at path, if any."""
+def bundle_schema(path, header: dict) -> FeatureSchema:
+    """Rebuild the schema embedded in the header of the encoder bundle at path."""
     if "schema" not in header:
-        return None
+        raise BundleError(f"{path} carries no schema; re-create it with train-embedding")
     return schema_from_json(json.dumps(header["schema"]))
 
 
@@ -235,13 +233,13 @@ def load_encoder_bundle(path) -> tuple[Encoder, dict]:
     header, arrays = load_bundle(path, "encoder")
     layers = []
     for i, spec in enumerate(header["layers"]):
-        ln = bool(spec["layer_norm"])
+        ln = spec["layer_norm"]
         layers.append(
             nn.DenseLayer(
                 W=arrays[f"layer{i}_W"],
                 b=arrays[f"layer{i}_b"],
                 apply_layer_norm=ln,
-                apply_relu=bool(spec["relu"]),
+                apply_relu=spec["relu"],
                 gain=arrays[f"layer{i}_gain"] if ln else None,
                 beta=arrays[f"layer{i}_beta"] if ln else None,
             )
@@ -286,9 +284,7 @@ def save_fa_bundle(path, model: FaModel, schema_hash: str, meta: dict | None = N
 @_header_checked
 def load_fa_bundle(path) -> tuple[FaModel, dict]:
     header, _ = load_bundle(path, "fa")
-    clusters = tuple(tuple(int(i) for i in c) for c in header["clusters"])
-    model = FaModel(clusters=clusters, dim=int(header["dim"]))
-    return model, header
+    return FaModel(clusters=header["clusters"], dim=header["dim"]), header
 
 
 # -- featurizers --------------------------------------------------------
@@ -311,10 +307,7 @@ def bundle_provenance(path) -> FeatProvenance:
 @_header_checked
 def _encoder_featurizer(path) -> Featurizer:
     encoder, header = load_encoder_bundle(path)
-    schema = bundle_schema(path, header)
-    if schema is None:
-        raise BundleError(f"{path} carries no schema; re-create it with train-embedding")
-    return Featurizer(schema, encoder)
+    return Featurizer(bundle_schema(path, header), encoder)
 
 
 def load_featurizer(encoder=None, reducer=None, schema=None) -> Featurizer:
@@ -371,5 +364,5 @@ def load_classifier_bundle(path) -> tuple[Classifier, dict]:
         if not isinstance(prov.kind, str) or not isinstance(prov.digest, (str, type(None))):
             raise TypeError("provenance kind and digest must be strings")
     params = {**arrays, **header.get("extra", {})}
-    clf = Classifier(header["model"], tuple(header["classes"]), int(header["dim"]), params, prov)
+    clf = Classifier(header["model"], header["classes"], header["dim"], params, prov)
     return clf, header

@@ -8,13 +8,13 @@ Planted rules:
 
 * context: a MergeJoin's two children are both Sort wrappers with probability
   ``merge_join_sort_prob``; a HashJoin's build side is a Hash wrapper with
-  probability ``hash_join_hash_prob``.
+  probability ``HASH_JOIN_HASH_PROB``.
 * cardinality: unary operators (Sort/Hash) sitting directly on a scan of the
-  designated under/over relation carry a row estimate that is off by the
-  configured factor range.  Scan estimates themselves stay correct; the
+  designated under/over relation carry a row estimate that is off by a
+  fixed factor range.  Scan estimates themselves stay correct; the
   planted story is broken estimate propagation, which keeps the signal in
   context-bearing features (sort keys, hash bucket counts).
-* latency: per-operator latency is ``latency_cost_coeff`` times the
+* latency: per-operator latency is ``LATENCY_COST_COEFF`` times the
   operator's exclusive (self) cost, with multiplicative noise; queries from
   the designated slow template get a heavy-tailed query-wide multiplier.
 * users: users own disjoint template subsets and submit only their own.
@@ -39,6 +39,21 @@ AGG_OPERATORS = ("max", "min", "avg", "sum", "count")
 JOIN_TYPES = ("inner", "semi", "anti", "full")
 JOIN_TYPE_WEIGHTS = (0.85, 0.05, 0.05, 0.05)
 
+# planted rules and generation constants no preset varies
+HASH_JOIN_HASH_PROB = 0.9
+PRESORT_PROB = 0.5
+MAX_JOINS = 3
+AGG_PROB = 0.35
+# wrappers directly over these relations' scans get mis-estimated rows
+UNDER_RELATION = 0
+OVER_RELATION = 1
+UNDER_FACTOR = (4.0, 10.0)
+OVER_FACTOR = (0.1, 0.25)
+LATENCY_COST_COEFF = 0.05
+LATENCY_NOISE = 0.15
+SLOW_TEMPLATE = 0
+SLOW_SCALE = 8.0
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -50,27 +65,11 @@ class SynthConfig:
 
     # context rules
     merge_join_sort_prob: float = 0.9
-    hash_join_hash_prob: float = 0.9
-    presort_prob: float = 0.5
     join_kind_weights: tuple[float, float, float] = (0.45, 0.45, 0.10)
-    max_joins: int = 3
-
-    # planted cardinality rule: wrappers directly over these relations' scans
-    under_relation: int = 0
-    over_relation: int = 1
-    under_factor: tuple[float, float] = (4.0, 10.0)
-    over_factor: tuple[float, float] = (0.1, 0.25)
-
-    # planted latency rule
-    latency_cost_coeff: float = 0.05
-    latency_noise: float = 0.15
-    slow_template: int = 0
-    slow_scale: float = 8.0
 
     # featurization surface
     attr_stat_width: int = 12
     keys_per_relation: int = 1
-    agg_prob: float = 0.35
     # when True, Sort/Hash wrappers copy the child's buffers, ios, and cost
     # unchanged, so a parent's numerics never reveal whether its inputs were
     # wrapped; the default perturbs them the way a real planner would
@@ -81,12 +80,9 @@ class SynthConfig:
             raise ValueError("n_templates must be >= n_users")
         if not 0 <= self.merge_join_sort_prob <= 1:
             raise ValueError("merge_join_sort_prob must be in [0,1]")
-        if not 0 <= self.hash_join_hash_prob <= 1:
-            raise ValueError("hash_join_hash_prob must be in [0,1]")
-        if not (0 <= self.under_relation < self.n_relations):
-            raise ValueError("under_relation out of range")
-        if not (0 <= self.over_relation < self.n_relations):
-            raise ValueError("over_relation out of range")
+        if self.n_relations <= max(UNDER_RELATION, OVER_RELATION):
+            raise ValueError("n_relations must hold the planted under/over relations "
+                             f"rel_{UNDER_RELATION} and rel_{OVER_RELATION}")
 
 
 @dataclass
@@ -143,10 +139,10 @@ def _make_templates(cfg: SynthConfig) -> list[_Template]:
     templates = []
     for t in range(cfg.n_templates):
         rng = np.random.default_rng([cfg.seed, 13, t])
-        n_joins = int(rng.integers(1, cfg.max_joins + 1))
+        n_joins = int(rng.integers(1, MAX_JOINS + 1))
         weights = np.asarray(cfg.join_kind_weights) / sum(cfg.join_kind_weights)
         joins = tuple(JOIN_KINDS[rng.choice(3, p=weights)] for _ in range(n_joins))
-        has_agg = bool(rng.random() < cfg.agg_prob)
+        has_agg = bool(rng.random() < AGG_PROB)
         templates.append(_Template(joins, has_agg))
     return templates
 
@@ -170,8 +166,8 @@ class _QueryBuilder:
     def _actual(self, node: PlanNode, intent: str) -> None:
         lo, hi = {
             "correct": (0.75, 1.3),
-            "under": self.cfg.under_factor,
-            "over": self.cfg.over_factor,
+            "under": UNDER_FACTOR,
+            "over": OVER_FACTOR,
         }[intent]
         node.actual_rows = node.plan_rows * float(self.rng.uniform(lo, hi))
         self.card_intent[id(node)] = intent
@@ -206,9 +202,9 @@ class _QueryBuilder:
     def _wrapper_intent(self, relation: int) -> str:
         # the wrapper's stream relation decides, whether the direct child is
         # the scan itself or a join subtree driven by that relation
-        if relation == self.cfg.under_relation:
+        if relation == UNDER_RELATION:
             return "under"
-        if relation == self.cfg.over_relation:
+        if relation == OVER_RELATION:
             return "over"
         return "correct"
 
@@ -325,15 +321,15 @@ class _QueryBuilder:
                     right = self.sort_over(right, right_rel)
             elif jkind == "HashJoin":
                 self.hj_total += 1
-                if current_is_scan and rng.random() < cfg.presort_prob:
+                if current_is_scan and rng.random() < PRESORT_PROB:
                     current = self.sort_over(current, leftmost_rel)
-                if rng.random() < cfg.hash_join_hash_prob:
+                if rng.random() < HASH_JOIN_HASH_PROB:
                     self.hj_with_hash += 1
                     right = self.hash_over(right, right_rel)
             else:
-                if current_is_scan and rng.random() < cfg.presort_prob:
+                if current_is_scan and rng.random() < PRESORT_PROB:
                     current = self.sort_over(current, leftmost_rel)
-                if rng.random() < cfg.presort_prob:
+                if rng.random() < PRESORT_PROB:
                     right = self.sort_over(right, right_rel)
             current = self.join(jkind, current, right)
             current_is_scan = False
@@ -342,12 +338,11 @@ class _QueryBuilder:
         return current
 
     def assign_latency(self, root: PlanNode, slow_mult: float) -> None:
-        cfg = self.cfg
         for node in iter_nodes(root):
             self_cost = node.total_cost - sum(c.total_cost for c in node.children)
             self_cost = max(self_cost, 0.0)
-            noise = 1.0 + float(self.rng.uniform(-cfg.latency_noise, cfg.latency_noise))
-            node.actual_latency_ms = cfg.latency_cost_coeff * self_cost * noise * slow_mult
+            noise = 1.0 + float(self.rng.uniform(-LATENCY_NOISE, LATENCY_NOISE))
+            node.actual_latency_ms = LATENCY_COST_COEFF * self_cost * noise * slow_mult
 
 
 def _generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
@@ -369,8 +364,8 @@ def _generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
 
         builder = _QueryBuilder(cfg, bases, rng)
         root = builder.build(template)
-        slow = template_id == cfg.slow_template
-        slow_mult = float(np.exp(rng.normal(math.log(cfg.slow_scale), 0.5))) if slow else 1.0
+        slow = template_id == SLOW_TEMPLATE
+        slow_mult = float(np.exp(rng.normal(math.log(SLOW_SCALE), 0.5))) if slow else 1.0
         builder.assign_latency(root, slow_mult)
 
         record = QueryRecord(f"q{q:05d}", f"user_{user}", root)
@@ -414,13 +409,13 @@ def describe(config: SynthConfig) -> str:
         f"  queries: {config.n_queries}  users: {config.n_users}  "
         f"relations: {config.n_relations}  templates: {config.n_templates}  seed: {config.seed}",
         f"  context: P(MergeJoin children are Sorts) = {config.merge_join_sort_prob}, "
-        f"P(HashJoin build side is Hash) = {config.hash_join_hash_prob}",
-        f"  cardinality: wrappers directly over rel_{config.under_relation} scans are "
-        f"under-estimated (actual = est x U{config.under_factor}); wrappers over "
-        f"rel_{config.over_relation} scans are over-estimated (actual = est x U{config.over_factor})",
-        f"  latency: {config.latency_cost_coeff} x self-cost x (1 +/- {config.latency_noise}); "
-        f"template {config.slow_template} queries get a heavy-tail multiplier "
-        f"(lognormal around {config.slow_scale}x)",
+        f"P(HashJoin build side is Hash) = {HASH_JOIN_HASH_PROB}",
+        f"  cardinality: wrappers directly over rel_{UNDER_RELATION} scans are "
+        f"under-estimated (actual = est x U{UNDER_FACTOR}); wrappers over "
+        f"rel_{OVER_RELATION} scans are over-estimated (actual = est x U{OVER_FACTOR})",
+        f"  latency: {LATENCY_COST_COEFF} x self-cost x (1 +/- {LATENCY_NOISE}); "
+        f"template {SLOW_TEMPLATE} queries get a heavy-tail multiplier "
+        f"(lognormal around {SLOW_SCALE}x)",
         "  users: each user owns a disjoint template subset (template mod n_users)",
         f"  attr-stat width: {config.attr_stat_width}",
     ]

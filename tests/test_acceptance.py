@@ -49,7 +49,7 @@ def context_run():
     corpus = generate(context_probe_config(seed=0))
     schema = build_schema(corpus)
     table = encode_corpus(schema, corpus)
-    enet = build(HourglassSpec(schema.total_dim), schema)
+    enet = build(HourglassSpec(), schema)
     train_embedding(enet, table.X, table.children, nn.SgdConfig())
     return corpus, schema, enet
 
@@ -312,7 +312,7 @@ def test_c09_inference_latency_ordering(planted_corpus):
     labels = label_card(planted_corpus)
     assert schema.total_dim > 32
 
-    enet = build(HourglassSpec(schema.total_dim, (64, 48), 32, seed=0), schema)
+    enet = build(HourglassSpec((64, 48), 32, seed=0), schema)
     table = encode_corpus(schema, planted_corpus)
     train_embedding(enet, table.X, table.children, nn.SgdConfig(epochs=2, seed=0))
     emb = cut_off(enet)(rows)
@@ -368,7 +368,7 @@ def test_c10_same_seed_runs_are_byte_identical(tmp_path):
         save_corpus(corpus, root / "corpus.json")
         schema = build_schema(corpus)
         save_schema_bundle(root / "schema.opeb", schema)
-        enet = build(HourglassSpec(schema.total_dim, (48, 40), 16, seed=0), schema)
+        enet = build(HourglassSpec((48, 40), 16, seed=0), schema)
         table = encode_corpus(schema, corpus)
         train_embedding(enet, table.X, table.children, nn.SgdConfig(epochs=2, seed=0))
         encoder = cut_off(enet)
@@ -383,8 +383,8 @@ def test_c10_same_seed_runs_are_byte_identical(tmp_path):
         report = evaluate(
             corpus, TaskSpec("admission"), ["sparse"], ["dummy", "logreg"], plan
         )
-        report.to_csv(root / "cells.csv", timings=False)
-        report.medians_to_csv(root / "medians.csv", timings=False)
+        report.to_csv(root / "cells.csv")
+        report.medians_to_csv(root / "medians.csv")
         return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
     first = run("first")

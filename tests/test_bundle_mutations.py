@@ -1,6 +1,7 @@
 """Seeded bundle mutations: each rewrites one array or header value of a valid
 classifier, pca, fa or encoder bundle to an out-of-range id, a wrong shape, a
-wrong dtype or a header fact its arrays contradict. Loading must raise
+wrong dtype, a JSON value of the wrong type or a header fact its arrays
+contradict. Loading must raise
 OpembedError naming the bundle, and predict must end in exactly one "error:"
 line that names it, never in a traceback or NaN features.
 """
@@ -47,7 +48,7 @@ def bundles(tmp_path_factory):
         reduced = make_labeled_set(transform(model, X), labels, CLASSES,
                                    FeatProvenance(kind, digest))
         store.save_classifier_bundle(root / f"{kind}_clf.opeb", train_logreg(reduced, epochs=5))
-    enet = build(HourglassSpec(schema.total_dim, hidden_dims=(16, 12), embedding_dim=8), schema)
+    enet = build(HourglassSpec(hidden_dims=(16, 12), embedding_dim=8), schema)
     train_embedding(enet, X, table.children, nn.SgdConfig(epochs=1))
     encoder = cut_off(enet)
     store.save_encoder_bundle(root / "encoder.opeb", encoder, schema)
@@ -84,6 +85,16 @@ def _pick(rng, mask):
 def _set_header(name, value):
     def mutate(header, arrays, rng):
         header[name] = value
+    return mutate
+
+
+def _float_dim(header, arrays, rng):
+    header["dim"] += 0.9
+
+
+def _set_layer_flag(name, value):
+    def mutate(header, arrays, rng):
+        header["layers"][0][name] = value
     return mutate
 
 
@@ -165,6 +176,15 @@ def _fa_empty_cluster(header, arrays, rng):
     clusters[i] = []
 
 
+def _fa_float_ids(header, arrays, rng):
+    # each id stays a slot number if truncated to an int
+    header["clusters"] = [[i + 0.4 for i in c] for c in header["clusters"]]
+
+
+def _fa_string_dim(header, arrays, rng):
+    header["dim"] = str(header["dim"])
+
+
 def _fa_wide(header, arrays, rng):
     # a partition of one slot more than the schema encodes
     header["clusters"][-1].append(header["dim"])
@@ -172,7 +192,8 @@ def _fa_wide(header, arrays, rng):
 
 
 MUTATIONS = {
-    "logreg": {"W-b-extra-row": _extra_class_row, "b-int": _as_int("b")},
+    "logreg": {"W-b-extra-row": _extra_class_row, "b-int": _as_int("b"),
+               "dim-float": _float_dim, "classes-string": _set_header("classes", "ab")},
     "svm": {"W-extra-column": _extra_column, "W-int": _as_int("W")},
     "knn": {"y-class-5": _class_id(5), "y-negative": _class_id(-1), "y-float": _knn_float_y,
             "X-short": _knn_short_x, "k-zero": _set_extra("k", 0),
@@ -184,11 +205,14 @@ MUTATIONS = {
     "pca": {"short-mean": _pca_short_mean, "long-variance": _pca_long_variance,
             "narrow": _pca_narrow},
     "fa": {"cluster-9999": _fa_member(9999), "cluster-negative": _fa_member(-1),
-           "empty-cluster": _fa_empty_cluster, "wide": _fa_wide},
+           "empty-cluster": _fa_empty_cluster, "wide": _fa_wide,
+           "cluster-ids-float": _fa_float_ids, "dim-string": _fa_string_dim},
     # the trunk's last layer is 8 wide and applies layer norm and ReLU
     "encoder": {"embedding-dim-7": _set_header("embedding_dim", 7),
                 "embedding-dim-negative": _set_header("embedding_dim", -3),
-                "pre-activation-true": _set_header("pre_activation", True)},
+                "pre-activation-true": _set_header("pre_activation", True),
+                "relu-zero": _set_layer_flag("relu", 0),
+                "relu-string": _set_layer_flag("relu", "no")},
 }
 CASES = [(name, case) for name, cases in MUTATIONS.items() for case in cases]
 

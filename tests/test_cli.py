@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from opembed import store
+from opembed import evaluate as evaluate_mod, store
 from opembed.cli import main
 
 
@@ -493,6 +493,24 @@ def test_evaluate_table_is_deterministic_without_timings(runner, tmp_path, pipel
     assert "infer ms" not in first and "accuracy" in first
     assert run_ok(runner, args).output == first
     assert "infer ms" in run_ok(runner, args + ["--timings"]).output
+
+
+@pytest.mark.parametrize("grid, reason", [
+    (["--models", ""], "at least one featurization and one model"),
+    (["--featurizations", ","], "at least one featurization and one model"),
+    (["--models", "logreg,nosuch"], "unknown model 'nosuch'"),
+])
+def test_evaluate_refuses_a_bad_grid_before_any_fold_work(
+    runner, tmp_path, pipeline, monkeypatch, grid, reason
+):
+    schemas = []
+    real = evaluate_mod.build_schema
+    monkeypatch.setattr(evaluate_mod, "build_schema", lambda c: schemas.append(c) or real(c))
+    _, corpus, _, _ = pipeline
+    out = tmp_path / "cells.csv"
+    err = run_err(runner, ["evaluate", "--corpus", str(corpus), *grid, "--out", str(out)])
+    assert reason in err
+    assert schemas == [] and not out.exists()
 
 
 def test_project2d_static_header(runner, tmp_path, pipeline):

@@ -75,28 +75,24 @@ def test_median_rows_aggregate_folds(eval_corpus, eval_plan):
 
 
 def test_report_csvs_and_timings_toggle(eval_corpus, eval_plan, tmp_path):
-    report = evaluate(
-        eval_corpus, TaskSpec("admission"), ["sparse"], ["dummy"], eval_plan
-    )
+    args = (eval_corpus, TaskSpec("admission"), ["sparse"], ["dummy"], eval_plan)
     timed = tmp_path / "cells_timed.csv"
     bare = tmp_path / "cells.csv"
-    report.to_csv(timed, timings=True)
-    report.to_csv(bare, timings=False)
+    evaluate(*args, timings=True).to_csv(timed)
+    report = evaluate(*args)
+    report.to_csv(bare)
     head_timed = timed.read_text().splitlines()[0]
     head_bare = bare.read_text().splitlines()[0]
     assert "mean_infer_ms" in head_timed and "train_seconds" in head_timed
     assert "mean_infer_ms" not in head_bare and "train_seconds" not in head_bare
     assert "recall_ok" in head_bare and "recall_slow" in head_bare
 
-    again = evaluate(
-        eval_corpus, TaskSpec("admission"), ["sparse"], ["dummy"], eval_plan
-    )
     second = tmp_path / "cells2.csv"
-    again.to_csv(second, timings=False)
+    evaluate(*args).to_csv(second)
     assert second.read_bytes() == bare.read_bytes()
 
     med = tmp_path / "medians.csv"
-    report.medians_to_csv(med, timings=False)
+    report.medians_to_csv(med)
     assert med.read_text().splitlines()[0] == "task,featurization,model,folds,accuracy,prior"
 
 
@@ -119,6 +115,7 @@ def test_neural_featurization_smoke(eval_corpus, eval_plan):
         eval_plan,
         sgd=nn.SgdConfig(epochs=3, seed=0),
         hidden_dims=(32, 16),
+        timings=True,
     )
     assert len(report.cells) == 5
     for cell in report.cells:
@@ -216,14 +213,14 @@ def test_untimed_evaluate_skips_the_latency_probe(eval_corpus, eval_plan, tmp_pa
     from opembed import classifiers
 
     args = (eval_corpus, TaskSpec("admission"), ["sparse", "pca-8"], ["dummy", "knn"], eval_plan)
-    timed = evaluate(*args)
+    timed = evaluate(*args, timings=True)
 
     def boom(*a, **k):
         raise AssertionError("untimed evaluate must not time anything")
 
     monkeypatch.setattr(classifiers, "measure_inference", boom)
     monkeypatch.setattr(time, "perf_counter", boom)
-    bare = evaluate(*args, timings=False)
+    bare = evaluate(*args)
     monkeypatch.undo()
 
     assert timed.timed and not bare.timed
@@ -232,12 +229,10 @@ def test_untimed_evaluate_skips_the_latency_probe(eval_corpus, eval_plan, tmp_pa
     assert all(r["mean_infer_ms"] is None for r in bare.median_rows())
     for write in ("to_csv", "medians_to_csv"):
         a, b = tmp_path / f"timed-{write}.csv", tmp_path / f"bare-{write}.csv"
-        getattr(timed, write)(a, timings=False)
-        getattr(bare, write)(b, timings=False)
-        assert a.read_bytes() == b.read_bytes()
-        with pytest.raises(ValueError, match="timings"):
-            getattr(bare, write)(tmp_path / "never.csv", timings=True)
-        assert not (tmp_path / "never.csv").exists()
+        getattr(timed, write)(a)
+        getattr(bare, write)(b)
+        assert "mean_infer_ms" in a.read_text().splitlines()[0]
+        assert "mean_infer_ms" not in b.read_text().splitlines()[0]
     assert "infer ms" in timed.format_table()
     assert "infer ms" not in bare.format_table()
-    assert bare.format_table() == evaluate(*args, timings=False).format_table()
+    assert bare.format_table() == evaluate(*args).format_table()

@@ -41,10 +41,7 @@ def sorted_corpus():
 def sorted_run(sorted_corpus):
     schema = build_schema(sorted_corpus)
     table = encode_corpus(schema, sorted_corpus)
-    spec = HourglassSpec(
-        schema.total_dim, hidden_dims=(64, 32), embedding_dim=16, seed=0
-    )
-    enet = build(spec, schema)
+    enet = build(HourglassSpec(hidden_dims=(64, 32), embedding_dim=16, seed=0), schema)
     enet, trace = train_embedding(
         enet, table.X, table.children, nn.SgdConfig(epochs=80, seed=0)
     )
@@ -53,7 +50,7 @@ def sorted_run(sorted_corpus):
 
 def test_build_layer_dims_follow_spec(schema60):
     d = schema60.total_dim
-    enet = build(HourglassSpec(d), schema60)
+    enet = build(HourglassSpec(), schema60)
     dims = [d, *DEFAULT_HIDDEN, 32]
     assert [l.W.shape for l in enet.trunk.layers] == [
         (dout, din) for din, dout in zip(dims, dims[1:])
@@ -68,7 +65,7 @@ def test_build_layer_dims_follow_spec(schema60):
 
 
 def test_build_small_embedding_dim(schema60):
-    spec = HourglassSpec(schema60.total_dim, hidden_dims=(64, 32), embedding_dim=8)
+    spec = HourglassSpec(hidden_dims=(64, 32), embedding_dim=8)
     enet = build(spec, schema60)
     x = np.zeros(schema60.total_dim)
     assert nn.predict(enet.trunk, x).shape == (8,)
@@ -76,15 +73,9 @@ def test_build_small_embedding_dim(schema60):
 
 def test_build_rejects_embedding_wider_than_trunk():
     with pytest.raises(ValueError):
-        HourglassSpec(300, embedding_dim=64)
+        HourglassSpec(embedding_dim=64)
     with pytest.raises(ValueError):
-        HourglassSpec(300, embedding_dim=100)
-
-
-def test_build_rejects_schema_dim_mismatch(schema60):
-    spec = HourglassSpec(schema60.total_dim + 1, hidden_dims=(64, 32), embedding_dim=8)
-    with pytest.raises(ValueError, match="total_dim"):
-        build(spec, schema60)
+        HourglassSpec(embedding_dim=100)
 
 
 def test_training_recovers_sort_context(sorted_corpus, sorted_run):
@@ -115,10 +106,7 @@ def test_training_halves_initial_loss():
     table = encode_corpus(schema, corpus)
     children = table.children[:2000]
     assert len(children) == 2000
-    spec = HourglassSpec(
-        schema.total_dim, hidden_dims=(64, 32), embedding_dim=16, seed=0
-    )
-    enet = build(spec, schema)
+    enet = build(HourglassSpec(hidden_dims=(64, 32), embedding_dim=16, seed=0), schema)
     # full-batch descent so the epoch-1 entry is the pre-update loss
     cfg = nn.SgdConfig(
         epochs=100, seed=0, learning_rate=0.1, batch_size=2000
@@ -130,7 +118,7 @@ def test_training_halves_initial_loss():
 
 def test_zero_epochs_leaves_network_at_init(schema60, corpus60):
     table = encode_corpus(schema60, corpus60)
-    spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    spec = HourglassSpec(hidden_dims=(48, 40), embedding_dim=8)
     fresh = build(spec, schema60)
     trained, trace = train_embedding(
         build(spec, schema60), table.X, table.children, nn.SgdConfig(epochs=0)
@@ -150,7 +138,7 @@ def _params(enet):
 def test_masked_loss_equals_plain_loss_when_every_child_is_present(schema60, corpus60):
     table = encode_corpus(schema60, corpus60)
     children = np.random.default_rng(5).integers(0, len(table.X), size=(120, 2))
-    spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    spec = HourglassSpec(hidden_dims=(48, 40), embedding_dim=8)
     cfg = nn.SgdConfig(epochs=3, seed=2, batch_size=32)
     plain, plain_trace = train_embedding(build(spec, schema60), table.X, children, cfg)
     masked, masked_trace = train_embedding(
@@ -165,7 +153,7 @@ def test_masked_loss_equals_plain_loss_when_every_child_is_present(schema60, cor
 def test_masked_loss_without_children_leaves_heads_at_init(schema60, corpus60):
     table = encode_corpus(schema60, corpus60)
     children = np.full((120, 2), -1)
-    spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    spec = HourglassSpec(hidden_dims=(48, 40), embedding_dim=8)
     cfg = nn.SgdConfig(epochs=3, seed=2, batch_size=32)
     fresh = build(spec, schema60)
     trained, trace = train_embedding(
@@ -235,7 +223,7 @@ def test_training_matches_two_pass_reference_step(masked):
     # 3-row batches, the last one partial: some batch holds only leaves, so
     # masked mode takes its m == 0 branch for both heads at once
     assert len(table.children) % 3
-    spec = HourglassSpec(schema.total_dim, seed=3)
+    spec = HourglassSpec(seed=3)
     cfg = nn.SgdConfig(learning_rate=0.05, batch_size=3, epochs=2, seed=6)
     trained, trace = train_embedding(build(spec, schema), table.X, table.children, cfg, masked)
     ref = build(spec, schema)
@@ -249,7 +237,7 @@ def test_diverging_training_raises_without_numpy_warnings():
     corpus = generate(replace(planted_card_config(), n_queries=60, seed=0))
     schema = build_schema(corpus)
     table = encode_corpus(schema, corpus)
-    spec = HourglassSpec(schema.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    spec = HourglassSpec(hidden_dims=(48, 40), embedding_dim=8)
     for masked in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -261,7 +249,7 @@ def test_diverging_training_raises_without_numpy_warnings():
 def test_train_rejects_empty_and_mismatched_triples(
     schema60, corpus60, sorted_run
 ):
-    spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    spec = HourglassSpec(hidden_dims=(48, 40), embedding_dim=8)
     enet = build(spec, schema60)
     with pytest.raises(ValueError, match="triples"):
         train_embedding(
@@ -286,14 +274,14 @@ def test_cut_off_reproduces_trunk_activation(sorted_run, rng):
 
 
 def test_cut_off_default_embedding_dim(schema60):
-    enet = build(HourglassSpec(schema60.total_dim), schema60)
+    enet = build(HourglassSpec(), schema60)
     encoder = cut_off(enet)
     assert encoder.embedding_dim == 32
     assert encoder(np.zeros(schema60.total_dim)).shape == (32,)
 
 
 def test_cut_off_detaches_from_later_training(schema60, corpus60, rng):
-    spec = HourglassSpec(schema60.total_dim, hidden_dims=(48, 40), embedding_dim=8)
+    spec = HourglassSpec(hidden_dims=(48, 40), embedding_dim=8)
     enet = build(spec, schema60)
     encoder = cut_off(enet)
     X = rng.normal(size=(5, schema60.total_dim))

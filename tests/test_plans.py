@@ -116,9 +116,18 @@ def _child_with(fields):
          "queries[0].plan: field 'node_type' must be a string"),
         ('[{"query_id": "a", "plan": {"node_type": null}}]',
          "queries[0].plan: field 'node_type' must be a string"),
+        (_child_with('"plan_rows": "12"'),
+         "queries[0].plan.children[0]: field 'plan_rows' is not a number: '12'"),
+        (_child_with('"total_cost": true'),
+         "queries[0].plan.children[0]: field 'total_cost' is not a number: True"),
+        (_child_with('"actual_rows": "3.5"'),
+         "queries[0].plan.children[0]: field 'actual_rows' is not a number: '3.5'"),
+        (_child_with('"plan_rows": 1%s' % ("0" * 400)),
+         "queries[0].plan.children[0]: field 'plan_rows' must be finite and >= 0, got inf"),
     ],
     ids=["int-entry", "str-entry", "dict-queries", "str-queries", "bool-string", "bool-number",
-         "categorical-object", "categorical-number", "node-type-number", "node-type-null"],
+         "categorical-object", "categorical-number", "node-type-number", "node-type-null",
+         "numeric-string", "numeric-bool", "optional-numeric-string", "int-past-float-range"],
 )
 def test_malformed_queries_name_their_path(tmp_path, queries, where):
     with pytest.raises(PlanFormatError, match=re.escape(where)):
@@ -130,8 +139,11 @@ def test_malformed_queries_name_their_path(tmp_path, queries, where):
     [('[1, "x"]', "'attr_mins[1]' is not a number"),
      ("[NaN]", "'attr_mins[0]' must be finite"),
      ("[2, Infinity]", "'attr_mins[1]' must be finite"),
-     ("[null]", "'attr_mins[0]' is not a number")],
-    ids=["str", "nan", "inf", "null"],
+     ("[null]", "'attr_mins[0]' is not a number"),
+     ('["1.5", false]', "'attr_mins[0]' is not a number: '1.5'"),
+     ("[1.5, false]", "'attr_mins[1]' is not a number: False"),
+     ("[2, 1%s]" % ("0" * 400), "'attr_mins[1]' must be finite, got inf")],
+    ids=["str", "nan", "inf", "null", "numeric-string", "bool", "int-past-float-range"],
 )
 def test_bad_attr_stat_entry_names_node_and_index(tmp_path, attr, where):
     text = ('{"queries": [{"query_id": "a", "plan": {"node_type": "Sort", "children": '

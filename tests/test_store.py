@@ -28,6 +28,7 @@ from opembed.store import (
     load_classifier_bundle,
     load_encoder_bundle,
     load_fa_bundle,
+    load_featurizer,
     load_pca_bundle,
     load_schema_bundle,
     resolve_store_path,
@@ -204,7 +205,7 @@ def test_schema_bundle_round_trip(tmp_path, schema60, corpus60, rng):
 
 def test_encoder_bundle_round_trip(tmp_path, schema60, rng):
     enet = build(
-        HourglassSpec(schema60.total_dim, hidden_dims=(32, 16), embedding_dim=8),
+        HourglassSpec(hidden_dims=(32, 16), embedding_dim=8),
         schema60,
     )
     encoder = cut_off(enet)
@@ -215,25 +216,28 @@ def test_encoder_bundle_round_trip(tmp_path, schema60, rng):
     assert np.array_equal(loaded(X), encoder(X))
     assert loaded.embedding_dim == 8
     assert loaded.schema_digest == encoder.schema_digest
-    embedded = bundle_schema(path, header)
-    assert embedded is not None
-    assert schema_hash(embedded) == schema_hash(schema60)
+    assert schema_hash(bundle_schema(path, header)) == schema_hash(schema60)
     assert header["meta"] == {"epochs": 0}
 
+    # an encoder bundle without its schema cannot featurize plans
     bare = tmp_path / "bare.opeb"
-    save_encoder_bundle(bare, encoder)
+    bare.write_bytes(path.read_bytes())
+    _edit_header(bare, lambda h: h.pop("schema"))
     _, bare_header = load_encoder_bundle(bare)
-    assert bundle_schema(bare, bare_header) is None
+    with pytest.raises(BundleError, match="carries no schema"):
+        bundle_schema(bare, bare_header)
+    with pytest.raises(BundleError, match="carries no schema"):
+        load_featurizer(encoder=bare)
 
 
 def test_encoder_bundle_pre_activation_round_trip(tmp_path, schema60, rng):
     enet = build(
-        HourglassSpec(schema60.total_dim, hidden_dims=(32, 16), embedding_dim=8),
+        HourglassSpec(hidden_dims=(32, 16), embedding_dim=8),
         schema60,
     )
     encoder = cut_off(enet, pre_activation=True)
     path = tmp_path / "pre.opeb"
-    save_encoder_bundle(path, encoder)
+    save_encoder_bundle(path, encoder, schema60)
     loaded, _ = load_encoder_bundle(path)
     assert loaded.pre_activation
     X = rng.normal(size=(10, schema60.total_dim))
@@ -245,7 +249,7 @@ def test_encoder_bundle_rejects_wrong_schema(tmp_path, schema60):
 
     other = build_schema(generate(SynthConfig(n_queries=25, seed=99)))
     enet = build(
-        HourglassSpec(schema60.total_dim, hidden_dims=(32, 16), embedding_dim=8),
+        HourglassSpec(hidden_dims=(32, 16), embedding_dim=8),
         schema60,
     )
     encoder = cut_off(enet)

@@ -117,8 +117,8 @@ def test_config_validation():
         SynthConfig(n_templates=2, n_users=5)
     with pytest.raises(ValueError):
         SynthConfig(merge_join_sort_prob=1.5)
-    with pytest.raises(ValueError):
-        SynthConfig(under_relation=99)
+    with pytest.raises(ValueError, match="n_relations"):
+        SynthConfig(n_relations=1)
 
 
 def test_tpcds_like_preset_is_wide():

@@ -191,7 +191,7 @@ def test_flag_query_refuses_a_classifier_of_another_featurization():
     clf = train_logreg(make_labeled_set(
         transform_pca(pca, X), ["ok"] * 5 + ["slow"] * 5, ADMISSION_CLASSES, prov), epochs=1)
     record = corpus.records[0]
-    encoder = cut_off(build(HourglassSpec(schema.total_dim, (8,), 2), schema))
+    encoder = cut_off(build(HourglassSpec((8,), 2), schema))
     with pytest.raises(ValueError, match="trained on pca features, not neural"):
         flag_query(clf, schema, record, transform=encoder)
     assert flag_query(clf, schema, record, transform=pca) in ("admit", "flag")
