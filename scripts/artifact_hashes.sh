@@ -76,4 +76,14 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --featurizations sparse,neural-16 --models logreg,rf,dummy --epochs 2 --seed "$seed" \
      --out "$d/report-user.csv" --medians-out "$d/medians-user.csv"
 done
+# encode one corpus with another corpus's schema, so unseen categorical values
+# and stats fit elsewhere are exercised: planted-card-1's plans, read through
+# planted-card-0's schema and its sparse classifier
+d=$OUT/cross; mkdir -p "$d"
+op reduce --corpus "$OUT/planted-card-1/corpus.json" --schema "$OUT/planted-card-0/schema.opeb" \
+   --method sparse --out "$d/sparse.csv"
+op predict --plans "$OUT/planted-card-1/corpus.json" \
+   --classifier "$OUT/planted-card-0/clf_sparse.opeb" \
+   --schema "$OUT/planted-card-0/schema.opeb" --out "$d/pred_sparse.csv"
+cut -d, -f1-3 "$d/pred_sparse.csv" | tr -d "\r" > "$d/pred_sparse.cols.csv"; rm "$d/pred_sparse.csv"
 (cd "$OUT" && find . -type f | sort | xargs sha256sum)

@@ -148,8 +148,9 @@ def evaluate(
     the whole (unlabeled) corpus and shared by every fold; classifiers and the
     pca/fa reductions still see only the fold's train fifth.
     """
-    if not featurizations or not models:
-        raise ValueError("evaluate needs at least one featurization and one model")
+    if (not featurizations or not models or len(set(featurizations)) < len(featurizations)
+            or len(set(models)) < len(models)):
+        raise ValueError("evaluate needs at least one featurization and one model, each named once")
     for name in featurizations:
         parse_featurization(name)
     for model in models:

@@ -12,6 +12,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,12 +28,22 @@ from .plans import (
     Corpus,
     PlanNode,
     iter_nodes,
-    walk_operators,
 )
 
 NUMERIC, BOOLEAN, CATEGORICAL = "numeric", "boolean", "categorical"
 
 STDDEV_SENTINEL = 1.0
+MIN_STDDEV = 1e-12  # a smaller stddev is degenerate; build_schema stores the sentinel
+
+# rows encoded at once: a block's entry lists take more memory than its rows
+# of X, so only one block's lists exist at a time
+ENCODE_BLOCK_ROWS = 64
+
+# each operator field, in the order its slots take in the layout
+_FIELDS = ("node_type", *CORE_NUMERIC_FIELDS, "join_type", "parent_relationship", "hash_buckets",
+           "hash_algorithm", "sort_key", "sort_method", "relation_name", *ATTR_STAT_FIELDS,
+           "index_name", "scan_direction", "agg_strategy", "partial_mode", "agg_operator")
+_field_values = operator.attrgetter(*_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -44,7 +56,8 @@ class SlotSpec:
 @dataclass(frozen=True)
 class FeatureSchema:
     """The sparse layout. Only the slots, the z-score stats and the attribute
-    width are stored; every index map below is derived from the slots."""
+    width are stored; every index map below is derived from the slots. The
+    stats hold a finite (mean, stddev >= MIN_STDDEV) pair per numeric slot."""
 
     slots: tuple[SlotSpec, ...]
     stats: dict[int, tuple[float, float]]  # numeric slot -> (mean, stddev)
@@ -52,13 +65,12 @@ class FeatureSchema:
     total_dim: int = dataclasses.field(init=False)
     vocab: dict[str, dict[str, int]] = dataclasses.field(init=False)  # group -> value -> slot
     groups: dict[str, tuple[int, int]] = dataclasses.field(init=False)  # group -> (start, stop)
-    core_base: int = dataclasses.field(init=False)  # slot index of plan_width
-    hb_slot: int | None = dataclasses.field(init=False)  # hash_buckets slot, if observed
-    attr_base: int | None = dataclasses.field(init=False)  # first attr_mins slot, if any
-    bool_slots: dict[str, int] = dataclasses.field(init=False)
+    index: dict[str, int] = dataclasses.field(init=False)  # slot name -> slot
+    # (2, total_dim): each slot's z-score mean and stddev, 0 and 1 off numeric slots
+    z: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     # set by the first schema_hash call; declared so the attribute exists from
     # construction: adding one later (as functools.cached_property does) takes
-    # the schema off CPython's fast attribute path, which encode reads it by
+    # the schema off CPython's fast attribute path, which encoding reads it by
     _digest: str | None = dataclasses.field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -73,15 +85,24 @@ class FeatureSchema:
             if max(index.values()) - start + 1 != len(index):
                 raise SchemaError(f"categorical group {group!r} is not contiguous")
             groups[group] = (start, start + len(index))
-        by_name = {slot.name: i for i, slot in enumerate(self.slots)}
+        numeric = {i: slot.name for i, slot in enumerate(self.slots) if slot.kind == NUMERIC}
+        z = np.array([np.zeros(len(self.slots)), np.ones(len(self.slots))])
+        for idx in sorted(numeric.keys() | self.stats.keys()):
+            pair = self.stats.get(idx)
+            # abs(v) <= max is False for inf, NaN and an int past the float range
+            if not (idx in numeric and type(pair) in (tuple, list) and len(pair) == 2
+                    and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                            for v in pair) and pair[1] >= MIN_STDDEV):
+                raise SchemaError(f"stats for slot {idx} ({numeric.get(idx, 'not numeric')}) must "
+                                  f"be a finite [mean, stddev >= {MIN_STDDEV}]; got {pair!r}")
+            z[:, idx] = pair
         derive = functools.partial(object.__setattr__, self)  # the dataclass is frozen
+        derive("stats", {idx: tuple(self.stats[idx]) for idx in sorted(numeric)})
         derive("total_dim", len(self.slots))
         derive("vocab", vocab)
         derive("groups", groups)
-        derive("core_base", by_name[CORE_NUMERIC_FIELDS[0]])
-        derive("hb_slot", by_name.get("hash_buckets"))
-        derive("attr_base", by_name.get(f"{ATTR_STAT_FIELDS[0]}[0]"))
-        derive("bool_slots", {s.name: i for i, s in enumerate(self.slots) if s.kind == BOOLEAN})
+        derive("index", {slot.name: i for i, slot in enumerate(self.slots)})
+        derive("z", z)
 
     def segments(self) -> tuple[tuple[str, int, int], ...]:
         """Partition of [0, total_dim) into loss segments.
@@ -114,127 +135,101 @@ def build_schema(corpus: Corpus) -> FeatureSchema:
     if len(corpus) == 0:
         raise SchemaError("cannot build a schema from an empty corpus")
 
-    nodes = [item.node for item in walk_operators(corpus)]
-
+    nodes = [node for record in corpus.records for node in iter_nodes(record.root)]
     # each group's observed values as dict keys, in first-appearance order
-    vocab_values = {g: {} for g in ("node_type",) + OPTIONAL_CATEGORICAL_FIELDS}
-    attr_width = 0
-    has_hash_buckets = False
-    observed_bools = {f: False for f in OPTIONAL_BOOLEAN_FIELDS}
-    for node in nodes:
-        vocab_values["node_type"].setdefault(node.node_type)
-        for field in OPTIONAL_CATEGORICAL_FIELDS:
-            value = getattr(node, field)
-            if value is not None:
-                vocab_values[field].setdefault(value)
-        if node.hash_buckets is not None:
-            has_hash_buckets = True
-        for field in ATTR_STAT_FIELDS:
-            values = getattr(node, field)
-            if values is not None:
-                attr_width = max(attr_width, len(values))
-        for field in OPTIONAL_BOOLEAN_FIELDS:
-            if getattr(node, field) is not None:
-                observed_bools[field] = True
+    vocab_values: dict[str, dict] = {g: {} for g in ("node_type",) + OPTIONAL_CATEGORICAL_FIELDS}
+    attr_width, observed = 0, set()  # observed: the fields some operator carries
+    for _, cols in _blocks(nodes):
+        for group, values in vocab_values.items():
+            values.update(dict.fromkeys(cols[group]))
+        observed.update(f for f, col in cols.items() if col.count(None) < len(col))
+        attr_width = max([attr_width] + [len(v) for f in ATTR_STAT_FIELDS for v in cols[f] if v])
 
     slots: list[SlotSpec] = []
-
-    def add_group(group: str) -> None:
-        slots.extend(SlotSpec(f"{group}={v}", CATEGORICAL, group) for v in vocab_values[group])
-
-    add_group("node_type")
-    slots.extend(SlotSpec(name, NUMERIC) for name in CORE_NUMERIC_FIELDS)
-    add_group("join_type")
-    add_group("parent_relationship")
-    if has_hash_buckets:
-        slots.append(SlotSpec("hash_buckets", NUMERIC))
-    add_group("hash_algorithm")
-    add_group("sort_key")
-    add_group("sort_method")
-    add_group("relation_name")
-    for field in ATTR_STAT_FIELDS:
-        slots.extend(SlotSpec(f"{field}[{j}]", NUMERIC) for j in range(attr_width))
-    add_group("index_name")
-    if observed_bools["scan_direction"]:
-        slots.append(SlotSpec("scan_direction", BOOLEAN))
-    add_group("agg_strategy")
-    if observed_bools["partial_mode"]:
-        slots.append(SlotSpec("partial_mode", BOOLEAN))
-    add_group("agg_operator")
-    schema = FeatureSchema(tuple(slots), {}, attr_width)
-
-    # z-score stats over the operators where each numeric field applies
-    stats: dict[int, tuple[float, float]] = {}
-    collected: dict[int, list[float]] = {
-        i: [] for i, s in enumerate(schema.slots) if s.kind == NUMERIC
-    }
-    for node in nodes:
-        for raw, idx in _numeric_raws(schema, node):
-            collected[idx].append(raw)
+    for field in _FIELDS:
+        if field in vocab_values:
+            slots += (SlotSpec(f"{field}={v}", CATEGORICAL, field)
+                      for v in vocab_values[field] if v is not None)
+        elif field in ATTR_STAT_FIELDS:
+            slots += (SlotSpec(f"{field}[{j}]", NUMERIC) for j in range(attr_width))
+        elif field in observed:
+            slots.append(SlotSpec(field, BOOLEAN if field in OPTIONAL_BOOLEAN_FIELDS else NUMERIC))
+    # z-score stats over the operators where each numeric field applies, each
+    # slot's values in walk order; a slot no operator fills keeps (0, sentinel)
+    stats = {i: (0.0, STDDEV_SENTINEL) for i, slot in enumerate(slots) if slot.kind == NUMERIC}
+    schema = FeatureSchema(tuple(slots), stats, attr_width)
+    collected: dict[int, list[float]] = {idx: [] for idx in stats}
+    for _, cols in _blocks(nodes):
+        _, slots_of, raws = _entries(schema, cols)
+        for idx, raw in zip(slots_of, raws):
+            if idx in collected:
+                collected[idx].append(raw)
     for idx, values in collected.items():
-        if not values:
-            stats[idx] = (0.0, STDDEV_SENTINEL)
-            continue
-        arr = np.asarray(values, dtype=np.float64)
-        mean = float(arr.mean())
-        std = float(arr.std())
-        if std < 1e-12:
-            std = STDDEV_SENTINEL
-        stats[idx] = (mean, std)
+        if values:
+            arr = np.asarray(values, dtype=np.float64)
+            std = float(arr.std())
+            stats[idx] = (float(arr.mean()), std if std >= MIN_STDDEV else STDDEV_SENTINEL)
     return dataclasses.replace(schema, stats=stats)
 
 
-def _numeric_raws(schema: FeatureSchema, node: PlanNode):
-    """Yield (raw value, slot index) for every numeric field applicable to node."""
-    for k, field in enumerate(CORE_NUMERIC_FIELDS):
-        yield float(getattr(node, field)), schema.core_base + k
-    if node.hash_buckets is not None and schema.hb_slot is not None:
-        yield float(node.hash_buckets), schema.hb_slot
-    if schema.attr_base is not None:
-        for f, field in enumerate(ATTR_STAT_FIELDS):
-            values = getattr(node, field)
-            if values is None:
-                continue
-            if len(values) > schema.attr_width:
-                raise SchemaError(
-                    f"{field} has {len(values)} entries; schema fixes width "
-                    f"at {schema.attr_width}"
-                )
-            for j, raw in enumerate(values):
-                yield float(raw), schema.attr_base + f * schema.attr_width + j
+def _blocks(nodes: list[PlanNode]):
+    """(first row, {field: its values in row order}) of each block of nodes."""
+    for start in range(0, len(nodes), ENCODE_BLOCK_ROWS):
+        rows = map(_field_values, nodes[start:start + ENCODE_BLOCK_ROWS])
+        yield start, dict(zip(_FIELDS, zip(*rows)))
 
 
-def encode(
-    schema: FeatureSchema, node: PlanNode, tally: Counter | None = None
-) -> np.ndarray:
-    """Encode one operator as a dense float vector in schema layout.
+def _entries(schema: FeatureSchema, cols: dict, tally: Counter | None = None):
+    """(rows, slots, raw values) lists of what a block places, each slot's in
+    row order: one-hots as 1.0, numerics and booleans as read. An unseen
+    categorical value places nothing and bumps ``tally[group]`` if tally is given."""
+    rows, slots, raws = [], [], []
+    for group, lookup in schema.vocab.items():
+        found = [lookup.get(v) for v in cols[group]]  # None where absent or unseen
+        hit = [r for r, idx in enumerate(found) if idx is not None]
+        unseen = len(found) - cols[group].count(None) - len(hit)
+        if unseen and tally is not None:
+            tally[group] += unseen
+        rows += hit
+        slots += [found[r] for r in hit]
+        raws += [1.0] * len(hit)
+    for field in CORE_NUMERIC_FIELDS + ("hash_buckets",) + OPTIONAL_BOOLEAN_FIELDS:
+        if field in schema.index:
+            hit = [r for r, v in enumerate(cols[field]) if v is not None]
+            rows += hit
+            slots += [schema.index[field]] * len(hit)
+            raws += [v for v in cols[field] if v is not None]
+    for field in ATTR_STAT_FIELDS:
+        base = schema.index.get(f"{field}[0]")
+        for r, values in enumerate(cols[field] if base is not None else ()):
+            if values:
+                if len(values) > schema.attr_width:
+                    raise SchemaError(f"{field} has {len(values)} entries; schema fixes "
+                                      f"width at {schema.attr_width}")
+                rows += [r] * len(values)
+                slots += range(base, base + len(values))
+                raws += values
+    return rows, slots, raws
 
-    Unknown categorical values leave their group all-zero and bump
-    ``tally[group]`` when a tally is supplied.
-    """
-    vec = np.zeros(schema.total_dim, dtype=np.float64)
 
-    def set_categorical(group: str, value: str | None) -> None:
-        if value is None or group not in schema.vocab:
-            return
-        idx = schema.vocab[group].get(value)
-        if idx is None:
-            if tally is not None:
-                tally[group] += 1
-            return
-        vec[idx] = 1.0
+def encode_rows(schema: FeatureSchema, nodes: list[PlanNode],
+                tally: Counter | None = None) -> np.ndarray:
+    """Encode a batch of operators as the rows of one matrix in schema layout.
+    Every placed value is z-scored: a one-hot or boolean slot's stats are 0
+    and 1, so it keeps its 1.0 or 0.0. Unknown categorical values leave their
+    group all-zero and bump ``tally[group]`` when a tally is supplied."""
+    X = np.zeros((len(nodes), schema.total_dim), dtype=np.float64)
+    for start, cols in _blocks(nodes):
+        rows, slots, raws = _entries(schema, cols, tally)
+        slots = np.array(slots, dtype=np.intp)
+        X[np.add(rows, start), slots] = (
+            (np.array(raws, dtype=np.float64) - schema.z[0, slots]) / schema.z[1, slots])
+    return X
 
-    set_categorical("node_type", node.node_type)
-    for field in OPTIONAL_CATEGORICAL_FIELDS:
-        set_categorical(field, getattr(node, field))
-    for raw, idx in _numeric_raws(schema, node):
-        mean, std = schema.stats[idx]
-        vec[idx] = (raw - mean) / std
-    for field, idx in schema.bool_slots.items():
-        value = getattr(node, field)
-        if value is not None:
-            vec[idx] = 1.0 if value else 0.0
-    return vec
+
+def encode(schema: FeatureSchema, node: PlanNode, tally: Counter | None = None) -> np.ndarray:
+    """Encode one operator: a one-row encode_rows."""
+    return encode_rows(schema, [node], tally)[0]
 
 
 @dataclass(frozen=True)
@@ -253,22 +248,22 @@ class OperatorTable:
 def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
     """Encode each operator once and index its first two children as rows
     of the same matrix; children beyond the second are dropped."""
-    ids, query_index, rows, kids = [], [], [], []
-    row_of: dict[int, int] = {}
-    for qi, record in enumerate(corpus.records):
-        for k, node in enumerate(iter_nodes(record.root)):
-            row_of[id(node)] = len(rows)
-            ids.append(f"{record.query_id}#{k}")
-            query_index.append(qi)
-            rows.append(encode(schema, node))
-            kids.append(node.children[:2])
-    if not rows:
+    nodes, ids, sizes = [], [], []  # sizes: operators per record
+    for record in corpus.records:
+        first = len(nodes)
+        nodes += iter_nodes(record.root)
+        sizes.append(len(nodes) - first)
+        ids += (f"{record.query_id}#{k}" for k in range(sizes[-1]))
+    if not nodes:
         raise ValueError("corpus has no operators to encode")
-    children = np.full((len(rows), 2), -1, dtype=np.intp)
-    for r, pair in enumerate(kids):
-        for k, child in enumerate(pair):
+    row_of = {id(node): r for r, node in enumerate(nodes)}
+    children = np.full((len(nodes), 2), -1, dtype=np.intp)
+    for r, node in enumerate(nodes):
+        for k, child in enumerate(node.children[:2]):
             children[r, k] = row_of[id(child)]
-    return OperatorTable(ids, np.array(query_index, dtype=np.intp), np.stack(rows), children)
+    del row_of  # freed before X is allocated
+    query_index = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    return OperatorTable(ids, query_index, encode_rows(schema, nodes), children)
 
 
 def _schema_payload(schema: FeatureSchema) -> dict:
@@ -310,10 +305,10 @@ def schema_from_json(text: str) -> FeatureSchema:
         slots = tuple(
             SlotSpec(d["name"], d["kind"], d.get("group")) for d in payload["slots"]
         )
-        stats = {int(k): (v[0], v[1]) for k, v in payload["stats"].items()}
+        stats = {int(k): v for k, v in payload["stats"].items()}
         schema = FeatureSchema(slots, stats, int(payload["attr_width"]))
         total_dim = int(payload["total_dim"])
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"schema JSON is missing fields: {exc}") from exc
     if "hash" in payload and payload["hash"] != schema_hash(schema):
         raise SchemaError(

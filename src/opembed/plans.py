@@ -224,13 +224,13 @@ def load_corpus(path) -> Corpus:
             raise PlanFormatError(f"{qpath}: must be an object, got {type(q).__name__}")
         if "query_id" not in q or "plan" not in q:
             raise PlanFormatError(f"{qpath}: needs 'query_id' and 'plan'")
-        qid = str(q["query_id"])
+        qid, user = q["query_id"], q.get("user")
+        if type(qid) is not str or not (user is None or type(user) is str):
+            raise PlanFormatError(f"{qpath}: want a string 'query_id' and a string or null 'user'")
         if qid in seen_ids:
             raise PlanFormatError(f"{qpath}: duplicate query_id {qid!r}")
         seen_ids.add(qid)
-        user = q.get("user")
-        root = _parse_node(q["plan"], f"{qpath}.plan")
-        corpus.records.append(QueryRecord(qid, None if user is None else str(user), root))
+        corpus.records.append(QueryRecord(qid, user, _parse_node(q["plan"], f"{qpath}.plan")))
     return corpus
 
 

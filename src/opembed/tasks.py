@@ -15,9 +15,9 @@ import numpy as np
 
 from .classifiers import predict
 from .errors import CoverageError
-from .featurize import FeatureSchema, encode_corpus
+from .featurize import FeatureSchema, encode_rows
 from .featurizer import Featurizer
-from .plans import Corpus, QueryRecord, walk_operators
+from .plans import Corpus, QueryRecord, iter_nodes, walk_operators
 
 ADMISSION_CLASSES = ("ok", "slow")
 CARD_CLASSES = ("correct", "over", "under")
@@ -136,7 +136,7 @@ def flag_query(classifier, schema: FeatureSchema, record: QueryRecord, transform
     schema or width is refused, as predict refuses it."""
     feat = Featurizer(schema, transform)
     feat.accept(classifier)
-    preds = predict(classifier, feat.transform(encode_corpus(schema, Corpus([record])).X))
+    preds = predict(classifier, feat.transform(encode_rows(schema, list(iter_nodes(record.root)))))
     return "flag" if ADMISSION_CLASSES[1] in preds else "admit"
 
 

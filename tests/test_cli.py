@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -365,6 +368,33 @@ def test_tampered_schema_hash_error_names_the_bundle(runner, tmp_path, pipeline)
     assert str(bad_encoder) in err and "schema hash mismatch" in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda stats, key: stats.pop(key),
+    lambda stats, key: stats[key].__setitem__(1, 0.0),
+    lambda stats, key: stats[key].__setitem__(1, float("nan")),
+    lambda stats, key: stats[key].__setitem__(0, float("inf")),
+    lambda stats, key: stats[key].__setitem__(0, True),
+    lambda stats, key: stats[key].append(1.0),
+], ids=["missing", "std-zero", "std-nan", "mean-inf", "mean-bool", "three-values"])
+def test_reduce_refuses_schema_with_bad_stats(runner, tmp_path, pipeline, edit):
+    """Each edit leaves the schema's own hash consistent, so the stats check
+    alone must refuse it, naming the bundle and the slot."""
+    _, corpus, _, schema = pipeline
+    header, arrays = store.load_bundle(schema)
+    payload = header["schema"]
+    key = min(payload["stats"], key=int)  # the first numeric slot
+    edit(payload["stats"], key)
+    del payload["hash"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["hash"] = header["schema_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    bad, out = tmp_path / "bad.opeb", tmp_path / "sparse.csv"
+    store.save_bundle(bad, "schema", header, arrays)
+    err = run_err(runner, ["reduce", "--corpus", str(corpus), "--schema", str(bad),
+                           "--method", "sparse", "--out", str(out)])
+    assert str(bad) in err and f"stats for slot {key} (plan_width)" in err
+    assert not out.exists()
+
+
 def test_predict_refuses_encoder_whose_header_hash_disagrees_with_its_schema(
     runner, tmp_path, pipeline
 ):
@@ -499,6 +529,8 @@ def test_evaluate_table_is_deterministic_without_timings(runner, tmp_path, pipel
     (["--models", ""], "at least one featurization and one model"),
     (["--featurizations", ","], "at least one featurization and one model"),
     (["--models", "logreg,nosuch"], "unknown model 'nosuch'"),
+    (["--featurizations", "sparse,sparse"], "each named once"),
+    (["--models", "dummy,logreg,dummy"], "each named once"),
 ])
 def test_evaluate_refuses_a_bad_grid_before_any_fold_work(
     runner, tmp_path, pipeline, monkeypatch, grid, reason

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,12 +13,70 @@ from opembed.featurize import (
     build_schema,
     encode,
     encode_corpus,
+    encode_rows,
     schema_from_json,
     schema_hash,
     schema_to_json,
 )
-from opembed.plans import Corpus, PlanNode, QueryRecord, walk_operators
-from opembed.synth import SynthConfig, generate, tpcds_like_config
+from opembed.plans import (
+    ATTR_STAT_FIELDS,
+    CORE_NUMERIC_FIELDS,
+    OPTIONAL_BOOLEAN_FIELDS,
+    OPTIONAL_CATEGORICAL_FIELDS,
+    Corpus,
+    PlanNode,
+    QueryRecord,
+    iter_nodes,
+    subcorpus,
+    walk_operators,
+)
+from opembed.synth import PRESETS, SynthConfig, generate, tpcds_like_config
+
+
+def _reference_encode(schema, node, tally=None):
+    """The scalar per-node encoder, one slot at a time: the reference that
+    batch encoding must match byte for byte."""
+    vec = np.zeros(schema.total_dim, dtype=np.float64)
+
+    def set_categorical(group, value):
+        if value is None or group not in schema.vocab:
+            return
+        idx = schema.vocab[group].get(value)
+        if idx is None:
+            if tally is not None:
+                tally[group] += 1
+            return
+        vec[idx] = 1.0
+
+    set_categorical("node_type", node.node_type)
+    for field in OPTIONAL_CATEGORICAL_FIELDS:
+        set_categorical(field, getattr(node, field))
+    raws = [(float(getattr(node, f)), schema.index[f]) for f in CORE_NUMERIC_FIELDS]
+    if node.hash_buckets is not None and "hash_buckets" in schema.index:
+        raws.append((float(node.hash_buckets), schema.index["hash_buckets"]))
+    for field in ATTR_STAT_FIELDS:
+        if f"{field}[0]" in schema.index:
+            raws += [(float(raw), schema.index[f"{field}[{j}]"])
+                     for j, raw in enumerate(getattr(node, field) or ())]
+    for raw, idx in raws:
+        mean, std = schema.stats[idx]
+        vec[idx] = (raw - mean) / std
+    for field in OPTIONAL_BOOLEAN_FIELDS:
+        value = getattr(node, field)
+        if value is not None and field in schema.index:
+            vec[schema.index[field]] = 1.0 if value else 0.0
+    return vec
+
+
+def _assert_matches_reference(schema, corpus):
+    nodes = [item.node for item in walk_operators(corpus)]
+    want_tally, got_tally = Counter(), Counter()
+    want = np.stack([_reference_encode(schema, node, want_tally) for node in nodes])
+    assert encode_corpus(schema, corpus).X.tobytes() == want.tobytes()
+    per_record = [encode_rows(schema, list(iter_nodes(r.root)), got_tally)
+                  for r in corpus.records]
+    assert np.concatenate(per_record).tobytes() == want.tobytes()
+    assert got_tally == want_tally
 
 
 def mini_corpus():
@@ -162,8 +222,7 @@ def test_schema_json_round_trip(schema60):
     text = schema_to_json(schema60)
     again = schema_from_json(text)
     assert schema_hash(again) == schema_hash(schema60)
-    for name in ("total_dim", "vocab", "groups", "core_base", "hb_slot", "attr_base",
-                 "bool_slots", "stats"):
+    for name in ("total_dim", "vocab", "groups", "index", "stats"):
         assert getattr(again, name) == getattr(schema60, name), name
 
 
@@ -188,7 +247,7 @@ def test_schema_json_rejects_split_group(schema60):
     payload = _unhashed_payload(schema60)
     slots = payload["slots"]
     start, _ = schema60.groups["node_type"]
-    slots.insert(start + 1, slots.pop(schema60.core_base))
+    slots.insert(start + 1, slots.pop(schema60.index["plan_width"]))
     with pytest.raises(SchemaError, match="node_type.*not contiguous"):
         schema_from_json(json.dumps(payload))
 
@@ -228,3 +287,52 @@ def test_attr_overflow_rejected():
     )
     with pytest.raises(SchemaError):
         encode(schema, wide)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_batch_encoding_matches_reference_with_a_schema_fit_on_a_fifth(preset):
+    corpus = generate(dataclasses.replace(PRESETS[preset](seed=11), n_queries=100))
+    schema = build_schema(subcorpus(corpus, range(20)))
+    _assert_matches_reference(schema, corpus)
+    _assert_matches_reference(build_schema(corpus), corpus)
+
+
+def test_batch_encoding_matches_reference_on_hand_built_nodes():
+    def scan(**fields):
+        return PlanNode(node_type="SeqScan", plan_rows=3.0, total_cost=2.0, **fields)
+
+    full = scan(relation_name="r", attr_mins=(1.0, 2.0, 3.0), attr_medians=(2.0, 3.0, 4.0),
+                attr_maxs=(3.0, 4.0, 5.0), scan_direction=True)
+    short = scan(relation_name="s", attr_mins=(0.5,), attr_maxs=(7.0, 8.0), scan_direction=False)
+    bare = scan()
+    join = PlanNode(node_type="HashJoin", plan_rows=9.0, total_cost=11.0, join_type="inner",
+                    hash_buckets=1024.0, hash_algorithm="murmur", children=[full, short, bare])
+    agg = PlanNode(node_type="Aggregate", plan_rows=1.0, agg_strategy="hashed",
+                   partial_mode=False, children=[join])
+    corpus = Corpus([QueryRecord("q0", None, agg), QueryRecord("q1", "u", scan(attr_mins=()))])
+    schema = build_schema(corpus)
+    assert schema.attr_width == 3 and "hash_buckets" in schema.index
+    _assert_matches_reference(schema, corpus)
+    unseen = PlanNode(node_type="Sort", sort_key="k", join_type="anti", relation_name="r",
+                      index_name="i", attr_medians=(1.0,), children=[scan(hash_buckets=2.0)])
+    _assert_matches_reference(schema, Corpus([QueryRecord("q2", None, unseen)]))
+
+
+@pytest.mark.parametrize("preset", ["planted-card", "tpcds-like"])
+def test_encode_corpus_peak_memory_is_near_the_size_of_X(preset):
+    corpus = generate(dataclasses.replace(PRESETS[preset](seed=2), n_queries=200))
+    schema = build_schema(corpus)
+    tracemalloc.start()
+    try:
+        table = encode_corpus(schema, corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.X.nbytes, (peak, table.X.nbytes)
+
+
+def test_schema_json_rejects_stats_off_the_numeric_slots(schema60):
+    payload = _unhashed_payload(schema60)
+    payload["stats"]["0"] = [0.0, 1.0]  # slot 0 is the first node_type one-hot
+    with pytest.raises(SchemaError, match=r"stats for slot 0 \(not numeric\)"):
+        schema_from_json(json.dumps(payload))

@@ -124,10 +124,20 @@ def _child_with(fields):
          "queries[0].plan.children[0]: field 'actual_rows' is not a number: '3.5'"),
         (_child_with('"plan_rows": 1%s' % ("0" * 400)),
          "queries[0].plan.children[0]: field 'plan_rows' must be finite and >= 0, got inf"),
+        ('[{"query_id": {"a": 1}, "plan": {"node_type": "Sort"}}]',
+         "queries[0]: want a string 'query_id'"),
+        ('[{"query_id": "5", "plan": {"node_type": "Sort"}}, '
+         '{"query_id": 5, "plan": {"node_type": "Sort"}}]',
+         "queries[1]: want a string 'query_id'"),
+        ('[{"query_id": "a", "user": true, "plan": {"node_type": "Sort"}}]',
+         "queries[0]: want a string 'query_id' and a string or null 'user'"),
+        ('[{"query_id": "a", "user": 3, "plan": {"node_type": "Sort"}}]',
+         "queries[0]: want a string 'query_id' and a string or null 'user'"),
     ],
     ids=["int-entry", "str-entry", "dict-queries", "str-queries", "bool-string", "bool-number",
          "categorical-object", "categorical-number", "node-type-number", "node-type-null",
-         "numeric-string", "numeric-bool", "optional-numeric-string", "int-past-float-range"],
+         "numeric-string", "numeric-bool", "optional-numeric-string", "int-past-float-range",
+         "query-id-object", "query-id-int", "user-bool", "user-number"],
 )
 def test_malformed_queries_name_their_path(tmp_path, queries, where):
     with pytest.raises(PlanFormatError, match=re.escape(where)):
