@@ -86,4 +86,10 @@ op predict --plans "$OUT/planted-card-1/corpus.json" \
    --classifier "$OUT/planted-card-0/clf_sparse.opeb" \
    --schema "$OUT/planted-card-0/schema.opeb" --out "$d/pred_sparse.csv"
 cut -d, -f1-3 "$d/pred_sparse.csv" | tr -d "\r" > "$d/pred_sparse.cols.csv"; rm "$d/pred_sparse.csv"
+# masked loss with batches of 3: many batches hold no operator with a first or
+# second child, so a head gets zero gradients; the pre-activation cut-off too
+d=$OUT/masked-small; mkdir -p "$d"
+op synth --preset planted-card --seed 0 --queries 60 --out "$d/corpus.json"
+op train-embedding --corpus "$d/corpus.json" --masked-loss --pre-activation --batch 3 \
+   --hidden 16 --embedding-dim 4 --epochs 2 --encoder-out "$d/encoder.opeb"
 (cd "$OUT" && find . -type f | sort | xargs sha256sum)

@@ -197,7 +197,7 @@ def _fit_linear(kind: str, s: LabeledSet, cfg: nn.SgdConfig, grads) -> Classifie
 
     def step(idx):
         loss, dW, db = grads(s.X[idx], s.y[idx], layer.W, layer.b)
-        return loss, [[nn.LayerGrads(dW, db)]]
+        return loss, [[(dW, db)]]
 
     nn.train([nn.Network([layer])], cfg, n, step)
     return Classifier(kind, s.classes, d, {"W": layer.W, "b": layer.b}, s.provenance)

@@ -10,7 +10,7 @@ of the embedding layer (a pre-activation variant is available).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,8 +115,7 @@ def train_embedding(
         for head, tr, k in zip(heads, traces, keep):
             m = int(k.sum())
             if m == 0:
-                grads.append([nn.LayerGrads(np.zeros_like(l.W), np.zeros_like(l.b))
-                              for l in head.layers])
+                grads.append([tuple(map(np.zeros_like, l.params)) for l in head.layers])
                 dEs.append(np.zeros_like(E))
                 continue
             # m / n is exactly 1.0 unless masked mode dropped rows, which get
@@ -178,27 +177,16 @@ class Encoder:
             )
 
 
-def _copy_layer(layer: nn.DenseLayer, strip_activation: bool = False) -> nn.DenseLayer:
-    if strip_activation:
-        return nn.DenseLayer(layer.W.copy(), layer.b.copy(), False, False)
-    return nn.DenseLayer(
-        layer.W.copy(),
-        layer.b.copy(),
-        layer.apply_layer_norm,
-        layer.apply_relu,
-        None if layer.gain is None else layer.gain.copy(),
-        None if layer.beta is None else layer.beta.copy(),
-    )
-
-
 def cut_off(enet: EmbeddingNetwork, pre_activation: bool = False) -> Encoder:
     """Drop the heads; copy the trunk so later training cannot leak in.
 
     With pre_activation the embedding layer's LN and ReLU are stripped and
     the raw affine output is the embedding.
     """
-    layers = [_copy_layer(l) for l in enet.trunk.layers[:-1]]
-    layers.append(_copy_layer(enet.trunk.layers[-1], strip_activation=pre_activation))
+    layers = [replace(l, **{name: p.copy() for name, p in zip(nn.PARAM_NAMES, l.params)})
+              for l in enet.trunk.layers]
+    if pre_activation:
+        layers[-1] = nn.DenseLayer(layers[-1].W, layers[-1].b)
     return Encoder(trunk=nn.Network(layers), schema_digest=enet.schema_digest)
 
 

@@ -27,6 +27,15 @@ import numpy as np
 from .errors import TrainingDivergedError
 
 LN_EPS = 1e-5
+# a layer's arrays in the order its params and gradients list them; a layer
+# without layer norm holds the first two
+PARAM_NAMES = ("W", "b", "gain", "beta")
+
+
+def _describe(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} of shape {value.shape}"
+    return type(value).__name__
 
 
 @dataclass
@@ -43,6 +52,28 @@ class DenseLayer:
         if type(self.apply_layer_norm) is not bool or type(self.apply_relu) is not bool:
             raise TypeError(f"layer flags must be booleans, got layer_norm "
                             f"{self.apply_layer_norm!r} and relu {self.apply_relu!r}")
+        # the arrays may come from a bundle: one that would broadcast, fail
+        # mid-matmul or yield NaN embeddings is refused here
+        if not (isinstance(self.W, np.ndarray) and self.W.ndim == 2):
+            raise ValueError(f"layer W must be a 2-D array, got {_describe(self.W)}")
+        for name in PARAM_NAMES[2:]:
+            if (getattr(self, name) is not None) != self.apply_layer_norm:
+                raise ValueError(f"layer {name} must be given exactly when layer norm is on")
+        for name, value in zip(PARAM_NAMES, self.params):
+            want = self.W.shape if name == "W" else self.W.shape[:1]
+            if not (isinstance(value, np.ndarray) and value.shape == want
+                    and np.issubdtype(value.dtype, np.floating)):
+                raise ValueError(f"layer {name} must be a float array of shape {want}, "
+                                 f"got {_describe(value)}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"layer {name} holds a non-finite value")
+
+    @property
+    def params(self) -> tuple[np.ndarray, ...]:
+        """The layer's arrays in PARAM_NAMES order."""
+        if self.apply_layer_norm:
+            return self.W, self.b, self.gain, self.beta
+        return self.W, self.b
 
     @property
     def in_dim(self) -> int:
@@ -62,11 +93,8 @@ def dense_layer(
 ) -> DenseLayer:
     """He-initialized layer: W ~ N(0, 2/in_dim), b = 0."""
     W = rng.normal(0.0, np.sqrt(2.0 / in_dim), (out_dim, in_dim))
-    layer = DenseLayer(W, np.zeros(out_dim), layer_norm, relu)
-    if layer_norm:
-        layer.gain = np.ones(out_dim)
-        layer.beta = np.zeros(out_dim)
-    return layer
+    norm = (np.ones(out_dim), np.zeros(out_dim)) if layer_norm else (None, None)
+    return DenseLayer(W, np.zeros(out_dim), layer_norm, relu, *norm)
 
 
 @dataclass
@@ -242,61 +270,50 @@ def decode_probabilities(spec: LossSpec, prediction: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-@dataclass
-class LayerGrads:
-    dW: np.ndarray
-    db: np.ndarray
-    dgain: np.ndarray | None = None
-    dbeta: np.ndarray | None = None
-
-
 def backprop_layers(
     net: Network, trace: ForwardTrace, dout: np.ndarray, input_grad: bool = True
-) -> tuple[list[LayerGrads], np.ndarray | None]:
+) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray | None]:
     """Push an output-side gradient through the network.
 
-    Returns per-layer parameter gradients and the gradient w.r.t. the
-    network input (needed when this network is a head over a trunk); with
-    input_grad false that last matmul is skipped and None returned.
+    Returns per-layer parameter gradients, each a tuple in the order of the
+    layer's params, and the gradient w.r.t. the network input (needed when
+    this network is a head over a trunk); with input_grad false that last
+    matmul is skipped and None returned.
     """
     # a copy, so the updates below run in place without touching dout
     da = np.array(dout, dtype=np.float64, ndmin=2)
-    grads: list[LayerGrads] = [None] * len(net.layers)
+    grads: list[tuple[np.ndarray, ...]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer, cache = net.layers[i], trace.caches[i]
         if layer.apply_relu:
             da *= trace.activations[i] > 0
-        dgain = dbeta = None
+        norm_grads = ()
         if layer.apply_layer_norm:
             xhat, n = cache.xhat, da.shape[1]
-            dgain = np.add.reduce(da * xhat, 0)
-            dbeta = np.add.reduce(da, 0)
+            norm_grads = (np.add.reduce(da * xhat, 0), np.add.reduce(da, 0))
             da *= layer.gain                     # da is dxhat from here on
             m1 = np.add.reduce(da, 1, keepdims=True) / n
             m2 = np.add.reduce(da * xhat, 1, keepdims=True) / n
             da -= m1
             da -= xhat * m2
             da *= cache.inv_std                  # and dz from here on
-        grads[i] = LayerGrads(da.T @ cache.x, np.add.reduce(da, 0), dgain, dbeta)
+        grads[i] = (da.T @ cache.x, np.add.reduce(da, 0), *norm_grads)
         da = da @ layer.W if i or input_grad else None
     return grads, da
 
 
 def backward(
     net: Network, spec: LossSpec, trace: ForwardTrace, target: np.ndarray
-) -> list[LayerGrads]:
+) -> list[tuple[np.ndarray, ...]]:
     """Exact gradients of loss(spec, forward output, target) per parameter."""
     dout = output_grad(spec, trace.activations[-1], np.atleast_2d(target))
     return backprop_layers(net, trace, dout, input_grad=False)[0]
 
 
-def sgd_step(net: Network, grads: list[LayerGrads], lr: float) -> Network:
+def sgd_step(net: Network, grads: list[tuple[np.ndarray, ...]], lr: float) -> Network:
     """In-place w <- w - lr * grad; the grads are scaled by lr in place."""
     for layer, g in zip(net.layers, grads):
-        params = [(layer.W, g.dW), (layer.b, g.db)]
-        if layer.apply_layer_norm:
-            params += [(layer.gain, g.dgain), (layer.beta, g.dbeta)]
-        for w, dw in params:
+        for w, dw in zip(layer.params, g, strict=True):
             dw *= lr
             w -= dw
     return net
@@ -363,15 +380,6 @@ class GradCheckReport:
     worst: str
 
 
-def _param_views(net: Network):
-    for i, layer in enumerate(net.layers):
-        yield f"layer{i}.W", layer.W
-        yield f"layer{i}.b", layer.b
-        if layer.apply_layer_norm:
-            yield f"layer{i}.gain", layer.gain
-            yield f"layer{i}.beta", layer.beta
-
-
 def grad_check(
     net: Network,
     spec: LossSpec,
@@ -382,18 +390,12 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients to central finite differences, parameter
     by parameter; relative error |a - n| / max(1, |a|)."""
-    trace = forward(net, x)
-    grads = backward(net, spec, trace, target)
-    analytic = {}
-    for i, g in enumerate(grads):
-        analytic[f"layer{i}.W"] = g.dW
-        analytic[f"layer{i}.b"] = g.db
-        if g.dgain is not None:
-            analytic[f"layer{i}.gain"] = g.dgain
-            analytic[f"layer{i}.beta"] = g.dbeta
+    grads = backward(net, spec, forward(net, x), target)
+    views = [(f"layer{i}.{name}", param, grad)
+             for i, (layer, g) in enumerate(zip(net.layers, grads))
+             for name, param, grad in zip(PARAM_NAMES, layer.params, g)]
     worst, worst_err, count = "", 0.0, 0
-    for name, param in _param_views(net):
-        grad = analytic[name]
+    for name, param, grad in views:
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index

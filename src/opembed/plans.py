@@ -185,7 +185,11 @@ def _parse_node(obj, path: str) -> PlanNode:
                 raise PlanFormatError(f"{path}: field {name!r} must be a list of numbers")
             setattr(node, name, _check_stats(seq, name, path))
 
-    children = obj.get("children") or []
+    children = obj.get("children")
+    if not isinstance(children, (list, type(None))):
+        raise PlanFormatError(f"{path}: field 'children' must be a list or null, "
+                              f"got {type(children).__name__}")
+    children = children or []
     # the path holds one ".children[i]" per level below the root
     if children and path.count(".children[") + 1 >= MAX_PLAN_DEPTH:
         raise PlanFormatError(

@@ -202,11 +202,7 @@ def save_encoder_bundle(path, encoder: Encoder, schema: FeatureSchema,
     arrays: dict[str, np.ndarray] = {}
     for i, layer in enumerate(encoder.trunk.layers):
         layers.append({"layer_norm": layer.apply_layer_norm, "relu": layer.apply_relu})
-        arrays[f"layer{i}_W"] = layer.W
-        arrays[f"layer{i}_b"] = layer.b
-        if layer.apply_layer_norm:
-            arrays[f"layer{i}_gain"] = layer.gain
-            arrays[f"layer{i}_beta"] = layer.beta
+        arrays.update((f"layer{i}_{name}", p) for name, p in zip(nn.PARAM_NAMES, layer.params))
     payload = json.loads(schema_to_json(schema))
     check_schema_hash(encoder.schema_digest, payload["hash"], "embedded schema")
     body = {
@@ -231,19 +227,11 @@ def bundle_schema(path, header: dict) -> FeatureSchema:
 @_header_checked
 def load_encoder_bundle(path) -> tuple[Encoder, dict]:
     header, arrays = load_bundle(path, "encoder")
-    layers = []
-    for i, spec in enumerate(header["layers"]):
-        ln = spec["layer_norm"]
-        layers.append(
-            nn.DenseLayer(
-                W=arrays[f"layer{i}_W"],
-                b=arrays[f"layer{i}_b"],
-                apply_layer_norm=ln,
-                apply_relu=spec["relu"],
-                gain=arrays[f"layer{i}_gain"] if ln else None,
-                beta=arrays[f"layer{i}_beta"] if ln else None,
-            )
-        )
+    # a layer's arrays that the bundle lacks, or holds against its flags, are
+    # refused by the layer itself
+    layers = [nn.DenseLayer(apply_layer_norm=spec["layer_norm"], apply_relu=spec["relu"],
+                            **{name: arrays.get(f"layer{i}_{name}") for name in nn.PARAM_NAMES})
+              for i, spec in enumerate(header["layers"])]
     encoder = Encoder(trunk=nn.Network(layers), schema_digest=header["schema_hash"])
     for name in ("embedding_dim", "pre_activation"):
         if header[name] != getattr(encoder, name):

@@ -1,7 +1,7 @@
 """Seeded bundle mutations: each rewrites one array or header value of a valid
 classifier, pca, fa or encoder bundle to an out-of-range id, a wrong shape, a
-wrong dtype, a JSON value of the wrong type or a header fact its arrays
-contradict. Loading must raise
+wrong dtype, a non-finite weight, a JSON value of the wrong type or a header
+fact its arrays contradict. Loading must raise
 OpembedError naming the bundle, and predict must end in exactly one "error:"
 line that names it, never in a traceback or NaN features.
 """
@@ -115,6 +115,28 @@ def _extra_column(header, arrays, rng):
     arrays["W"] = np.hstack([arrays["W"], arrays["W"][:, :1]])
 
 
+def _reshape(name, shape):
+    def mutate(header, arrays, rng):
+        arrays[name] = arrays[name].reshape(shape)
+    return mutate
+
+
+def _truncate(name, length):
+    def mutate(header, arrays, rng):
+        arrays[name] = arrays[name][:length]
+    return mutate
+
+
+def _narrow_trunk(header, arrays, rng):
+    # consistent shapes, but one input column fewer than the schema encodes
+    arrays["layer0_W"] = arrays["layer0_W"][:, :-1]
+
+
+def _nan_weight(header, arrays, rng):
+    W = arrays["layer0_W"]
+    W[rng.randrange(W.shape[0]), rng.randrange(W.shape[1])] = np.nan
+
+
 def _as_int(name):
     def mutate(header, arrays, rng):
         arrays[name] = arrays[name].astype(np.int64)
@@ -207,12 +229,20 @@ MUTATIONS = {
     "fa": {"cluster-9999": _fa_member(9999), "cluster-negative": _fa_member(-1),
            "empty-cluster": _fa_empty_cluster, "wide": _fa_wide,
            "cluster-ids-float": _fa_float_ids, "dim-string": _fa_string_dim},
-    # the trunk's last layer is 8 wide and applies layer norm and ReLU
+    # the trunk is 16, 12 and 8 wide, and every layer applies layer norm and ReLU
     "encoder": {"embedding-dim-7": _set_header("embedding_dim", 7),
                 "embedding-dim-negative": _set_header("embedding_dim", -3),
                 "pre-activation-true": _set_header("pre_activation", True),
                 "relu-zero": _set_layer_flag("relu", 0),
-                "relu-string": _set_layer_flag("relu", "no")},
+                "relu-string": _set_layer_flag("relu", "no"),
+                "b-length-1": _truncate("layer0_b", 1),
+                "gain-length-1": _truncate("layer1_gain", 1),
+                "b-row": _reshape("layer0_b", (1, 16)),
+                "W-int": _as_int("layer0_W"),
+                "W-flat": _reshape("layer2_W", -1),
+                "beta-short": _truncate("layer2_beta", 7),
+                "W-narrow": _narrow_trunk,
+                "W-nan": _nan_weight},
 }
 CASES = [(name, case) for name, cases in MUTATIONS.items() for case in cases]
 

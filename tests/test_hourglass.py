@@ -181,8 +181,8 @@ def _reference_training(enet, X, children, cfg, masked):
         if masked:
             m = int(pres.sum())
             if m == 0:
-                return (0.0, [nn.LayerGrads(np.zeros_like(l.W), np.zeros_like(l.b))
-                              for l in head.layers], np.zeros_like(E))
+                return (0.0, [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in head.layers],
+                        np.zeros_like(E))
             head_loss = nn.loss(spec, pred[pres], C[pres]) * (m / n)
             dout = np.zeros_like(pred)
             dout[pres] = nn.output_grad(spec, pred[pres], C[pres]) * (m / n)
@@ -205,11 +205,11 @@ def _reference_training(enet, X, children, cfg, masked):
             gt, _ = nn.backprop_layers(enet.trunk, trunk_trace, dE1 + dE2)
             for net, grads in zip(nets, (gt, g1, g2)):
                 for layer, g in zip(net.layers, grads):
-                    layer.W -= cfg.learning_rate * g.dW
-                    layer.b -= cfg.learning_rate * g.db
+                    layer.W -= cfg.learning_rate * g[0]
+                    layer.b -= cfg.learning_rate * g[1]
                     if layer.apply_layer_norm:
-                        layer.gain -= cfg.learning_rate * g.dgain
-                        layer.beta -= cfg.learning_rate * g.dbeta
+                        layer.gain -= cfg.learning_rate * g[2]
+                        layer.beta -= cfg.learning_rate * g[3]
             batch_losses.append(l1 + l2)
         losses.append(float(np.mean(batch_losses)))
     return losses, leaf_batches

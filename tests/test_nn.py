@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from opembed.errors import TrainingDivergedError
 from opembed import nn
 from opembed.nn import (
     DenseLayer,
-    LayerGrads,
     LossSpec,
     Network,
     SgdConfig,
@@ -45,6 +45,37 @@ def test_identity_layer():
     net = Network([affine(np.eye(3), np.zeros(3))])
     x = np.array([1.5, -2.0, 0.25])
     assert np.array_equal(predict(net, x), x)
+
+
+@pytest.mark.parametrize(
+    "arrays, flags, where",
+    [((np.ones(3), np.zeros(3)), (False, False), "layer W must be a 2-D array, got float64"),
+     ((np.ones((3, 2), dtype=int), np.zeros(3)), (False, False), "layer W must be a float array"),
+     ((np.ones((3, 2)), np.zeros(1)), (False, False), "layer b must be a float array of shape (3,)"),
+     ((np.ones((3, 2)), np.zeros((1, 3))), (False, False), "layer b must be a float array"),
+     ((np.ones((3, 2)), [0.0, 0.0, 0.0]), (False, False), "layer b must be a float array"),
+     ((np.ones((3, 2)), np.zeros(3), np.ones(3), np.zeros(3)), (False, True),
+      "layer gain must be given exactly when layer norm is on"),
+     ((np.ones((3, 2)), np.zeros(3)), (True, True), "layer gain must be given exactly"),
+     ((np.ones((3, 2)), np.zeros(3), np.ones(3), np.zeros(2)), (True, True),
+      "layer beta must be a float array of shape (3,)"),
+     ((np.full((3, 2), np.inf), np.zeros(3)), (False, False), "layer W holds a non-finite value"),
+     ((np.ones((3, 2)), np.zeros(3), np.array([1.0, np.nan, 1.0]), np.zeros(3)), (True, False),
+      "layer gain holds a non-finite value")],
+    ids=["W-1d", "W-int", "b-short", "b-row", "b-list", "gain-without-norm",
+         "norm-without-gain", "beta-short", "W-inf", "gain-nan"],
+)
+def test_dense_layer_refuses_bad_arrays(arrays, flags, where):
+    W, b, *norm = arrays
+    with pytest.raises(ValueError, match=re.escape(where)):
+        DenseLayer(W, b, *flags, *norm)
+
+
+def test_params_follow_param_names(rng):
+    for ln in (False, True):
+        layer = dense_layer(rng, 3, 2, layer_norm=ln)
+        want = [getattr(layer, name) for name in nn.PARAM_NAMES[:4 if ln else 2]]
+        assert all(a is b for a, b in zip(layer.params, want, strict=True))
 
 
 def test_relu_clips_negatives():
@@ -130,15 +161,16 @@ def test_zero_loss_point_zero_grads(rng):
     spec = LossSpec((("mse", 0, 2),))
     x = rng.normal(size=(4, 2))
     grads = backward(net, spec, forward(net, x), x.copy())
-    assert not grads[0].dW.any()
-    assert not grads[0].db.any()
+    dW, db = grads[0]
+    assert not dW.any()
+    assert not db.any()
 
 
 def test_sgd_zero_lr_is_identity(rng):
     layer = dense_layer(rng, 2, 2, layer_norm=False, relu=False)
     net = Network([layer])
     before = layer.W.copy()
-    grads = [LayerGrads(np.ones_like(layer.W), np.ones_like(layer.b), None, None)]
+    grads = [(np.ones_like(layer.W), np.ones_like(layer.b))]
     sgd_step(net, grads, lr=0.0)
     assert np.array_equal(layer.W, before)
 
@@ -147,7 +179,7 @@ def test_sgd_quadratic_closed_form():
     # loss w^2 at w=1 has gradient 2; lr 0.1 moves w to 0.8
     layer = affine(np.array([[1.0]]), np.zeros(1))
     net = Network([layer])
-    grads = [LayerGrads(np.array([[2.0]]), np.zeros(1), None, None)]
+    grads = [(np.array([[2.0]]), np.zeros(1))]
     sgd_step(net, grads, lr=0.1)
     assert abs(layer.W[0, 0] - 0.8) < 1e-15
 
@@ -287,10 +319,8 @@ def _reference_output_grad(spec, p, t):
 
 def _assert_grads_equal(got, want):
     for g, (dW, db, dgain, dbeta) in zip(got, want, strict=True):
-        assert np.array_equal(g.dW, dW) and np.array_equal(g.db, db)
-        assert (g.dgain is None) == (dgain is None)
-        if dgain is not None:
-            assert np.array_equal(g.dgain, dgain) and np.array_equal(g.dbeta, dbeta)
+        ref = (dW, db) if dgain is None else (dW, db, dgain, dbeta)
+        assert all(np.array_equal(a, b) for a, b in zip(g, ref, strict=True))
 
 
 @pytest.mark.parametrize("rows", [1, 64])
@@ -379,9 +409,8 @@ def test_segment_kernel_rows_do_not_depend_on_their_neighbours():
 def test_sgd_step_matches_reference_update():
     rng = np.random.default_rng(4)
     layer = dense_layer(rng, 6, 5, layer_norm=True, relu=True)
-    g = LayerGrads(*(rng.normal(size=s) for s in ((5, 6), 5, 5, 5)))
-    want = [w - 0.037 * dw for w, dw in ((layer.W, g.dW), (layer.b, g.db),
-                                         (layer.gain, g.dgain), (layer.beta, g.dbeta))]
+    g = tuple(rng.normal(size=s) for s in ((5, 6), 5, 5, 5))
+    want = [w - 0.037 * dw for w, dw in zip((layer.W, layer.b, layer.gain, layer.beta), g)]
     sgd_step(Network([layer]), [g], 0.037)
     assert all(np.array_equal(a, b) for a, b in
                zip((layer.W, layer.b, layer.gain, layer.beta), want, strict=True))

@@ -133,11 +133,25 @@ def _child_with(fields):
          "queries[0]: want a string 'query_id' and a string or null 'user'"),
         ('[{"query_id": "a", "user": 3, "plan": {"node_type": "Sort"}}]',
          "queries[0]: want a string 'query_id' and a string or null 'user'"),
+        (_child_with('"children": 5'),
+         "queries[0].plan.children[0]: field 'children' must be a list or null, got int"),
+        (_child_with('"children": true'),
+         "queries[0].plan.children[0]: field 'children' must be a list or null, got bool"),
+        (_child_with('"children": {"a": 1}'),
+         "queries[0].plan.children[0]: field 'children' must be a list or null, got dict"),
+        (_child_with('"children": {}'),
+         "queries[0].plan.children[0]: field 'children' must be a list or null, got dict"),
+        ('[{"query_id": "a", "plan": {"node_type": "Sort", "children": 0}}]',
+         "queries[0].plan: field 'children' must be a list or null, got int"),
+        ('[{"query_id": "a", "plan": {"node_type": "Sort", "children": ""}}]',
+         "queries[0].plan: field 'children' must be a list or null, got str"),
     ],
     ids=["int-entry", "str-entry", "dict-queries", "str-queries", "bool-string", "bool-number",
          "categorical-object", "categorical-number", "node-type-number", "node-type-null",
          "numeric-string", "numeric-bool", "optional-numeric-string", "int-past-float-range",
-         "query-id-object", "query-id-int", "user-bool", "user-number"],
+         "query-id-object", "query-id-int", "user-bool", "user-number", "children-int",
+         "children-bool", "children-object", "children-empty-object", "children-zero",
+         "children-empty-string"],
 )
 def test_malformed_queries_name_their_path(tmp_path, queries, where):
     with pytest.raises(PlanFormatError, match=re.escape(where)):
