@@ -72,6 +72,10 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
          --out "$d/report-$tag.csv" --medians-out "$d/medians-$tag.csv"
     done
   done
+  table "$d/table-by_group.txt" --corpus "$d/corpus.json" --task "$task" \
+     --featurizations sparse,neural-16,pca-8 --models logreg,knn,rf,svm,dummy --epochs 2 \
+     --strategy by_group --seed "$seed" \
+     --out "$d/report-by_group.csv" --medians-out "$d/medians-by_group.csv"
   table "$d/table-user.txt" --corpus "$d/corpus.json" --task user \
      --featurizations sparse,neural-16 --models logreg,rf,dummy --epochs 2 --seed "$seed" \
      --out "$d/report-user.csv" --medians-out "$d/medians-user.csv"

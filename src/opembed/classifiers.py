@@ -63,11 +63,7 @@ def make_labeled_set(
     or first appearance."""
     labels = list(labels)
     if classes is None:
-        seen = {}
-        for lab in labels:
-            if lab not in seen:
-                seen[lab] = len(seen)
-        classes = tuple(seen)
+        classes = tuple(dict.fromkeys(labels))
     index = {c: i for i, c in enumerate(classes)}
     try:
         y = np.array([index[lab] for lab in labels], dtype=np.intp)
@@ -142,6 +138,8 @@ class Classifier:
             want = tuple(sizes.get(axis, axis) for axis in axes)
             if value.shape != want:
                 raise bad(f"{name} has shape {value.shape}, want {want}".replace("'", ""))
+            if dtype is np.floating and not np.isfinite(value).all():
+                raise bad(f"{name} holds a non-finite value")
             # ids are judged as routing will hold them, after any unsigned wrap
             params[name] = np.asarray(value, dtype=np.float64 if dtype is np.floating else np.intp)
         self.params = params

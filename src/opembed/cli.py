@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +26,7 @@ from .classifiers import (
     train as train_classifier,
 )
 from .errors import OpembedError
-from .evaluate import evaluate as run_evaluate
+from .evaluate import _write_csv, evaluate as run_evaluate
 from .featurize import build_schema, encode_corpus
 from .featurizer import fit_featurization
 from .hourglass import (
@@ -37,7 +38,7 @@ from .hourglass import (
     train_embedding,
 )
 from .nn import SgdConfig
-from .plans import load_corpus, save_corpus, walk_operators
+from .plans import iter_nodes, load_corpus, operator_ids, save_corpus, walk_operators
 from .synth import PRESETS, describe, generate
 from .tasks import ADMISSION_CLASSES, TASKS, TaskSpec, make_folds, task_labels
 
@@ -70,20 +71,14 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """csv writes a float as its repr, so every value reads back exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_feature_csv(path, ids: list[str], columns: list[str], rows: np.ndarray) -> None:
     # a row at a time, so no Python list of the whole matrix is held
     _write_csv(path, ["id"] + columns, ([rid] + row.tolist() for rid, row in zip(ids, rows)))
 
 
 def _read_feature_csv(path) -> tuple[list[str], np.ndarray]:
+    """Ids and finite feature rows; a row with a missing, extra, unparsable or
+    non-finite cell is refused by its file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -91,8 +86,16 @@ def _read_feature_csv(path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path} is not a feature CSV (first column must be 'id')")
         ids, rows = [], []
         for line in reader:
+            try:
+                if len(line) != len(header):
+                    raise ValueError(f"{len(line)} cells, but the header has {len(header)}")
+                row = [float(v) for v in line[1:]]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("a non-finite value")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
             ids.append(line[0])
-            rows.append([float(v) for v in line[1:]])
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path} has no feature rows")
     return ids, np.asarray(rows)
@@ -232,6 +235,13 @@ def train_task(corpus_path, features_path, task, model, percentile, factor, seed
         raise ValueError(
             f"{features_path} has {len(X)} rows but the corpus has {len(labels)} operators"
         )
+    # row i is labelled as the corpus's i-th operator in walk order
+    want = (oid for r in corpus.records
+            for oid in operator_ids(r.query_id, sum(1 for _ in iter_nodes(r.root))))
+    for line, (got, expected) in enumerate(zip(ids, want), start=2):
+        if got != expected:
+            raise ValueError(f"{features_path} line {line} has id {got!r}, "
+                             f"but the corpus's operator there is {expected!r}")
     prov = store.bundle_provenance(provenance_path) if provenance_path else FeatProvenance("csv")
     clf = train_classifier(model, make_labeled_set(X, labels, classes, prov), seed)
     meta = {"task": task, "seed": seed}

@@ -27,6 +27,15 @@ from .tasks import FoldPlan, TaskSpec, task_labels
 INFER_SAMPLE = 100  # test rows per cell for the one-row latency probe
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """The one CSV writer: a header, then rows. csv writes a float as its
+    repr, so every value reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class CellResult:
     task: str
@@ -53,61 +62,43 @@ class EvalReport:
 
     def median_rows(self) -> list[dict]:
         """One row per (featurization, model): median over the folds."""
-        keys: list[tuple[str, str]] = []
+        groups: dict[tuple[str, str], list[CellResult]] = {}
         for cell in self.cells:
-            key = (cell.featurization, cell.model)
-            if key not in keys:
-                keys.append(key)
-        rows = []
-        for feat, model in keys:
-            sub = [c for c in self.cells if (c.featurization, c.model) == (feat, model)]
-            rows.append(
-                {
-                    "task": self.spec.task,
-                    "featurization": feat,
-                    "model": model,
-                    "folds": len(sub),
-                    "accuracy": float(np.median([c.accuracy for c in sub])),
-                    "prior": float(np.median([c.prior for c in sub])),
-                    "mean_infer_ms": float(np.median([c.mean_infer_ms for c in sub]))
-                    if self.timed else None,
-                }
-            )
-        return rows
+            groups.setdefault((cell.featurization, cell.model), []).append(cell)
+        timed = self.timed
+        return [
+            {
+                "task": self.spec.task,
+                "featurization": feat,
+                "model": model,
+                "folds": len(sub),
+                "accuracy": float(np.median([c.accuracy for c in sub])),
+                "prior": float(np.median([c.prior for c in sub])),
+                "mean_infer_ms": float(np.median([c.mean_infer_ms for c in sub]))
+                if timed else None,
+            }
+            for (feat, model), sub in groups.items()
+        ]
 
     def to_csv(self, path) -> None:
         """Long-form per-fold cells, one recall column per class, plus the
         wall-clock columns when the report is timed; an untimed report's
         file is byte-identical across runs of one seed."""
-        timings = self.timed
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            timing_cols = ["mean_infer_ms", "train_seconds"] if timings else []
-            writer.writerow(
-                ["task", "strategy", "featurization", "model", "fold", "accuracy",
-                 "prior"] + timing_cols + [f"recall_{c}" for c in self.classes]
-            )
-            for c in self.cells:
-                timing_vals = [repr(c.mean_infer_ms), repr(c.train_seconds)] if timings else []
-                writer.writerow(
-                    [self.spec.task, self.strategy, c.featurization, c.model, c.fold,
-                     repr(c.accuracy), repr(c.prior)]
-                    + timing_vals
-                    + [repr(c.recalls.get(cls, float("nan"))) for cls in self.classes]
-                )
+        timing = ["mean_infer_ms", "train_seconds"] if self.timed else []
+        _write_csv(
+            path,
+            ["task", "strategy", "featurization", "model", "fold", "accuracy", "prior"]
+            + timing + [f"recall_{c}" for c in self.classes],
+            ([self.spec.task, self.strategy, c.featurization, c.model, c.fold, c.accuracy,
+              c.prior] + [getattr(c, col) for col in timing]
+             + [c.recalls.get(cls, float("nan")) for cls in self.classes]
+             for c in self.cells),
+        )
 
     def medians_to_csv(self, path) -> None:
-        timings = self.timed
-        rows = self.median_rows()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            timing_cols = ["mean_infer_ms"] if timings else []
-            writer.writerow(["task", "featurization", "model", "folds", "accuracy",
-                             "prior"] + timing_cols)
-            for r in rows:
-                timing_vals = [repr(r["mean_infer_ms"])] if timings else []
-                writer.writerow([r["task"], r["featurization"], r["model"], r["folds"],
-                                 repr(r["accuracy"]), repr(r["prior"])] + timing_vals)
+        cols = ["task", "featurization", "model", "folds", "accuracy", "prior"]
+        cols += ["mean_infer_ms"] if self.timed else []
+        _write_csv(path, cols, ([r[col] for col in cols] for r in self.median_rows()))
 
     def format_table(self) -> str:
         rows = self.median_rows()
@@ -194,13 +185,12 @@ def evaluate(
             X_train, children = train_table.X, train_table.children
             X_test = encode_corpus(schema, sub_test).X
 
-        majority = Counter(y_train).most_common()
-        top = max(c for _, c in majority)
-        majority_label = min(
-            (lab for lab, c in majority if c == top), key=classes.index
-        )
+        # the train side's most common class; ties go to the first in classes
+        majority_label = max(classes, key=Counter(y_train).__getitem__)
         y_test_arr = np.array(y_test)
         prior = float(np.mean(y_test_arr == majority_label))
+        # the classes the test side holds, each with its rows
+        masks = {cls: mask for cls in classes if (mask := y_test_arr == cls).any()}
 
         for feat_name in featurizations:
             if feat_name in shared_fits:
@@ -218,11 +208,7 @@ def evaluate(
                 train_seconds = time.perf_counter() - t0 if timings else None
                 preds = np.array(clf_mod.predict(clf, F_test))
                 accuracy = float(np.mean(preds == y_test_arr))
-                recalls = {}
-                for cls in classes:
-                    mask = y_test_arr == cls
-                    if mask.any():
-                        recalls[cls] = float(np.mean(preds[mask] == cls))
+                recalls = {cls: float(np.mean(preds[m] == cls)) for cls, m in masks.items()}
                 infer_ms = (clf_mod.measure_inference(clf, F_test[:INFER_SAMPLE]).mean_ms
                             if timings else None)
                 report.cells.append(CellResult(spec.task, feat_name, model, fold_idx, accuracy,

@@ -28,6 +28,7 @@ from .plans import (
     Corpus,
     PlanNode,
     iter_nodes,
+    operator_ids,
 )
 
 NUMERIC, BOOLEAN, CATEGORICAL = "numeric", "boolean", "categorical"
@@ -236,7 +237,7 @@ def encode(schema: FeatureSchema, node: PlanNode, tally: Counter | None = None) 
 class OperatorTable:
     """Every operator of a corpus encoded once, in walk order."""
 
-    ids: list[str]             # "<query_id>#<pre-order index>"
+    ids: list[str]             # plans.operator_ids, walk order
     query_index: np.ndarray    # (n,) index into corpus.records, non-decreasing
     X: np.ndarray              # (n, total_dim) encodings
     children: np.ndarray       # (n, 2) rows of the first two children, -1 if absent
@@ -253,7 +254,7 @@ def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
         first = len(nodes)
         nodes += iter_nodes(record.root)
         sizes.append(len(nodes) - first)
-        ids += (f"{record.query_id}#{k}" for k in range(sizes[-1]))
+        ids += operator_ids(record.query_id, sizes[-1])
     if not nodes:
         raise ValueError("corpus has no operators to encode")
     row_of = {id(node): r for r, node in enumerate(nodes)}

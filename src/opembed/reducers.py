@@ -20,6 +20,9 @@ class PcaModel:
         if len(shapes[1]) != 2 or shapes != ((shapes[1][1],), shapes[1], (shapes[1][0],)):
             raise ValueError(f"pca mean, components and variances have shapes {shapes}, "
                              "want (D,), (K, D) and (K,)")
+        if not all(np.isfinite(a).all() for a in (self.mean, self.components,
+                                                   self.explained_variance)):
+            raise ValueError("pca mean, components or variances hold a non-finite value")
 
 
 def fit_pca(X: np.ndarray, k: int) -> PcaModel:

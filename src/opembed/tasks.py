@@ -17,7 +17,7 @@ from .classifiers import predict
 from .errors import CoverageError
 from .featurize import FeatureSchema, encode_rows
 from .featurizer import Featurizer
-from .plans import Corpus, QueryRecord, iter_nodes, walk_operators
+from .plans import Corpus, QueryRecord, iter_nodes
 
 ADMISSION_CLASSES = ("ok", "slow")
 CARD_CLASSES = ("correct", "over", "under")
@@ -49,6 +49,16 @@ def nearest_rank_percentile(values, p: float) -> float:
     return float(arr[max(rank, 1) - 1])
 
 
+def _field(corpus: Corpus, name: str, task: str) -> list:
+    """One field of every operator, in walk order. A corpus where any
+    operator lacks it gets no labels at all."""
+    values = [getattr(node, name) for record in corpus.records for node in iter_nodes(record.root)]
+    missing = values.count(None)
+    if missing:
+        raise CoverageError(f"{missing} operators lack {name}; {task} labels need full coverage")
+    return values
+
+
 def label_admission(
     corpus: Corpus, p: float = 95.0, threshold: float | None = None
 ) -> tuple[list[str], float]:
@@ -58,47 +68,23 @@ def label_admission(
     of this corpus's operator latencies; pass a train-side threshold to
     label a test corpus without leaking.
     """
-    latencies = []
-    missing = 0
-    for item in walk_operators(corpus):
-        if item.node.actual_latency_ms is None:
-            missing += 1
-        else:
-            latencies.append(item.node.actual_latency_ms)
-    if missing:
-        raise CoverageError(
-            f"{missing} operators lack actual_latency_ms; admission labels need full coverage"
-        )
+    latencies = _field(corpus, "actual_latency_ms", "admission")
     if threshold is None:
         threshold = nearest_rank_percentile(latencies, p)
-    labels = ["slow" if lat > threshold else "ok" for lat in latencies]
-    return labels, threshold
+    return ["slow" if lat > threshold else "ok" for lat in latencies], threshold
 
 
 def label_card(corpus: Corpus, f: float = 2.0) -> list[str]:
     """Operator labels: "over" if plan_rows >= f*actual, "under" if
     actual >= f*plan_rows, else "correct". Zero counts on either side get
     +1 smoothing on both before the ratio test."""
+    actuals = _field(corpus, "actual_rows", "cardinality")
     labels = []
-    missing = 0
-    for item in walk_operators(corpus):
-        node = item.node
-        if node.actual_rows is None:
-            missing += 1
-            continue
-        plan, actual = node.plan_rows, node.actual_rows
+    for plan, actual in zip(_field(corpus, "plan_rows", "cardinality"), actuals):
         if min(plan, actual) == 0:
             plan, actual = plan + 1.0, actual + 1.0
-        if plan >= f * actual:
-            labels.append("over")
-        elif actual >= f * plan:
-            labels.append("under")
-        else:
-            labels.append("correct")
-    if missing:
-        raise CoverageError(
-            f"{missing} operators lack actual_rows; cardinality labels need full coverage"
-        )
+        labels.append("over" if plan >= f * actual else "under" if actual >= f * plan
+                      else "correct")
     return labels
 
 
@@ -107,7 +93,7 @@ def label_user(corpus: Corpus) -> list[str]:
     missing = sum(record.user_label is None for record in corpus.records)
     if missing:
         raise CoverageError(f"{missing} queries lack a user; user labels need full coverage")
-    return [item.record.user_label for item in walk_operators(corpus)]
+    return [record.user_label for record in corpus.records for _ in iter_nodes(record.root)]
 
 
 def task_labels(
@@ -165,27 +151,18 @@ def make_folds(
       both sides.
     """
     n = len(corpus)
+    if n_folds < 2:
+        raise ValueError(f"need at least 2 folds, got {n_folds}")
     if n < n_folds:
         raise ValueError(f"need at least {n_folds} queries, corpus has {n}")
-    folds: list[tuple[np.ndarray, np.ndarray]] = []
+    if strategy == "temporal":
+        fifth = n // n_folds
+        starts = [i * (n - fifth) // n_folds for i in range(n_folds)]
+        return FoldPlan(strategy, seed, [(np.arange(start, start + fifth),
+                                          np.arange(start + fifth, n)) for start in starts])
     if strategy == "random":
         rng = np.random.default_rng([seed, 31])
         parts = np.array_split(rng.permutation(n), n_folds)
-        for i in range(n_folds):
-            train = np.sort(parts[i])
-            test = np.sort(np.concatenate([parts[j] for j in range(n_folds) if j != i]))
-            folds.append((train, test))
-    elif strategy == "temporal":
-        fifth = n // n_folds
-        if fifth == 0:
-            raise ValueError("too few queries for temporal folds")
-        for i in range(n_folds):
-            start = i * (n - fifth) // n_folds
-            train = np.arange(start, start + fifth)
-            test = np.arange(start + fifth, n)
-            if len(test) == 0:
-                raise ValueError("temporal fold has an empty test side")
-            folds.append((train, test))
     elif strategy == "by_group":
         groups: dict[str, list[int]] = {}
         for i, rec in enumerate(corpus.records):
@@ -202,16 +179,12 @@ def make_folds(
         for key in order:
             smallest = min(range(n_folds), key=lambda b: (len(buckets[b]), b))
             buckets[smallest].extend(groups[key])
-        for i in range(n_folds):
-            train = np.sort(np.array(buckets[i], dtype=np.intp))
-            test = np.sort(
-                np.concatenate(
-                    [np.array(buckets[j], dtype=np.intp) for j in range(n_folds) if j != i]
-                )
-            )
-            folds.append((train, test))
+        parts = [np.array(bucket, dtype=np.intp) for bucket in buckets]
     else:
         raise ValueError(f"unknown fold strategy {strategy!r}")
+    # part i trains; the other parts, in order, are its test side
+    folds = [(np.sort(part), np.sort(np.concatenate(parts[:i] + parts[i + 1:])))
+             for i, part in enumerate(parts)]
     return FoldPlan(strategy, seed, folds)
 
 

@@ -132,9 +132,11 @@ def _narrow_trunk(header, arrays, rng):
     arrays["layer0_W"] = arrays["layer0_W"][:, :-1]
 
 
-def _nan_weight(header, arrays, rng):
-    W = arrays["layer0_W"]
-    W[rng.randrange(W.shape[0]), rng.randrange(W.shape[1])] = np.nan
+def _non_finite(name, value):
+    def mutate(header, arrays, rng):
+        a = arrays[name]
+        a[tuple(rng.randrange(n) for n in a.shape)] = value
+    return mutate
 
 
 def _as_int(name):
@@ -215,17 +217,18 @@ def _fa_wide(header, arrays, rng):
 
 MUTATIONS = {
     "logreg": {"W-b-extra-row": _extra_class_row, "b-int": _as_int("b"),
-               "dim-float": _float_dim, "classes-string": _set_header("classes", "ab")},
+               "dim-float": _float_dim, "classes-string": _set_header("classes", "ab"),
+               "W-inf": _non_finite("W", np.inf)},
     "svm": {"W-extra-column": _extra_column, "W-int": _as_int("W")},
     "knn": {"y-class-5": _class_id(5), "y-negative": _class_id(-1), "y-float": _knn_float_y,
             "X-short": _knn_short_x, "k-zero": _set_extra("k", 0),
-            "k-float": _set_extra("k", 2.5)},
+            "k-float": _set_extra("k", 2.5), "X-nan": _non_finite("X", np.nan)},
     "rf": {"leaf-out-of-range": _rf_leaf, "feature-out-of-range": _rf_feature,
            "child-loop": _rf_loop, "threshold-int": _as_int("threshold")},
     "dummy": {"majority-7": _set_extra("majority", 7), "majority-negative":
               _set_extra("majority", -1), "majority-float": _set_extra("majority", 1.0)},
     "pca": {"short-mean": _pca_short_mean, "long-variance": _pca_long_variance,
-            "narrow": _pca_narrow},
+            "narrow": _pca_narrow, "mean-nan": _non_finite("mean", np.nan)},
     "fa": {"cluster-9999": _fa_member(9999), "cluster-negative": _fa_member(-1),
            "empty-cluster": _fa_empty_cluster, "wide": _fa_wide,
            "cluster-ids-float": _fa_float_ids, "dim-string": _fa_string_dim},
@@ -242,7 +245,7 @@ MUTATIONS = {
                 "W-flat": _reshape("layer2_W", -1),
                 "beta-short": _truncate("layer2_beta", 7),
                 "W-narrow": _narrow_trunk,
-                "W-nan": _nan_weight},
+                "W-nan": _non_finite("layer0_W", np.nan)},
 }
 CASES = [(name, case) for name, cases in MUTATIONS.items() for case in cases]
 

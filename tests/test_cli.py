@@ -465,6 +465,28 @@ def test_train_task_row_mismatch(runner, tmp_path, pipeline):
     assert "rows" in err and "operators" in err
 
 
+def test_train_task_refuses_rows_out_of_walk_order(runner, tmp_path, pipeline):
+    _, corpus, encoder, _ = pipeline
+    emb = tmp_path / "emb.csv"
+    run_ok(
+        runner,
+        ["embed", "--corpus", str(corpus), "--encoder", str(encoder), "--out", str(emb)],
+    )
+    header, *rows = emb.read_text().splitlines()
+    reversed_csv = tmp_path / "reversed.csv"
+    reversed_csv.write_text("\n".join([header] + rows[::-1]) + "\n")
+    err = run_err(
+        runner,
+        [
+            "train-task", "--corpus", str(corpus), "--features", str(reversed_csv),
+            "--task", "card", "--model", "logreg", "--out", str(tmp_path / "clf.opeb"),
+        ],
+    )
+    first, last = rows[0].split(",")[0], rows[-1].split(",")[0]
+    assert f"{reversed_csv} line 2 has id {last!r}" in err and repr(first) in err
+    assert not (tmp_path / "clf.opeb").exists()
+
+
 def test_evaluate_writes_reports(runner, tmp_path, pipeline):
     _, corpus, _, _ = pipeline
     out = tmp_path / "cells.csv"
@@ -561,13 +583,23 @@ def test_project2d_static_header(runner, tmp_path, pipeline):
     assert xy.shape[1] == 2
 
 
-def test_project2d_rejects_non_feature_csv(runner, tmp_path):
+@pytest.mark.parametrize(
+    "text, where, reason",
+    [("a,b\n1,2\n", "", "first column must be 'id'"),
+     ("id,e0,e1\nq#0,1,2\nq#1,3\n", " line 3", "2 cells, but the header has 3"),
+     ("id,e0\nq#0,1\n\nq#1,2\n", " line 3", "0 cells, but the header has 2"),
+     ("id,e0,e1\nq#0,1,abc\n", " line 2", "could not convert string to float: 'abc'"),
+     ("id,e0,e1\nq#0,1,2\nq#1,nan,2\n", " line 3", "non-finite"),
+     ("id,e0,e1\nq#0,-inf,2\n", " line 2", "non-finite")],
+    ids=["no-id", "missing-cell", "blank-line", "abc", "nan", "inf"],
+)
+def test_project2d_rejects_non_feature_csv(runner, tmp_path, text, where, reason):
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
+    bad.write_text(text)
     err = run_err(
         runner, ["project2d", "--features", str(bad), "--out", str(tmp_path / "o.csv")]
     )
-    assert "id" in err
+    assert f"{bad}{where}" in err and reason in err
 
 
 def test_missing_bundle_is_one_line_error(runner, tmp_path, pipeline):

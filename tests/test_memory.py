@@ -1,0 +1,56 @@
+"""Memory grows linearly with corpus size: at n and 2n queries, loading the
+plan file, encoding the operators and one training epoch each peak at most
+RATIO times as high (tracemalloc) on the larger corpus.
+
+Both corpora are encoded with one schema fit on the larger, so the encoding
+width is the same at n and 2n; a schema fit on each corpus would widen with
+its vocabulary and grow the encoding faster than the row count.
+"""
+
+import dataclasses
+import tracemalloc
+
+import pytest
+
+from opembed import nn
+from opembed.featurize import build_schema, encode_corpus
+from opembed.hourglass import HourglassSpec, build, train_embedding
+from opembed.plans import load_corpus, save_corpus
+from opembed.synth import PRESETS, generate
+
+N = 100
+RATIO = 2.3
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("preset", ["planted-card", "tpcds-like"])
+def test_peak_memory_grows_linearly_with_corpus_size(preset, tmp_path):
+    paths = []
+    for n in (N, 2 * N):
+        paths.append(tmp_path / f"{n}.json")
+        save_corpus(generate(dataclasses.replace(PRESETS[preset](seed=2), n_queries=n)),
+                    paths[-1])
+    corpora = [load_corpus(p) for p in paths]
+    schema = build_schema(corpora[1])
+    tables = [encode_corpus(schema, c) for c in corpora]
+
+    def epoch(table):
+        net = build(HourglassSpec(hidden_dims=(32, 16), embedding_dim=8), schema)
+        return lambda: train_embedding(net, table.X, table.children, nn.SgdConfig(epochs=1))
+
+    stages = {
+        "load_corpus": [lambda p=p: load_corpus(p) for p in paths],
+        "encode_corpus": [lambda c=c: encode_corpus(schema, c) for c in corpora],
+        "epoch": [epoch(t) for t in tables],
+    }
+    for stage, (small, large) in stages.items():
+        ratio = _peak(large) / _peak(small)
+        assert ratio <= RATIO, (stage, ratio)

@@ -280,6 +280,13 @@ def test_make_folds_validation(folds_corpus):
         make_folds(single_group, "by_group")
 
 
+@pytest.mark.parametrize("strategy", ["random", "temporal", "by_group"])
+def test_make_folds_refuses_fewer_than_two_folds(folds_corpus, strategy):
+    for n_folds in (1, 0):
+        with pytest.raises(ValueError, match=f"need at least 2 folds, got {n_folds}"):
+            make_folds(folds_corpus, strategy, n_folds=n_folds)
+
+
 def test_assert_leak_free_catches_overlap(folds_corpus):
     plan = make_folds(folds_corpus, "random", seed=0)
     train0, test0 = plan.folds[0]
