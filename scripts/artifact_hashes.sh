@@ -90,6 +90,11 @@ op predict --plans "$OUT/planted-card-1/corpus.json" \
    --classifier "$OUT/planted-card-0/clf_sparse.opeb" \
    --schema "$OUT/planted-card-0/schema.opeb" --out "$d/pred_sparse.csv"
 cut -d, -f1-3 "$d/pred_sparse.csv" | tr -d "\r" > "$d/pred_sparse.cols.csv"; rm "$d/pred_sparse.csv"
+# the writer's bytes for the presets the runs above do not synthesize
+for preset in default context-probe; do
+  d=$OUT/synth-$preset; mkdir -p "$d"
+  op synth --preset "$preset" --seed 2 --out "$d/corpus.json"
+done
 # masked loss with batches of 3: many batches hold no operator with a first or
 # second child, so a head gets zero gradients; the pre-activation cut-off too
 d=$OUT/masked-small; mkdir -p "$d"

@@ -1,10 +1,17 @@
+import ast
+import dataclasses
+import errno
+import inspect
 import json
+import logging
 import re
+import sys
 from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
+from opembed import plans
 from opembed.cli import main
 from opembed.errors import PlanFormatError
 from opembed.plans import (
@@ -19,7 +26,7 @@ from opembed.plans import (
     subcorpus,
     walk_operators,
 )
-from opembed.synth import SynthConfig, generate, ground_truth
+from opembed.synth import PRESETS, SynthConfig, generate, ground_truth
 
 
 def scan(rows=100.0, **kw):
@@ -205,7 +212,7 @@ def _chain(levels):
     return root
 
 
-def test_save_corpus_writes_what_load_reads_or_no_file(tmp_path):
+def test_save_corpus_writes_what_load_reads_or_no_file(tmp_path, monkeypatch):
     deepest = Corpus([QueryRecord("flat", None, scan()),
                       QueryRecord("deep", None, _chain(MAX_PLAN_DEPTH))])
     path = tmp_path / "deepest.json"
@@ -221,11 +228,163 @@ def test_save_corpus_writes_what_load_reads_or_no_file(tmp_path):
     assert list(over.iterdir()) == []
 
     # a write that fails half way removes its temporary file
-    unencodable = Corpus([QueryRecord("flat", None, scan()),
-                          QueryRecord("odd", None, scan(relation_name=object()))])
-    with pytest.raises(TypeError):
-        save_corpus(unencodable, over / "odd.json")
+    real_open, files = open, []
+
+    class DiskFull:
+        """A file that takes its first chunk, then fails as a full disk does."""
+
+        def __init__(self, *args, **kwargs):
+            self.f, self.chunks = real_open(*args, **kwargs), 0
+            files.append(self)
+
+        def write(self, text):
+            if self.chunks:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.chunks += 1
+            return self.f.write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+        def close(self):
+            self.f.close()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(plans, "open", DiskFull, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_corpus(deepest, over / "full.json")
+    assert [f.chunks for f in files] == [1]
     assert list(over.iterdir()) == []
+
+
+def _bad(**fields):
+    """A Sort over one scan that carries the given fields."""
+    return PlanNode(node_type="Sort", children=[dataclasses.replace(scan(), **fields)])
+
+
+@pytest.mark.parametrize(
+    "record, where",
+    [(QueryRecord("odd", None, _bad(plan_rows=float("nan"))),
+      "query 'odd' at queries[1].plan.children[0]: field 'plan_rows' must be finite and >= 0, "
+      "got nan"),
+     (QueryRecord("odd", None, _bad(total_cost=-1.0)),
+      "query 'odd' at queries[1].plan.children[0]: field 'total_cost' must be finite and >= 0"),
+     (QueryRecord("odd", None, _bad(attr_mins=(1.0, float("inf")))),
+      "query 'odd' at queries[1].plan.children[0]: field 'attr_mins[1]' must be finite, got inf"),
+     (QueryRecord("odd", None, _bad(attr_maxs=7.0)),
+      "query 'odd' at queries[1].plan.children[0]: field 'attr_maxs' must be a list of numbers"),
+     (QueryRecord("odd", None, _bad(scan_direction=1)),
+      "query 'odd' at queries[1].plan.children[0]: field 'scan_direction' must be true or false"),
+     (QueryRecord("odd", None, _bad(join_type=5)),
+      "query 'odd' at queries[1].plan.children[0]: field 'join_type' must be a string, got 5"),
+     (QueryRecord("odd", None, _bad(relation_name=object())),
+      "query 'odd' at queries[1].plan.children[0]: field 'relation_name' must be a string"),
+     (QueryRecord("odd", None, _bad(actual_rows="3")),
+      "query 'odd' at queries[1].plan.children[0]: field 'actual_rows' is not a number: '3'"),
+     (QueryRecord("odd", None, PlanNode(node_type=None, children=[scan()])),
+      "query 'odd' at queries[1].plan: field 'node_type' must be a string, got None"),
+     (QueryRecord("odd", None, PlanNode(node_type="Sort", children=[{"node_type": "SeqScan"}])),
+      "query 'odd' at queries[1].plan.children[0]: plan node must be a PlanNode, got dict"),
+     (QueryRecord("odd", 3, scan()),
+      "queries[1]: want a string 'query_id' and a string or null 'user'"),
+     (QueryRecord(7, None, scan()),
+      "queries[1]: want a string 'query_id' and a string or null 'user'"),
+     (QueryRecord("flat", None, scan()), "queries[1]: duplicate query_id 'flat'")],
+    ids=["nan-rows", "negative-cost", "inf-attr", "attr-not-a-list", "int-bool",
+         "int-categorical", "object-categorical", "string-numeric", "null-node-type",
+         "dict-child", "int-user", "int-query-id", "duplicate-query-id"],
+)
+def test_save_corpus_refuses_what_load_corpus_refuses(tmp_path, record, where):
+    corpus = Corpus([QueryRecord("flat", None, scan()), record])
+    with pytest.raises(PlanFormatError) as err:
+        save_corpus(corpus, tmp_path / "odd.json")
+    assert str(err.value).startswith(where), str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _assert_saved_as_json_dumps(tmp_path, corpus):
+    path = tmp_path / "oracle.json"
+    save_corpus(corpus, path)
+    assert path.read_bytes() == (json.dumps(corpus_to_dict(corpus), indent=1) + "\n").encode()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_save_corpus_writes_json_dumps_bytes_for_every_preset(tmp_path, preset, seed):
+    _assert_saved_as_json_dumps(
+        tmp_path, generate(dataclasses.replace(PRESETS[preset](seed=seed), n_queries=80)))
+
+
+@pytest.mark.parametrize(
+    "records",
+    [[],
+     [QueryRecord("empty-stats", None, scan(attr_mins=(), attr_medians=(0.5,)))],
+     [QueryRecord("ints", None, PlanNode(node_type="HashJoin", plan_rows=5, plan_width=0,
+                                         hash_buckets=1024, attr_mins=(1, 2.5, -3),
+                                         attr_maxs=(4, 5), children=[scan(rows=7)]))],
+     [QueryRecord("no-user", None, scan()), QueryRecord("zoë", "zoë", scan()),
+      QueryRecord("用户", "用户   \U0001f600", scan())],
+     [QueryRecord('say "hi" \\ bye', None, scan(relation_name='rel "a" \\ b\n\t'))],
+     [QueryRecord("flags", "u", PlanNode(node_type="Aggregate", partial_mode=False,
+                                         children=[scan(scan_direction=True)]))],
+     [QueryRecord("null-core", None, PlanNode(node_type="Result", plan_width=None))],
+     [QueryRecord("three", None, PlanNode(node_type="Append",
+                                          children=[scan(1), _chain(3), scan(3)]))],
+     [QueryRecord("deepest", None, _chain(MAX_PLAN_DEPTH)), QueryRecord("after", None, scan())]],
+    ids=["empty-corpus", "empty-stats", "int-numerics", "users", "quote-backslash",
+         "booleans", "null-core-numeric", "three-children", "deepest-chain"],
+)
+def test_save_corpus_writes_json_dumps_bytes_for_hand_built_plans(tmp_path, records):
+    _assert_saved_as_json_dumps(tmp_path, Corpus(records))
+
+
+def _call_near_the_recursion_limit(fn, headroom=100):
+    """Call fn with the stack within `headroom` frames of the recursion limit."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def down(k):
+        return fn() if k <= 0 else down(k - 1)
+
+    return down(sys.getrecursionlimit() - headroom - depth - 1)
+
+
+def test_save_and_dict_conversion_need_no_stack_per_plan_level(tmp_path):
+    deepest = Corpus([QueryRecord("deep", None, _chain(MAX_PLAN_DEPTH))])
+    path = tmp_path / "deep.json"
+    _call_near_the_recursion_limit(lambda: save_corpus(deepest, path))
+    as_dict = _call_near_the_recursion_limit(lambda: corpus_to_dict(deepest))
+    assert json.loads(path.read_text()) == as_dict
+
+
+def test_no_function_in_plans_calls_itself():
+    tree = ast.parse(inspect.getsource(plans))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {node.func.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert fn.name not in called, f"plans.{fn.name} calls itself"
+
+
+def test_unknown_keys_are_reported_in_walk_order(tmp_path, caplog):
+    leaf = '{"node_type": "SeqScan", "%s": 1}'
+    plan = ('{"node_type": "HashJoin", "x0": 1, "children": [{"node_type": "Hash", "x1": 1, '
+            '"children": [%s]}, %s]}' % (leaf % "x2", leaf % "x3"))
+    with caplog.at_level(logging.WARNING, logger="opembed.plans"):
+        _load_text(tmp_path, '{"queries": [{"query_id": "a", "plan": %s}]}' % plan)
+    assert [r.getMessage() for r in caplog.records] == [
+        "queries[0].plan: ignoring unknown keys ['x0']",
+        "queries[0].plan.children[0]: ignoring unknown keys ['x1']",
+        "queries[0].plan.children[0].children[0]: ignoring unknown keys ['x2']",
+        "queries[0].plan.children[1]: ignoring unknown keys ['x3']",
+    ]
 
 
 def test_hand_written_plan_past_the_depth_bound_is_refused_on_load(tmp_path):
