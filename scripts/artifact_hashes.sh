@@ -90,6 +90,28 @@ op predict --plans "$OUT/planted-card-1/corpus.json" \
    --classifier "$OUT/planted-card-0/clf_sparse.opeb" \
    --schema "$OUT/planted-card-0/schema.opeb" --out "$d/pred_sparse.csv"
 cut -d, -f1-3 "$d/pred_sparse.csv" | tr -d "\r" > "$d/pred_sparse.cols.csv"; rm "$d/pred_sparse.csv"
+# a wide log of several 256-row read blocks: embed and predict featurize it a
+# block at a time through tpcds-like-0's bundles, which must not change a byte
+d=$OUT/wide; mkdir -p "$d"; t=$OUT/tpcds-like-0
+op synth --preset tpcds-like --seed 3 --queries 150 --out "$d/corpus.json"
+op embed --corpus "$d/corpus.json" --encoder "$t/encoder.opeb" --out "$d/embeddings.csv"
+op embed --corpus "$d/corpus.json" --encoder "$t/encoder_small.opeb" --out "$d/embeddings_small.csv"
+op embed --corpus "$d/corpus.json" --encoder "$t/encoder_pre.opeb" --out "$d/embeddings_pre.csv"
+# a 4-wide embedding is under featurize.MIN_BLOCKED_WIDTH, so it is one block
+op train-embedding --corpus "$t/corpus.json" --epochs 3 --hidden 64,32 --embedding-dim 4 \
+   --encoder-out "$d/encoder_narrow.opeb"
+op embed --corpus "$d/corpus.json" --encoder "$d/encoder_narrow.opeb" --out "$d/embeddings_narrow.csv"
+op predict --plans "$d/corpus.json" --classifier "$t/clf_admission.opeb" \
+   --encoder "$t/encoder.opeb" --out "$d/pred_enc.csv"
+op predict --plans "$d/corpus.json" --classifier "$t/clf_pca.opeb" \
+   --reducer "$t/pca.opeb" --schema "$t/schema.opeb" --out "$d/pred_pca.csv"
+op predict --plans "$d/corpus.json" --classifier "$t/clf_fa.opeb" \
+   --reducer "$t/fa.opeb" --schema "$t/schema.opeb" --out "$d/pred_fa.csv"
+op predict --plans "$d/corpus.json" --classifier "$t/clf_sparse.opeb" \
+   --schema "$t/schema.opeb" --out "$d/pred_sparse.csv"
+for f in pred_enc pred_pca pred_fa pred_sparse; do
+  cut -d, -f1-3 "$d/$f.csv" | tr -d "\r" > "$d/$f.cols.csv"; rm "$d/$f.csv"
+done
 # the writer's bytes for the presets the runs above do not synthesize
 for preset in default context-probe; do
   d=$OUT/synth-$preset; mkdir -p "$d"

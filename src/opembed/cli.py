@@ -27,7 +27,7 @@ from .classifiers import (
 )
 from .errors import OpembedError
 from .evaluate import _write_csv, evaluate as run_evaluate
-from .featurize import build_schema, encode_corpus
+from .featurize import build_schema, corpus_operators, encode_corpus, encode_in_blocks
 from .featurizer import fit_featurization
 from .hourglass import (
     HourglassSpec,
@@ -38,7 +38,7 @@ from .hourglass import (
     train_embedding,
 )
 from .nn import SgdConfig
-from .plans import iter_nodes, load_corpus, operator_ids, save_corpus, walk_operators
+from .plans import iter_nodes, load_corpus, operator_ids, save_corpus
 from .synth import PRESETS, describe, generate
 from .tasks import ADMISSION_CLASSES, TASKS, TaskSpec, make_folds, task_labels
 
@@ -175,10 +175,10 @@ def embed(corpus_path, encoder_path, out) -> None:
     """Embed every operator; writes id + one column per embedding dim."""
     corpus = load_corpus(corpus_path)
     feat = store.load_featurizer(encoder=encoder_path)
-    table, E = embed_corpus(feat.model, feat.schema, corpus)
+    ids, E = embed_corpus(feat.model, feat.schema, corpus)
     cols = [f"e{j}" for j in range(E.shape[1])]
-    _write_feature_csv(out, table.ids, cols, E)
-    click.echo(f"embedded {len(table)} operators at dim {len(cols)} -> {out}")
+    _write_feature_csv(out, ids, cols, E)
+    click.echo(f"embedded {len(ids)} operators at dim {len(cols)} -> {out}")
 
 
 @main.command()
@@ -272,17 +272,19 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
     clf, _ = store.load_classifier_bundle(classifier_path)
     feat = store.load_featurizer(encoder=encoder_path, reducer=reducer_path, schema=schema_path)
     feat.accept(clf)
-    table = encode_corpus(feat.schema, corpus)
-    preds = clf_predict(clf, feat.transform(table.X))
-    node_types = [item.node.node_type for item in walk_operators(corpus)]
-    _write_csv(out, ["id", "node_type", "prediction"], zip(table.ids, node_types, preds))
+    nodes, ids, sizes = corpus_operators(corpus)
+    # one predict over all the features, so no score depends on the blocks
+    preds = clf_predict(clf, encode_in_blocks(feat.schema, nodes, feat.transform, feat.narrowest))
+    _write_csv(out, ["id", "node_type", "prediction"],
+               zip(ids, (node.node_type for node in nodes), preds))
 
     flagged = ""
     slow = ADMISSION_CLASSES[1]
     if slow in clf.classes:
         # verdict per query: flag when any of its operators predicts "slow"
         hit = np.zeros(len(corpus.records), dtype=bool)
-        hit[table.query_index[np.array(preds) == slow]] = True
+        query_index = np.repeat(np.arange(len(sizes)), sizes)
+        hit[query_index[np.array(preds) == slow]] = True
         verdicts = ("flag" if flag else "admit" for flag in hit)
         _write_csv(f"{out}.verdicts.csv", ["query_id", "verdict"],
                    zip((r.query_id for r in corpus.records), verdicts))

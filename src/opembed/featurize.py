@@ -16,6 +16,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,14 @@ MIN_STDDEV = 1e-12  # a smaller stddev is degenerate; build_schema stores the se
 # rows encoded at once: a block's entry lists take more memory than its rows
 # of X, so only one block's lists exist at a time
 ENCODE_BLOCK_ROWS = 64
+# rows encode_in_blocks encodes and transforms at once: at least this many
+READ_BLOCK_ROWS = 256
+# the narrowest matrix product encode_in_blocks splits into blocks. OpenBLAS
+# 0.3.31 (Haswell kernels, 1 or 2 threads) computes an M x N product over 32
+# or more inputs with M * N <= 1200 by another kernel than a larger one,
+# which changes the last bits of its rows; a block of READ_BLOCK_ROWS rows
+# is past that size only when N >= 5
+MIN_BLOCKED_WIDTH = 5
 
 # each operator field, in the order its slots take in the layout
 _FIELDS = ("node_type", *CORE_NUMERIC_FIELDS, "join_type", "parent_relationship", "hash_buckets",
@@ -246,10 +255,10 @@ class OperatorTable:
         return len(self.ids)
 
 
-def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
-    """Encode each operator once and index its first two children as rows
-    of the same matrix; children beyond the second are dropped."""
-    nodes, ids, sizes = [], [], []  # sizes: operators per record
+def corpus_operators(corpus: Corpus) -> tuple[list[PlanNode], list[str], list[int]]:
+    """Every operator of a corpus in walk order, its id (plans.operator_ids)
+    and the operator count of each record."""
+    nodes, ids, sizes = [], [], []
     for record in corpus.records:
         first = len(nodes)
         nodes += iter_nodes(record.root)
@@ -257,6 +266,13 @@ def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
         ids += operator_ids(record.query_id, sizes[-1])
     if not nodes:
         raise ValueError("corpus has no operators to encode")
+    return nodes, ids, sizes
+
+
+def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
+    """Encode each operator once and index its first two children as rows
+    of the same matrix; children beyond the second are dropped."""
+    nodes, ids, sizes = corpus_operators(corpus)
     row_of = {id(node): r for r, node in enumerate(nodes)}
     children = np.full((len(nodes), 2), -1, dtype=np.intp)
     for r, node in enumerate(nodes):
@@ -265,6 +281,27 @@ def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
     del row_of  # freed before X is allocated
     query_index = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
     return OperatorTable(ids, query_index, encode_rows(schema, nodes), children)
+
+
+def encode_in_blocks(schema: FeatureSchema, nodes: list[PlanNode],
+                     transform: Callable[[np.ndarray], np.ndarray],
+                     narrowest: int) -> np.ndarray:
+    """``transform(encode_rows(schema, nodes))``, bit for bit, holding the
+    encodings of one block of at least READ_BLOCK_ROWS rows at a time (one
+    block below 2 * READ_BLOCK_ROWS rows). transform must map each row on its
+    own, as the featurizers do; narrowest is the fewest columns of any matrix
+    product it computes, and below MIN_BLOCKED_WIDTH all rows are one block."""
+    if not nodes:
+        raise ValueError("corpus has no operators to encode")
+    count = len(nodes) // READ_BLOCK_ROWS if narrowest >= MIN_BLOCKED_WIDTH else 1
+    out = None
+    for rows in np.array_split(np.arange(len(nodes)), max(1, count)):
+        lo, hi = int(rows[0]), int(rows[-1]) + 1
+        block = transform(encode_rows(schema, nodes[lo:hi]))
+        if out is None:
+            out = np.empty((len(nodes), block.shape[1]), dtype=block.dtype)
+        out[lo:hi] = block
+    return out
 
 
 def _schema_payload(schema: FeatureSchema) -> dict:

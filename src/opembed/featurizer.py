@@ -69,6 +69,12 @@ class Featurizer:
         return self.schema.total_dim
 
     @property
+    def narrowest(self) -> int:
+        """The fewest columns of any matrix product transform computes (or,
+        with none, of its output): featurize.encode_in_blocks reads it."""
+        return self.model.narrowest if isinstance(self.model, Encoder) else self.dim
+
+    @property
     def provenance(self) -> FeatProvenance:
         return FeatProvenance(self.kind, schema_hash(self.schema))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .errors import SchemaError
-from .featurize import FeatureSchema, OperatorTable, encode_corpus, schema_hash
+from .featurize import FeatureSchema, corpus_operators, encode_in_blocks, schema_hash
 from .plans import Corpus
 
 DEFAULT_HIDDEN = (256, 256, 128, 128, 64, 64)
@@ -158,6 +158,11 @@ class Encoder:
         return self.trunk.out_dim
 
     @property
+    def narrowest(self) -> int:
+        """The fewest columns any trunk layer yields."""
+        return min(layer.out_dim for layer in self.trunk.layers)
+
+    @property
     def pre_activation(self) -> bool:
         """Whether the embedding is the raw affine output: the last layer
         applies neither layer norm nor ReLU."""
@@ -192,12 +197,15 @@ def cut_off(enet: EmbeddingNetwork, pre_activation: bool = False) -> Encoder:
 
 def embed_corpus(
     encoder: Encoder, schema: FeatureSchema, corpus: Corpus
-) -> tuple[OperatorTable, np.ndarray]:
-    """Encode every operator in walk order; returns the operator table and
-    its embeddings, one row per table row."""
+) -> tuple[list[str], np.ndarray]:
+    """Embed every operator in walk order; returns the operator ids and the
+    (n, embedding_dim) embeddings, one row per id. Operators are encoded and
+    embedded in blocks (featurize.encode_in_blocks), so the wide encodings
+    of only one block are held at a time; the bytes equal those of
+    embedding the whole encoded corpus at once."""
     encoder.check_schema(schema)
-    table = encode_corpus(schema, corpus)
-    return table, encoder(table.X)
+    nodes, ids, _ = corpus_operators(corpus)
+    return ids, encode_in_blocks(schema, nodes, encoder, encoder.narrowest)
 
 
 def project_2d(X: np.ndarray) -> np.ndarray:

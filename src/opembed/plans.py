@@ -11,6 +11,7 @@ rows in tuples.  Unknown keys are ignored with a warning.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import math
@@ -229,7 +230,21 @@ def load_corpus(path) -> Corpus:
     Raises :class:`PlanFormatError` with node-path context on parse errors or
     invariant violations (non-objects, negative/non-finite numerics, missing
     node_type).
+
+    The cyclic collector is paused while the file is decoded and the corpus
+    built: both only allocate, and each object they keep would otherwise be
+    scanned again at every collection. The caller's setting is restored.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_corpus(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_corpus(path) -> Corpus:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)

@@ -251,6 +251,40 @@ def test_predict_verdicts_match_flag_query(runner, tmp_path, pipeline):
     assert {v for _, v in want} == {"admit", "flag"}
 
 
+def test_predict_over_several_read_blocks_matches_one_shot_scores(runner, tmp_path, pipeline):
+    from opembed.classifiers import predict as clf_predict
+    from opembed.featurize import READ_BLOCK_ROWS, encode_corpus
+    from opembed.plans import load_corpus, walk_operators
+
+    _, corpus, encoder, _ = pipeline
+    emb, clf_path = tmp_path / "emb.csv", tmp_path / "clf.opeb"
+    run_ok(runner, ["embed", "--corpus", str(corpus), "--encoder", str(encoder),
+                    "--out", str(emb)])
+    run_ok(runner, ["train-task", "--corpus", str(corpus), "--features", str(emb),
+                    "--task", "admission", "--percentile", "70", "--model", "knn",
+                    "--out", str(clf_path)])
+    # a log of another seed, read through the pipeline's encoder
+    log, preds = tmp_path / "log.json", tmp_path / "preds.csv"
+    run_ok(runner, ["synth", "--seed", "5", "--queries", "150", "--out", str(log)])
+    run_ok(runner, ["predict", "--plans", str(log), "--classifier", str(clf_path),
+                    "--encoder", str(encoder), "--out", str(preds)])
+
+    plans = load_corpus(log)
+    table = encode_corpus(store.load_featurizer(encoder=encoder).schema, plans)
+    assert len(table) >= 3 * READ_BLOCK_ROWS
+    clf, _ = store.load_classifier_bundle(clf_path)
+    labels = clf_predict(clf, store.load_encoder_bundle(encoder)[0](table.X))
+    node_types = [item.node.node_type for item in walk_operators(plans)]
+    want = ["id,node_type,prediction"] + [
+        f"{oid},{nt},{label}" for oid, nt, label in zip(table.ids, node_types, labels)]
+    assert preds.read_text().splitlines() == want
+    slow = {table.query_index[r] for r, label in enumerate(labels) if label == "slow"}
+    want = ["query_id,verdict"] + [f"{rec.query_id},{'flag' if q in slow else 'admit'}"
+                                   for q, rec in enumerate(plans.records)]
+    assert (tmp_path / "preds.csv.verdicts.csv").read_text().splitlines() == want
+    assert 0 < len(slow) < len(plans.records)
+
+
 def test_predict_refuses_mismatched_provenance(runner, tmp_path, pipeline):
     _, corpus, encoder, _ = pipeline
     emb = tmp_path / "emb.csv"

@@ -9,10 +9,14 @@ import pytest
 from opembed.errors import SchemaError
 from opembed.featurize import (
     BOOLEAN,
+    MIN_BLOCKED_WIDTH,
+    READ_BLOCK_ROWS,
     STDDEV_SENTINEL,
     build_schema,
+    corpus_operators,
     encode,
     encode_corpus,
+    encode_in_blocks,
     encode_rows,
     schema_from_json,
     schema_hash,
@@ -30,6 +34,9 @@ from opembed.plans import (
     subcorpus,
     walk_operators,
 )
+from opembed.featurizer import Featurizer
+from opembed.hourglass import HourglassSpec, build, cut_off
+from opembed.reducers import fit_fa, fit_pca
 from opembed.synth import PRESETS, SynthConfig, generate, tpcds_like_config
 
 
@@ -336,3 +343,60 @@ def test_schema_json_rejects_stats_off_the_numeric_slots(schema60):
     payload["stats"]["0"] = [0.0, 1.0]  # slot 0 is the first node_type one-hot
     with pytest.raises(SchemaError, match=r"stats for slot 0 \(not numeric\)"):
         schema_from_json(json.dumps(payload))
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A tpcds-like corpus of about 1,300 operators on its wide schema, and a
+    featurizer of each kind: untrained encoders (the default trunk, a small
+    one, each also cut before the embedding's norm and ReLU, and two with a
+    layer under MIN_BLOCKED_WIDTH wide), PCA, FA and sparse rows."""
+    corpus = generate(dataclasses.replace(tpcds_like_config(seed=5), n_queries=170))
+    schema = build_schema(corpus)
+    nodes, _, _ = corpus_operators(corpus)
+    X = encode_rows(schema, nodes)
+    models = {"sparse": None, "pca": fit_pca(X, 16), "fa": fit_fa(X, 8),
+              "pca-2": fit_pca(X, 2), "pca-4": fit_pca(X, 4)}
+    for name, hidden, dim in (("default", (256, 256, 128, 128, 64, 64), 32),
+                              ("small", (48, 24), 8), ("narrow-4", (64, 32), 4),
+                              ("narrow-2", (4,), 2)):
+        enet = build(HourglassSpec(hidden, dim, seed=1), schema)
+        models[name] = cut_off(enet)
+        models[f"{name}-pre"] = cut_off(enet, pre_activation=True)
+    return schema, nodes, {k: Featurizer(schema, m) for k, m in models.items()}
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 255, 256, 511, 512, None])  # None: every operator
+@pytest.mark.parametrize("kind", ["default", "default-pre", "small", "small-pre", "narrow-4",
+                                  "narrow-2-pre", "pca", "pca-2", "pca-4", "fa", "sparse"])
+def test_encode_in_blocks_matches_one_transform_of_all_rows(wide, kind, n):
+    schema, nodes, featurizers = wide
+    nodes = nodes[:n]
+    assert n is not None or len(nodes) > 5 * READ_BLOCK_ROWS
+    feat = featurizers[kind]
+    want = feat.transform(encode_rows(schema, nodes))
+    got = encode_in_blocks(schema, nodes, feat.transform, feat.narrowest)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, narrowest, sizes", [
+    (1, 5, [1]), (511, 5, [511]), (512, 5, [256, 256]), (1031, 5, [258, 258, 258, 257]),
+    (1031, 4, [1031]),
+])
+def test_encode_in_blocks_transforms_blocks_of_at_least_read_block_rows(wide, n, narrowest,
+                                                                        sizes):
+    schema, nodes, featurizers = wide
+    assert MIN_BLOCKED_WIDTH == 5
+    seen = []
+    encode_in_blocks(schema, nodes[:n], lambda X: seen.append(len(X)) or X, narrowest)
+    assert seen == sizes
+    assert [featurizers[k].narrowest for k in ("default", "narrow-4", "pca-2", "fa", "sparse")] \
+        == [32, 4, 2, 8, schema.total_dim]
+
+
+def test_encode_in_blocks_refuses_no_operators(schema60):
+    with pytest.raises(ValueError, match="no operators to encode"):
+        encode_in_blocks(schema60, [], lambda X: X, schema60.total_dim)
+    with pytest.raises(ValueError, match="no operators to encode"):
+        corpus_operators(Corpus())

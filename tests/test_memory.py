@@ -5,6 +5,9 @@ RATIO times as high (tracemalloc) on the larger corpus.
 Both corpora are encoded with one schema fit on the larger, so the encoding
 width is the same at n and 2n; a schema fit on each corpus would widen with
 its vocabulary and grow the encoding faster than the row count.
+
+Embedding a corpus holds the wide encodings of one block of operators at a
+time, so its peak stays below the size of the whole corpus's encodings.
 """
 
 import dataclasses
@@ -14,7 +17,7 @@ import pytest
 
 from opembed import nn
 from opembed.featurize import build_schema, encode_corpus
-from opembed.hourglass import HourglassSpec, build, train_embedding
+from opembed.hourglass import HourglassSpec, build, cut_off, embed_corpus, train_embedding
 from opembed.plans import load_corpus, save_corpus
 from opembed.synth import PRESETS, generate
 
@@ -54,3 +57,13 @@ def test_peak_memory_grows_linearly_with_corpus_size(preset, tmp_path):
     for stage, (small, large) in stages.items():
         ratio = _peak(large) / _peak(small)
         assert ratio <= RATIO, (stage, ratio)
+
+
+def test_embedding_a_corpus_peaks_below_its_encodings():
+    corpus = generate(dataclasses.replace(PRESETS["tpcds-like"](seed=2), n_queries=250))
+    schema = build_schema(corpus)
+    encoder = cut_off(build(HourglassSpec(), schema))
+    ids, _ = embed_corpus(encoder, schema, corpus)
+    x_bytes = len(ids) * schema.total_dim * 8  # the float64 X encode_corpus would hold
+    peak = _peak(lambda: embed_corpus(encoder, schema, corpus))
+    assert peak < x_bytes, (peak, x_bytes)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import errno
+import gc
 import inspect
 import json
 import logging
@@ -452,3 +453,25 @@ def test_iter_nodes_is_preorder():
     root = PlanNode(node_type="Aggregate", children=[join])
     types = [n.node_type for n in iter_nodes(root)]
     assert types == ["Aggregate", "HashJoin", "SeqScan", "SeqScan"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_corpus_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_corpus(Corpus([QueryRecord("q", None, scan())]), good)
+    bad.write_text('{"queries": [{"query_id": "q", "plan": {"plan_rows": 1}}]}')
+    during = []
+    parse = plans._parse_node
+    monkeypatch.setattr(plans, "_parse_node",
+                        lambda *args: during.append(gc.isenabled()) or parse(*args))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_corpus(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(PlanFormatError, match="node_type"):
+            load_corpus(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
