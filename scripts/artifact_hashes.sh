@@ -52,6 +52,9 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --model svm --seed "$seed" --out "$d/clf_user.opeb"
   op train-task --corpus "$d/corpus.json" --features "$d/embeddings.csv" --task card \
      --model rf --seed "$seed" --out "$d/clf_card.opeb"
+  # a forest on the wide sparse columns, so each split samples more features
+  op train-task --corpus "$d/corpus.json" --features "$d/sparse.csv" --task "$task" \
+     --model rf --seed "$seed" --out "$d/clf_rf_sparse.opeb"
   op predict --plans "$d/corpus.json" --classifier "$d/clf_admission.opeb" \
      --encoder "$d/encoder.opeb" --out "$d/pred_enc.csv"
   op predict --plans "$d/corpus.json" --classifier "$d/clf_pca.opeb" \

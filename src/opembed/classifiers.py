@@ -18,7 +18,8 @@ from . import nn
 KNN_EPS = 1e-9
 # bytes of the test-row x training-row x dim difference tensor kNN builds at once
 KNN_CHUNK_BYTES = 32 << 20
-# bytes of the node x feature x row x class counts one forest split batch holds
+# bytes of the node x feature x row x class counts one forest split batch
+# holds; it bounds a fit's memory, never the trees it grows
 RF_SPLIT_BYTES = 1 << 18
 MODELS = ("logreg", "knn", "rf", "svm", "dummy")
 # a random forest's parallel node arrays, as params and bundle array names
@@ -31,6 +32,13 @@ class FeatProvenance:
 
     kind: str                  # sparse | neural | pca | fa
     digest: str | None = None  # schema or reducer/encoder hash
+
+
+def _check_finite(X: np.ndarray) -> None:
+    """Refuse a NaN or infinite feature, naming the first row that holds one."""
+    if not np.isfinite(X).all():
+        row = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+        raise ValueError(f"feature row {row} holds a NaN or infinite value")
 
 
 @dataclass
@@ -47,6 +55,7 @@ class LabeledSet:
             raise ValueError("X must be (n, d) aligned with y")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= len(self.classes)):
             raise ValueError("class ids out of range")
+        _check_finite(self.X)
 
     @property
     def dim(self) -> int:
@@ -255,23 +264,21 @@ def _best_splits(
     """Best (feature, threshold) of each node (tree, start, stop) in spans,
     whose rows X[boot[tree, start:stop]] (2 or more) are cut at midpoints
     between consecutive distinct values of its candidate features F, or of
-    every feature when none of those splits them (feature -1 when none
-    does). Impurity is the size-weighted Gini of the two sides; ties go to
-    the first feature, then the first cut. Nodes are scored in batches,
-    largest first, padded to the batch's largest (under twice any member's
-    rows), whose count tensor fits RF_SPLIT_BYTES (one node at least).
+    every feature when none of those splits them (feature -1 and threshold
+    0 when none does). Impurity is the size-weighted Gini of the two sides;
+    ties go to the first feature, then the first cut. Nodes are scored in
+    batches, largest first, each padded to its largest node and as many as
+    fit RF_SPLIT_BYTES (one node at least). Each sorted feature row's class
+    counts are exact integer cumsums, one per class.
     """
     sizes = spans[:, 2] - spans[:, 1]
     feature, threshold = np.full(len(spans), -1), np.zeros(len(spans))
     by_size = np.argsort(-sizes, kind="stable")
-    desc = sizes[by_size]
     m = F.shape[1]
     i = 0
     while i < len(by_size):
-        N = int(desc[i])
-        fits = max(1, RF_SPLIT_BYTES // (N * m * n_classes * 8))
-        end = min(i + fits, int(np.searchsorted(-desc, -(N // 2), side="left")))
-        batch = by_size[i:max(end, i + 1)]
+        N = int(sizes[by_size[i]])
+        batch = by_size[i:i + max(1, RF_SPLIT_BYTES // (N * m * n_classes * 8))]
         i += len(batch)
         B, tree, start, size, Fb = len(batch), *spans[batch, :2].T, sizes[batch], F[batch]
         R = boot[tree[:, None], start[:, None] + np.minimum(np.arange(N), size[:, None] - 1)]
@@ -281,16 +288,18 @@ def _best_splits(
         order = cols.argsort(axis=2, kind="stable")
         xs = cols.take(order + np.arange(0, B * m * N, N).reshape(B, m, 1))
         ys = y[R].take(order + np.arange(0, B * N, N).reshape(B, 1, 1))
-        # running class counts over all B*m sorted rows, laid end to end
-        running = np.zeros((B * m * N + 1, n_classes))
-        np.cumsum(np.eye(n_classes).take(ys.ravel(), axis=0), axis=0, out=running[1:])
+        # running class counts over all B*m sorted rows laid end to end, exact
+        # integer cumsums one class at a time
+        running = np.zeros((B * m * N + 1, n_classes), dtype=np.intp)
+        for c in range(n_classes):
+            np.cumsum(ys.ravel() == c, out=running[1:, c])
         at = np.flatnonzero(xs[:, :, 1:] > xs[:, :, :-1])  # only cuts between distinct values
         row, cut = np.divmod(at, N - 1)
         n = size.take(row // m)
         base = running.take(row * N, axis=0)
         left = running.take(row * N + cut + 1, axis=0) - base  # class counts left of the cut
         right = running.take(row * N + n, axis=0) - base - left
-        nl = cut + 1.0
+        nl = cut + 1
         nr = n - nl
         scores = np.full((B, m * (N - 1)), np.inf)
         scores.reshape(-1)[at] = (nl * _gini(left, nl) + nr * _gini(right, nr)) / n
@@ -299,7 +308,7 @@ def _best_splits(
         j, cut = np.divmod(best, N - 1)
         found = scores[node, best] < np.inf
         feature[batch] = np.where(found, Fb[node, j], -1)
-        threshold[batch] = 0.5 * (xs[node, j, cut] + xs[node, j, cut + 1])
+        threshold[batch] = np.where(found, 0.5 * (xs[node, j, cut] + xs[node, j, cut + 1]), 0.0)
     stuck = np.flatnonzero(feature < 0)
     if stuck.size and m < X.shape[1]:
         every = np.tile(np.arange(X.shape[1]), (stuck.size, 1))
@@ -319,12 +328,16 @@ def train_rf(
     bootstrap=False and feature_sample="all" reduce the forest to
     deterministic plain trees for oracle checks.
 
-    The trees grow in lockstep: each step takes the next preorder node of
-    every tree still growing and searches their splits in one batch. Tree t
-    draws its bootstrap, then one feature sample per splittable node in
-    preorder, from default_rng([seed, t]). A node is a range of its tree's
-    row of boot, partitioned in place by its split; each tree's stack pushes
-    the hi child before the lo child. Leaves have feature -1, internal nodes leaf -1.
+    Tree t draws its bootstrap, then one feature sample per splittable node
+    in preorder, from default_rng([seed, t]). A node is a range of its
+    tree's row of boot, partitioned in place by its split; each tree's stack
+    pushes the hi child before the lo child, and pops in preorder. One
+    bincount over the rows as the split routes them gives both children's
+    class counts, so a pure or one-row child is pushed as a finished leaf
+    and popped without a split search. The trees grow in lockstep: each step
+    takes the next node to split of every tree still growing and searches
+    their splits in one batch. Leaves have feature -1, internal nodes leaf
+    -1, and an internal node's lo child follows it.
     """
     _check_training(s)
     if feature_sample not in ("sqrt", "all") or trees < 1:
@@ -334,43 +347,54 @@ def train_rf(
     m = d if feature_sample == "all" else max(1, int(np.sqrt(d)))
     rngs = [np.random.default_rng([seed, t]) for t in range(trees)]
     boot = np.stack([rng.integers(0, n, n) if bootstrap else np.arange(n) for rng in rngs])
-    stacks = [[(0, n, -1, 0)] for _ in range(trees)]  # (start, stop, parent, parent's child slot)
-    nodes = [[] for _ in range(trees)]  # per tree, [feature, threshold, left, right, leaf]
-    growing = list(range(trees))
+    counts = np.bincount((np.arange(trees)[:, None] * C + s.y[boot]).ravel(), minlength=trees * C)
+    counts = counts.reshape(trees, C)
+    pure = np.where(counts.max(axis=1) == n, counts.argmax(axis=1), -1).tolist()
+    # per tree, preorder [feature, threshold, right, leaf]; a pure bootstrap is one leaf
+    nodes = [[[-1, 0.0, -1, lf]] if lf >= 0 else [] for lf in pure]
+    # (start, stop, the id whose right child this is or -1, leaf class or -1 to split)
+    stacks = [[] if grown else [(0, n, -1, -1)] for grown in nodes]
+    growing = [t for t in range(trees) if stacks[t]]
     while growing:
         tree = np.array(growing)
-        start, stop, parent, slot = np.array([stacks[t].pop() for t in growing]).T
+        start, stop, parent = np.array([stacks[t].pop()[:3] for t in growing]).T
         size = stop - start
         node = np.repeat(np.arange(len(tree)), size)
         at = np.repeat(start - np.cumsum(size) + size, size) + np.arange(len(node))
         rows = boot[tree[node], at]
-        counts = np.bincount(node * C + s.y[rows], minlength=len(tree) * C).reshape(-1, C)
-        split = np.flatnonzero(counts.max(axis=1) < size)
-        draws = [rngs[t].choice(d, m, replace=False) for t in tree[split].tolist()]
-        F = np.sort(np.reshape(draws, (-1, m)), axis=1)
-        feature, threshold = np.full(len(tree), -1), np.zeros(len(tree))
-        spans = np.column_stack([tree, start, stop])[split]
-        feature[split], threshold[split] = _best_splits(s.X, s.y, boot, spans, F, C)
-        leaf = np.where(feature < 0, counts.argmax(axis=1), -1)
-        # partition every range stably, lo rows first; a leaf's range is never read again
-        go_lo = s.X[rows, feature[node]] <= threshold[node]
-        boot[tree[node], at] = rows[np.argsort(2 * node + ~go_lo, kind="stable")]
-        mid = start + np.bincount(node, weights=go_lo, minlength=len(tree)).astype(np.intp)
-        for t, a, c, b, p, sl, f, th, lf in zip(growing, *(v.tolist() for v in (
-            start, mid, stop, parent, slot, feature, threshold, leaf
+        F = np.sort([rngs[t].choice(d, m, replace=False) for t in growing], axis=1)
+        spans = np.column_stack([tree, start, stop])
+        feature, threshold = _best_splits(s.X, s.y, boot, spans, F, C)
+        # partition every range stably, lo rows first; an unsplit range is never read again
+        side = 2 * node + (s.X[rows, feature[node]] > threshold[node])
+        boot[tree[node], at] = rows[np.argsort(side, kind="stable")]
+        counts = np.bincount(side * C + s.y[rows], minlength=2 * len(tree) * C)
+        counts = counts.reshape(len(tree), 2, C)
+        sides = counts.sum(axis=2)
+        # a node no feature splits is a leaf of its majority class
+        leaf = np.where(feature < 0, counts.sum(axis=1).argmax(axis=1), -1)
+        child_leaf = np.where(counts.max(axis=2) == sides, counts.argmax(axis=2), -1)
+        for t, a, mid, b, p, f, th, lf, (lo, hi) in zip(growing, *(v.tolist() for v in (
+            start, start + sides[:, 0], stop, parent, feature, threshold, leaf, child_leaf
         ))):
-            grown = nodes[t]
+            grown, stack = nodes[t], stacks[t]
             if p >= 0:
-                grown[p][sl] = len(grown)
+                grown[p][2] = len(grown)
             if f >= 0:
-                stacks[t] += [(c, b, len(grown), 3), (a, c, len(grown), 2)]
-            grown.append([f, th if f >= 0 else 0.0, -1, -1, lf])
+                stack += [(mid, b, len(grown), hi), (a, mid, -1, lo)]
+            grown.append([f, th, -1, lf])
+            while stack and stack[-1][3] >= 0:  # finished leaves take their preorder ids
+                p, lf = stack.pop()[2:]
+                if p >= 0:
+                    grown[p][2] = len(grown)
+                grown.append([-1, 0.0, -1, lf])
         growing = [t for t in growing if stacks[t]]
     sizes = [len(grown) for grown in nodes]
     roots = np.cumsum([0] + sizes[:-1])
-    feature, threshold, left, right, leaf = map(np.array, zip(*(r for g in nodes for r in g)))
-    shift = np.repeat(roots, sizes)  # tree-local child ids become forest-wide
-    left, right = (np.where(ids >= 0, ids + shift, -1) for ids in (left, right))
+    feature, threshold, right, leaf = map(np.array, zip(*(r for g in nodes for r in g)))
+    inner = feature >= 0
+    left = np.where(inner, np.arange(len(feature)) + 1, -1)
+    right = np.where(inner, right + np.repeat(roots, sizes), -1)  # tree-local ids become forest-wide
     params = dict(zip(FOREST_ARRAYS, (feature, threshold, left, right, leaf, roots)))
     return Classifier("rf", s.classes, s.dim, params, s.provenance)
 
@@ -435,6 +459,7 @@ def _check_rows(clf: Classifier, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature dim {rows.shape[1]} does not match the classifier's {clf.dim}"
         )
+    _check_finite(rows)
     return rows
 
 

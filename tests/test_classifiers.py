@@ -193,15 +193,17 @@ def _reference_split(X, y, feature_ids, n_classes):
     return best
 
 
-def _reference_tree(X, y, rng, n_classes, feature_sample, nodes, fallbacks):
+def _reference_tree(X, y, rng, n_classes, feature_sample, nodes, searched, fallbacks):
     # recursive grower appending one node per call, so ids come out in preorder;
-    # fallbacks collects the ids of nodes split only after trying all features
+    # searched collects the ids of nodes that drew a feature sample, fallbacks
+    # those split only after trying all features
     node = len(nodes["feature"])
     for name, value in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
         nodes[name].append(value)
     counts = np.bincount(y, minlength=n_classes)
     best = None
     if len(y) >= 2 and counts.max() < len(y):
+        searched.append(node)
         d = X.shape[1]
         if feature_sample == "all":
             feats = np.arange(d)
@@ -220,80 +222,132 @@ def _reference_tree(X, y, rng, n_classes, feature_sample, nodes, fallbacks):
     nodes["feature"][node], nodes["threshold"][node] = f, t
     mask = X[:, f] <= t
     nodes["left"][node] = len(nodes["feature"])
-    _reference_tree(X[mask], y[mask], rng, n_classes, feature_sample, nodes, fallbacks)
+    _reference_tree(X[mask], y[mask], rng, n_classes, feature_sample, nodes, searched, fallbacks)
     nodes["right"][node] = len(nodes["feature"])
-    _reference_tree(X[~mask], y[~mask], rng, n_classes, feature_sample, nodes, fallbacks)
+    _reference_tree(X[~mask], y[~mask], rng, n_classes, feature_sample, nodes, searched, fallbacks)
 
 
 def _reference_forest(s, trees, seed, bootstrap):
     nodes = {name: [] for name in ("feature", "threshold", "left", "right", "leaf")}
-    roots, fallbacks = [], []
+    roots, searched, fallbacks = [], [], []
     for t in range(trees):
         rng = np.random.default_rng([seed, t])
         idx = rng.integers(0, len(s.X), len(s.X)) if bootstrap else np.arange(len(s.X))
         roots.append(len(nodes["feature"]))
-        _reference_tree(s.X[idx], s.y[idx], rng, len(s.classes), "sqrt", nodes, fallbacks)
-    return nodes, roots, fallbacks
+        _reference_tree(s.X[idx], s.y[idx], rng, len(s.classes), "sqrt", nodes, searched, fallbacks)
+    return nodes, roots, searched, fallbacks
 
 
-def _sparse_set(seed, n_classes, dim, constant=0, label_p=None):
-    # 60 rows, half of each column zero; the last `constant` columns are all
-    # zero, and label_p skews the class frequencies
+def _sparse_set(seed, n_classes, dim, constant=0, label_p=None, rows=60):
+    # half of each column zero; the last `constant` columns are all zero, and
+    # label_p skews the class frequencies
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(60, dim))
+    X = rng.normal(size=(rows, dim))
     X[rng.random(X.shape) < 0.5] = 0.0  # sparse columns with runs of ties
     X[:, dim - constant:] = 0.0
-    y = rng.integers(0, n_classes, 60) if label_p is None else rng.choice(n_classes, 60, p=label_p)
+    y = rng.integers(0, n_classes, rows) if label_p is None else rng.choice(n_classes, rows, p=label_p)
     return LabeledSet(X, y, tuple(f"c{i}" for i in range(n_classes)))
 
 
 @pytest.mark.parametrize(
-    "seed, n_classes, dim, bootstrap, trees, constant, label_p",
+    "seed, n_classes, dim, bootstrap, trees, constant, label_p, rows, shows",
     [
-        pytest.param(11, 2, 6, True, 6, 0, None, id="11-2-6-True"),
-        pytest.param(12, 3, 9, False, 6, 0, None, id="12-3-9-False"),
-        pytest.param(13, 3, 16, True, 6, 0, None, id="13-3-16-True"),
+        pytest.param(11, 2, 6, True, 6, 0, None, 60, None, id="11-2-6-True"),
+        pytest.param(12, 3, 9, False, 6, 0, None, 60, None, id="12-3-9-False"),
+        pytest.param(13, 3, 16, True, 6, 0, None, 60, None, id="13-3-16-True"),
         # 22 of 25 columns constant: most 5-feature samples cannot split
-        pytest.param(14, 3, 25, True, 6, 22, None, id="sqrt-fallback"),
+        pytest.param(14, 3, 25, True, 6, 22, None, 60, "fallback", id="sqrt-fallback"),
         # mostly one class: trees stop growing at very different steps
-        pytest.param(15, 3, 9, True, 40, 0, (0.85, 0.1, 0.05), id="40-trees-skewed"),
+        pytest.param(15, 3, 9, True, 40, 0, (0.85, 0.1, 0.05), 60, "uneven", id="40-trees-skewed"),
+        # 8 rows, one of them the minority: some bootstraps hold one class
+        pytest.param(19, 2, 4, True, 30, 0, (0.85, 0.15), 8, "leaf-root", id="pure-bootstrap-root"),
+        pytest.param(18, 3, 3, True, 12, 0, None, 60, None, id="one-feature-sample"),
+        pytest.param(19, 5, 16, True, 12, 0, None, 60, None, id="5-classes"),
+        # the shape of a grid-card fold's sparse rows, most columns constant
+        *(pytest.param(seed, 3, 83, True, 100, 60, None, 50, "fallback", id=f"grid-card-{seed}")
+          for seed in (21, 22, 23)),
     ],
 )
 def test_rf_matches_recursive_reference_node_for_node(
-    seed, n_classes, dim, bootstrap, trees, constant, label_p
+    seed, n_classes, dim, bootstrap, trees, constant, label_p, rows, shows
 ):
-    s = _sparse_set(seed, n_classes, dim, constant, label_p)
+    s = _sparse_set(seed, n_classes, dim, constant, label_p, rows)
     clf = train_rf(s, trees=trees, seed=seed, bootstrap=bootstrap)
-    nodes, roots, fallbacks = _reference_forest(s, trees, seed, bootstrap)
+    nodes, roots, _, fallbacks = _reference_forest(s, trees, seed, bootstrap)
     assert clf.params["roots"].tolist() == roots
     for name, want in nodes.items():
         assert clf.params[name].tolist() == want, name
     assert any(f >= 0 for f in nodes["feature"])
-    if constant:
+    # what the case is there to exercise
+    sizes = np.diff(roots + [len(nodes["feature"])])
+    if shows == "fallback":
         assert len(fallbacks) >= 3
-    if trees > 6:
-        sizes = np.diff(roots + [len(nodes["feature"])])
+    if shows == "uneven":
         assert sizes.max() >= 3 * sizes.min()
+    if shows == "leaf-root":
+        assert sizes.min() == 1
 
 
-def test_rf_split_budget_of_one_byte_grows_the_same_forest(monkeypatch):
+@pytest.mark.parametrize("budget", [pytest.param(1, id="one-byte"), pytest.param(1 << 40, id="1-TiB")])
+def test_rf_split_budget_never_changes_the_forest(monkeypatch, budget):
     s = _sparse_set(16, 3, 16, constant=10, label_p=(0.6, 0.3, 0.1))
     whole = train_rf(s, trees=12, seed=16).params
-    monkeypatch.setattr(classifiers, "RF_SPLIT_BYTES", 1)  # one node per split batch
+    # one node per split batch, or every node of a step in one
+    monkeypatch.setattr(classifiers, "RF_SPLIT_BYTES", budget)
     chunked = train_rf(s, trees=12, seed=16).params
     for name in FOREST_ARRAYS:
         assert np.array_equal(chunked[name], whole[name]), name
 
 
-def test_rf_grows_a_deep_tree_without_recursion():
+def _alternating_set():
     # alternating labels on one feature: every split peels off a single row,
-    # so the tree is 1,199 levels deep
+    # so a plain tree is 1,199 levels deep
     X = np.arange(1200.0)[:, None]
-    labels = ["even" if i % 2 == 0 else "odd" for i in range(1200)]
-    s = make_labeled_set(X, labels)
+    return make_labeled_set(X, ["even" if i % 2 == 0 else "odd" for i in range(1200)])
+
+
+def test_rf_grows_a_deep_tree_without_recursion():
+    s = _alternating_set()
     clf = train_rf(s, trees=1, bootstrap=False, feature_sample="all")
     assert len(clf.params["feature"]) == 2 * 1200 - 1
-    assert predict(clf, X) == labels
+    assert predict(clf, s.X) == [s.classes[i] for i in s.y]
+
+
+def _count_steps(monkeypatch):
+    """Record each lockstep step's node count by wrapping the split search;
+    its all-features retry runs inside a step and is not one."""
+    search, steps, inside = classifiers._best_splits, [], []
+
+    def counted(*args):
+        if not inside:
+            steps.append(len(args[3]))
+        inside.append(True)
+        try:
+            return search(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(classifiers, "_best_splits", counted)
+    return steps
+
+
+def test_rf_steps_only_at_splittable_nodes(monkeypatch):
+    steps = _count_steps(monkeypatch)
+    clf = train_rf(_alternating_set(), trees=1, bootstrap=False, feature_sample="all")
+    # one step per internal node; each of the 1,200 leaves is settled by its parent
+    assert len(steps) == int((clf.params["feature"] >= 0).sum()) == 1199
+
+
+def test_rf_lockstep_takes_as_many_steps_as_the_most_splittable_tree(monkeypatch):
+    s = _sparse_set(24, 3, 36, constant=20)
+    steps = _count_steps(monkeypatch)
+    clf = train_rf(s, trees=20, seed=24)
+    nodes, roots, searched, fallbacks = _reference_forest(s, 20, 24, True)
+    assert clf.params["feature"].tolist() == nodes["feature"]
+    per_tree = np.bincount(np.searchsorted(roots, searched, side="right") - 1, minlength=20)
+    assert fallbacks and len(steps) == per_tree.max()
+    assert sum(steps) == len(searched)  # every splittable node searched once, no leaf
+    assert len(steps) < np.diff(roots + [len(nodes["feature"])]).max()
 
 
 def test_rf_default_tree_count():
@@ -422,6 +476,22 @@ def test_trainers_are_deterministic_under_seed(separable, rng):
         a = trainer(separable, **kwargs)
         b = trainer(separable, **kwargs)
         assert np.array_equal(predict_scores(a, probe), predict_scores(b, probe))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_refused(separable, bad):
+    X = separable.X.copy()
+    X[7, 1] = bad
+    with pytest.raises(ValueError, match="row 7 holds a NaN or infinite value"):
+        LabeledSet(X, separable.y, separable.classes)
+    probe = np.zeros((3, 2))
+    probe[2, 0] = bad
+    for trainer in (train_logreg, train_knn, train_rf):
+        clf = trainer(separable)
+        with pytest.raises(ValueError, match="row 2 holds a NaN or infinite value"):
+            predict(clf, probe)
+        with pytest.raises(ValueError, match="row 0 holds"):
+            predict(clf, probe[2])
 
 
 def test_predict_rejects_wrong_dim(separable):
