@@ -27,7 +27,7 @@ from .classifiers import (
 )
 from .errors import OpembedError
 from .evaluate import _write_csv, evaluate as run_evaluate
-from .featurize import build_schema, corpus_operators, encode_corpus, encode_in_blocks
+from .featurize import corpus_operators, encode_corpus, encode_in_blocks, fit_encode
 from .featurizer import fit_featurization
 from .hourglass import (
     HourglassSpec,
@@ -38,7 +38,7 @@ from .hourglass import (
     train_embedding,
 )
 from .nn import SgdConfig
-from .plans import iter_nodes, load_corpus, operator_ids, save_corpus
+from .plans import load_corpus, save_corpus
 from .synth import PRESETS, describe, generate
 from .tasks import ADMISSION_CLASSES, TASKS, TaskSpec, make_folds, task_labels
 
@@ -143,8 +143,7 @@ def train_embedding_cmd(corpus_path, embedding_dim, hidden, epochs, lr, batch, s
                         masked_loss, pre_activation, encoder_out, schema_out) -> None:
     """Fit the sparse schema and train the child-prediction network."""
     corpus = load_corpus(corpus_path)
-    schema = build_schema(corpus)
-    table = encode_corpus(schema, corpus)
+    schema, table = fit_encode(corpus)
     hidden_dims = _parse_hidden(hidden)
     net = build(HourglassSpec(hidden_dims, embedding_dim, seed), schema)
     sgd = SgdConfig(learning_rate=lr, batch_size=batch, epochs=epochs, seed=seed)
@@ -236,8 +235,7 @@ def train_task(corpus_path, features_path, task, model, percentile, factor, seed
             f"{features_path} has {len(X)} rows but the corpus has {len(labels)} operators"
         )
     # row i is labelled as the corpus's i-th operator in walk order
-    want = (oid for r in corpus.records
-            for oid in operator_ids(r.query_id, sum(1 for _ in iter_nodes(r.root))))
+    _, want, _ = corpus_operators(corpus)
     for line, (got, expected) in enumerate(zip(ids, want), start=2):
         if got != expected:
             raise ValueError(f"{features_path} line {line} has id {got!r}, "
@@ -272,7 +270,7 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
     clf, _ = store.load_classifier_bundle(classifier_path)
     feat = store.load_featurizer(encoder=encoder_path, reducer=reducer_path, schema=schema_path)
     feat.accept(clf)
-    nodes, ids, sizes = corpus_operators(corpus)
+    nodes, ids, query_index = corpus_operators(corpus)
     # one predict over all the features, so no score depends on the blocks
     preds = clf_predict(clf, encode_in_blocks(feat.schema, nodes, feat.transform, feat.narrowest))
     _write_csv(out, ["id", "node_type", "prediction"],
@@ -283,7 +281,6 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
     if slow in clf.classes:
         # verdict per query: flag when any of its operators predicts "slow"
         hit = np.zeros(len(corpus.records), dtype=bool)
-        query_index = np.repeat(np.arange(len(sizes)), sizes)
         hit[query_index[np.array(preds) == slow]] = True
         verdicts = ("flag" if flag else "admit" for flag in hit)
         _write_csv(f"{out}.verdicts.csv", ["query_id", "verdict"],

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import classifiers as clf_mod
 from . import nn
-from .featurize import build_schema, encode_corpus
+from .featurize import encode_corpus, fit_encode
 from .featurizer import Featurizer, fit_featurization, parse_featurization
 from .hourglass import DEFAULT_HIDDEN
 from .plans import Corpus, subcorpus
@@ -151,8 +151,7 @@ def evaluate(
     full = None
     shared_fits: dict[str, Featurizer] = {}
     if embedding_from_full_log:
-        full_schema = build_schema(corpus)
-        full = encode_corpus(full_schema, corpus)
+        full_schema, full = fit_encode(corpus)
         for name in featurizations:
             if parse_featurization(name)[0] == "neural":
                 shared_fits[name] = fit_featurization(
@@ -180,8 +179,7 @@ def evaluate(
             X_train = full.X[rows_for(train_q)]
             X_test = full.X[rows_for(test_q)]
         else:
-            schema = build_schema(sub_train)
-            train_table = encode_corpus(schema, sub_train)
+            schema, train_table = fit_encode(sub_train)
             X_train, children = train_table.X, train_table.children
             X_test = encode_corpus(schema, sub_test).X
 

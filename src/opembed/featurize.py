@@ -29,13 +29,12 @@ from .plans import (
     Corpus,
     PlanNode,
     iter_nodes,
-    operator_ids,
 )
 
 NUMERIC, BOOLEAN, CATEGORICAL = "numeric", "boolean", "categorical"
 
 STDDEV_SENTINEL = 1.0
-MIN_STDDEV = 1e-12  # a smaller stddev is degenerate; build_schema stores the sentinel
+MIN_STDDEV = 1e-12  # a smaller stddev is degenerate; fit_encode stores the sentinel
 
 # rows encoded at once: a block's entry lists take more memory than its rows
 # of X, so only one block's lists exist at a time
@@ -141,45 +140,8 @@ class FeatureSchema:
 
 
 def build_schema(corpus: Corpus) -> FeatureSchema:
-    """Derive the sparse layout, vocabularies and z-score stats from a corpus."""
-    if len(corpus) == 0:
-        raise SchemaError("cannot build a schema from an empty corpus")
-
-    nodes = [node for record in corpus.records for node in iter_nodes(record.root)]
-    # each group's observed values as dict keys, in first-appearance order
-    vocab_values: dict[str, dict] = {g: {} for g in ("node_type",) + OPTIONAL_CATEGORICAL_FIELDS}
-    attr_width, observed = 0, set()  # observed: the fields some operator carries
-    for _, cols in _blocks(nodes):
-        for group, values in vocab_values.items():
-            values.update(dict.fromkeys(cols[group]))
-        observed.update(f for f, col in cols.items() if col.count(None) < len(col))
-        attr_width = max([attr_width] + [len(v) for f in ATTR_STAT_FIELDS for v in cols[f] if v])
-
-    slots: list[SlotSpec] = []
-    for field in _FIELDS:
-        if field in vocab_values:
-            slots += (SlotSpec(f"{field}={v}", CATEGORICAL, field)
-                      for v in vocab_values[field] if v is not None)
-        elif field in ATTR_STAT_FIELDS:
-            slots += (SlotSpec(f"{field}[{j}]", NUMERIC) for j in range(attr_width))
-        elif field in observed:
-            slots.append(SlotSpec(field, BOOLEAN if field in OPTIONAL_BOOLEAN_FIELDS else NUMERIC))
-    # z-score stats over the operators where each numeric field applies, each
-    # slot's values in walk order; a slot no operator fills keeps (0, sentinel)
-    stats = {i: (0.0, STDDEV_SENTINEL) for i, slot in enumerate(slots) if slot.kind == NUMERIC}
-    schema = FeatureSchema(tuple(slots), stats, attr_width)
-    collected: dict[int, list[float]] = {idx: [] for idx in stats}
-    for _, cols in _blocks(nodes):
-        _, slots_of, raws = _entries(schema, cols)
-        for idx, raw in zip(slots_of, raws):
-            if idx in collected:
-                collected[idx].append(raw)
-    for idx, values in collected.items():
-        if values:
-            arr = np.asarray(values, dtype=np.float64)
-            std = float(arr.std())
-            stats[idx] = (float(arr.mean()), std if std >= MIN_STDDEV else STDDEV_SENTINEL)
-    return dataclasses.replace(schema, stats=stats)
+    """The schema fit_encode fits on a corpus, without the encoded rows."""
+    return fit_encode(corpus)[0]
 
 
 def _blocks(nodes: list[PlanNode]):
@@ -246,7 +208,7 @@ def encode(schema: FeatureSchema, node: PlanNode, tally: Counter | None = None) 
 class OperatorTable:
     """Every operator of a corpus encoded once, in walk order."""
 
-    ids: list[str]             # plans.operator_ids, walk order
+    ids: list[str]             # "<query_id>#<pre-order index>", walk order
     query_index: np.ndarray    # (n,) index into corpus.records, non-decreasing
     X: np.ndarray              # (n, total_dim) encodings
     children: np.ndarray       # (n, 2) rows of the first two children, -1 if absent
@@ -255,32 +217,81 @@ class OperatorTable:
         return len(self.ids)
 
 
-def corpus_operators(corpus: Corpus) -> tuple[list[PlanNode], list[str], list[int]]:
-    """Every operator of a corpus in walk order, its id (plans.operator_ids)
-    and the operator count of each record."""
+def corpus_operators(corpus: Corpus) -> tuple[list[PlanNode], list[str], np.ndarray]:
+    """Every operator of a corpus in walk order, its id ("<query_id>#<pre-order index>")
+    and the index of its record in corpus.records (an OperatorTable's query_index)."""
     nodes, ids, sizes = [], [], []
     for record in corpus.records:
         first = len(nodes)
         nodes += iter_nodes(record.root)
         sizes.append(len(nodes) - first)
-        ids += operator_ids(record.query_id, sizes[-1])
+        ids += (f"{record.query_id}#{k}" for k in range(sizes[-1]))
     if not nodes:
         raise ValueError("corpus has no operators to encode")
-    return nodes, ids, sizes
+    return nodes, ids, np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
 
 
-def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
-    """Encode each operator once and index its first two children as rows
-    of the same matrix; children beyond the second are dropped."""
-    nodes, ids, sizes = corpus_operators(corpus)
+def _table_walk(corpus: Corpus):
+    """corpus_operators plus an OperatorTable's children, freeing its id map before X exists."""
+    nodes, ids, query_index = corpus_operators(corpus)
     row_of = {id(node): r for r, node in enumerate(nodes)}
     children = np.full((len(nodes), 2), -1, dtype=np.intp)
     for r, node in enumerate(nodes):
         for k, child in enumerate(node.children[:2]):
             children[r, k] = row_of[id(child)]
-    del row_of  # freed before X is allocated
-    query_index = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    return nodes, ids, query_index, children
+
+
+def encode_corpus(schema: FeatureSchema, corpus: Corpus) -> OperatorTable:
+    """Encode each operator once and index its first two children as rows
+    of the same matrix; children beyond the second are dropped."""
+    nodes, ids, query_index, children = _table_walk(corpus)
     return OperatorTable(ids, query_index, encode_rows(schema, nodes), children)
+
+
+def fit_encode(corpus: Corpus) -> tuple[FeatureSchema, OperatorTable]:
+    """Derive the sparse layout, vocabularies and z-score stats from a corpus
+    and encode it: build_schema then encode_corpus, bit for bit. Each value is
+    placed once; a numeric slot's stats are those of the values placed in it."""
+    if len(corpus) == 0:
+        raise SchemaError("cannot build a schema from an empty corpus")
+    nodes, ids, query_index, children = _table_walk(corpus)
+    # each group's observed values as dict keys, in first-appearance order
+    vocab_values: dict[str, dict] = {g: {} for g in ("node_type",) + OPTIONAL_CATEGORICAL_FIELDS}
+    attr_width, observed = 0, set()  # observed: the fields some operator carries
+    for _, cols in _blocks(nodes):
+        for group, values in vocab_values.items():
+            values.update(dict.fromkeys(cols[group]))
+        observed.update(f for f, col in cols.items() if col.count(None) < len(col))
+        attr_width = max([attr_width] + [len(v) for f in ATTR_STAT_FIELDS for v in cols[f] if v])
+
+    slots: list[SlotSpec] = []
+    for field in _FIELDS:
+        if field in vocab_values:
+            slots += (SlotSpec(f"{field}={v}", CATEGORICAL, field)
+                      for v in vocab_values[field] if v is not None)
+        elif field in ATTR_STAT_FIELDS:
+            slots += (SlotSpec(f"{field}[{j}]", NUMERIC) for j in range(attr_width))
+        elif field in observed:
+            slots.append(SlotSpec(field, BOOLEAN if field in OPTIONAL_BOOLEAN_FIELDS else NUMERIC))
+    # a slot no operator fills keeps (0, sentinel)
+    stats = {i: (0.0, STDDEV_SENTINEL) for i, slot in enumerate(slots) if slot.kind == NUMERIC}
+    layout = FeatureSchema(tuple(slots), stats, attr_width)
+    X = np.zeros((len(nodes), layout.total_dim), dtype=np.float64)
+    placed = np.zeros(X.shape, dtype=bool)  # kept out of encode_rows, whose peak it would raise
+    for start, cols in _blocks(nodes):
+        rows, slots_of, raws = _entries(layout, cols)
+        at = (np.add(rows, start), np.array(slots_of, dtype=np.intp))
+        X[at] = raws
+        placed[at] = True
+    for idx in stats:
+        hit = placed[:, idx]
+        values = X[hit, idx]  # the slot's placed values in walk order
+        if values.size:
+            std = float(values.std())
+            stats[idx] = (float(values.mean()), std if std >= MIN_STDDEV else STDDEV_SENTINEL)
+            X[hit, idx] = (values - stats[idx][0]) / stats[idx][1]  # as encode_rows z-scores
+    return dataclasses.replace(layout, stats=stats), OperatorTable(ids, query_index, X, children)
 
 
 def encode_in_blocks(schema: FeatureSchema, nodes: list[PlanNode],
@@ -321,7 +332,7 @@ def _schema_payload(schema: FeatureSchema) -> dict:
 
 def schema_hash(schema: FeatureSchema) -> str:
     """sha256 of the canonical schema JSON. Computed once per schema:
-    nothing mutates one (build_schema adds the stats by replace)."""
+    nothing mutates one (fit_encode adds the stats by replace)."""
     if schema._digest is None:
         payload = json.dumps(_schema_payload(schema), sort_keys=True, separators=(",", ":"))
         object.__setattr__(schema, "_digest", hashlib.sha256(payload.encode("utf-8")).hexdigest())

@@ -414,13 +414,6 @@ def iter_nodes(root: PlanNode) -> Iterator[PlanNode]:
         stack.extend(reversed(node.children))
 
 
-def operator_ids(query_id: str, count: int) -> Iterator[str]:
-    """The ids of a query's first count operators in walk order:
-    "<query_id>#<pre-order index>"."""
-    for k in range(count):
-        yield f"{query_id}#{k}"
-
-
 def walk_operators(corpus: Corpus) -> Iterator[WalkItem]:
     """Yield one item per operator, pre-order per query in arrival order."""
     for record in corpus.records:

@@ -592,8 +592,8 @@ def test_evaluate_refuses_a_bad_grid_before_any_fold_work(
     runner, tmp_path, pipeline, monkeypatch, grid, reason
 ):
     schemas = []
-    real = evaluate_mod.build_schema
-    monkeypatch.setattr(evaluate_mod, "build_schema", lambda c: schemas.append(c) or real(c))
+    real = evaluate_mod.fit_encode
+    monkeypatch.setattr(evaluate_mod, "fit_encode", lambda c: schemas.append(c) or real(c))
     _, corpus, _, _ = pipeline
     out = tmp_path / "cells.csv"
     err = run_err(runner, ["evaluate", "--corpus", str(corpus), *grid, "--out", str(out)])

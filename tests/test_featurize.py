@@ -10,6 +10,7 @@ from opembed.errors import SchemaError
 from opembed.featurize import (
     BOOLEAN,
     MIN_BLOCKED_WIDTH,
+    MIN_STDDEV,
     READ_BLOCK_ROWS,
     STDDEV_SENTINEL,
     build_schema,
@@ -18,6 +19,7 @@ from opembed.featurize import (
     encode_corpus,
     encode_in_blocks,
     encode_rows,
+    fit_encode,
     schema_from_json,
     schema_hash,
     schema_to_json,
@@ -84,6 +86,38 @@ def _assert_matches_reference(schema, corpus):
                   for r in corpus.records]
     assert np.concatenate(per_record).tobytes() == want.tobytes()
     assert got_tally == want_tally
+
+
+def _assert_stats_match_reference(schema, corpus):
+    """Each numeric slot's stats are, bit for bit, the mean and stddev (the
+    sentinel below MIN_STDDEV) of the values present there, gathered one node
+    and one field at a time in walk order; (0, sentinel) where none is."""
+    present = {idx: [] for idx in schema.stats}
+    for item in walk_operators(corpus):
+        for field in CORE_NUMERIC_FIELDS + ("hash_buckets",):
+            if getattr(item.node, field) is not None:
+                present[schema.index[field]].append(float(getattr(item.node, field)))
+        for field in ATTR_STAT_FIELDS:
+            for j, raw in enumerate(getattr(item.node, field) or ()):
+                present[schema.index[f"{field}[{j}]"]].append(float(raw))
+    want = []
+    for values in present.values():
+        mean, std = (float(np.mean(values)), float(np.std(values))) if values else (0.0, 0.0)
+        want.append((mean, std if std >= MIN_STDDEV else STDDEV_SENTINEL))
+    assert list(schema.stats) == list(present)
+    assert np.array(list(schema.stats.values())).tobytes() == np.array(want).tobytes()
+
+
+def _assert_fit_encode_matches_build_then_encode(corpus):
+    schema, table = fit_encode(corpus)
+    want_schema = build_schema(corpus)
+    want = encode_corpus(want_schema, corpus)
+    assert schema_hash(schema) == schema_hash(want_schema)
+    assert table.ids == want.ids
+    for name in ("X", "children", "query_index"):
+        got, expected = getattr(table, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
 
 
 def mini_corpus():
@@ -299,9 +333,11 @@ def test_attr_overflow_rejected():
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_batch_encoding_matches_reference_with_a_schema_fit_on_a_fifth(preset):
     corpus = generate(dataclasses.replace(PRESETS[preset](seed=11), n_queries=100))
-    schema = build_schema(subcorpus(corpus, range(20)))
-    _assert_matches_reference(schema, corpus)
-    _assert_matches_reference(build_schema(corpus), corpus)
+    for fit in (subcorpus(corpus, range(20)), corpus):
+        schema = build_schema(fit)
+        _assert_stats_match_reference(schema, fit)
+        _assert_matches_reference(schema, corpus)
+        _assert_fit_encode_matches_build_then_encode(fit)
 
 
 def test_batch_encoding_matches_reference_on_hand_built_nodes():
@@ -319,23 +355,42 @@ def test_batch_encoding_matches_reference_on_hand_built_nodes():
     corpus = Corpus([QueryRecord("q0", None, agg), QueryRecord("q1", "u", scan(attr_mins=()))])
     schema = build_schema(corpus)
     assert schema.attr_width == 3 and "hash_buckets" in schema.index
+    _assert_stats_match_reference(schema, corpus)
     _assert_matches_reference(schema, corpus)
+    _assert_fit_encode_matches_build_then_encode(corpus)
     unseen = PlanNode(node_type="Sort", sort_key="k", join_type="anti", relation_name="r",
                       index_name="i", attr_medians=(1.0,), children=[scan(hash_buckets=2.0)])
     _assert_matches_reference(schema, Corpus([QueryRecord("q2", None, unseen)]))
+    # present zeros next to absent fields: a zero that is there counts in the stats
+    zeros = PlanNode(node_type="HashJoin", plan_width=0.0, plan_rows=2.0, hash_buckets=0.0,
+                     children=[scan(plan_width=8.0, attr_mins=(0.0, 0.0), attr_maxs=(0.0, 5.0),
+                                    hash_buckets=6.0),
+                               scan(plan_width=0.0, attr_mins=(4.0,))])
+    mixed = Corpus([QueryRecord("q0", None, zeros), QueryRecord("q1", None, scan(plan_width=3.0))])
+    schema = build_schema(mixed)
+    _assert_stats_match_reference(schema, mixed)
+    _assert_matches_reference(schema, mixed)
+    _assert_fit_encode_matches_build_then_encode(mixed)
+
+
+def test_an_empty_corpus_fits_no_schema():
+    for fit in (build_schema, fit_encode):
+        with pytest.raises(SchemaError, match="^cannot build a schema from an empty corpus$"):
+            fit(Corpus([]))
 
 
 @pytest.mark.parametrize("preset", ["planted-card", "tpcds-like"])
 def test_encode_corpus_peak_memory_is_near_the_size_of_X(preset):
     corpus = generate(dataclasses.replace(PRESETS[preset](seed=2), n_queries=200))
     schema = build_schema(corpus)
-    tracemalloc.start()
-    try:
-        table = encode_corpus(schema, corpus)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * table.X.nbytes, (peak, table.X.nbytes)
+    for encode_it in (lambda: encode_corpus(schema, corpus), lambda: fit_encode(corpus)[1]):
+        tracemalloc.start()
+        try:
+            table = encode_it()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * table.X.nbytes, (peak, table.X.nbytes)
 
 
 def test_schema_json_rejects_stats_off_the_numeric_slots(schema60):
