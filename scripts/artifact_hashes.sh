@@ -115,6 +115,15 @@ op predict --plans "$d/corpus.json" --classifier "$t/clf_sparse.opeb" \
 for f in pred_enc pred_pca pred_fa pred_sparse; do
   cut -d, -f1-3 "$d/$f.csv" | tr -d "\r" > "$d/$f.cols.csv"; rm "$d/$f.csv"
 done
+# a grid whose folds' train sides hold 49 to 77 rows, 64 and 65 among them:
+# with 64-row batches some take one SGD batch an epoch and some two, so the
+# folds' linear fits, trained together, pad short batches and end their
+# epochs at different steps
+d=$OUT/batch-counts; mkdir -p "$d"
+op synth --preset planted-card --seed 3 --queries 40 --out "$d/corpus.json"
+table "$d/table.txt" --corpus "$d/corpus.json" --task card --featurizations sparse,pca-8 \
+   --models logreg,knn,rf,svm,dummy --embedding-from-full-log --seed 3 \
+   --out "$d/report.csv" --medians-out "$d/medians.csv"
 # the writer's bytes for the presets the runs above do not synthesize
 for preset in default context-probe; do
   d=$OUT/synth-$preset; mkdir -p "$d"

@@ -192,22 +192,108 @@ def _check_training(s: LabeledSet) -> None:
         raise ValueError("training requires at least 2 distinct classes")
 
 
-def _fit_linear(kind: str, s: LabeledSet, cfg: nn.SgdConfig, grads) -> Classifier:
-    """Train a zero-initialized affine layer with nn.train.
+def _fit_linear(kind: str, sets: list[LabeledSet], cfg: nn.SgdConfig, grads) -> list[Classifier]:
+    """Train a zero-initialized affine layer per set with nn.train, one run
+    per set, the runs stepped together; the sets share one width d and
+    class count C.
 
-    grads(Xb, yb, W, b) returns one batch's loss and the gradients of W and
-    b; nn.train raises TrainingDivergedError on a non-finite loss.
+    The runs' layers are one (R*C x d) layer whose (R, C, d) view holds run
+    r's W at [r]. The sets' rows lie end to end, then one zero row pads each
+    step's shorter batches to the longest, of B rows. grads(Z, yb, W, n,
+    div, pad, flat) gets the (R, B, C) logits and labels, W, each run's
+    batch row count (0 for a done run), those counts as (R, 1, 1) divisors
+    (1 for a done run), the mask of padded rows (None when none is padded)
+    and the flat index of each row's first logit. It returns each run's
+    batch loss, summed over its own rows; the (R, B, C) factor M, -0.0 in
+    padded rows, of the weight gradient M^T Xb + reg; reg; and the bias
+    gradient, summed over rows. nn.train raises TrainingDivergedError on a
+    non-finite loss.
+
+    Each run's logits are its own unpadded product. Its padded rows add
+    -0.0 * +0.0 to M^T Xb and -0.0 to the bias sums, and adding -0.0 is
+    exact, so every run gets the bits a fit of its set alone gets.
     """
-    n, d = s.X.shape
-    c = len(s.classes)
-    layer = nn.DenseLayer(np.zeros((c, d)), np.zeros(c))
+    R, d, C = len(sets), sets[0].dim, len(sets[0].classes)
+    if R > 1 and d == 1:
+        # a (C x B) @ (B x 1) product is a matrix-vector one, whose sums the
+        # padding would regroup
+        return [_fit_linear(kind, [s], cfg, grads)[0] for s in sets]
+    X = np.concatenate([s.X for s in sets] + [np.zeros((1, d))])
+    y = np.concatenate([s.y for s in sets] + [np.zeros(1, dtype=np.intp)])
+    start = np.cumsum([0] + [len(s.y) for s in sets]).tolist()
+    layer = nn.DenseLayer(np.zeros((R * C, d)), np.zeros(R * C))
+    W, b = layer.W.reshape(R, C, d), layer.b.reshape(R, C)
+    Wt, bb = W.transpose(0, 2, 1), b[:, None]
+    layouts = {}  # per tuple of batch row counts: (div, pad, flat) as grads takes them
 
-    def step(idx):
-        loss, dW, db = grads(s.X[idx], s.y[idx], layer.W, layer.b)
-        return loss, [[(dW, db)]]
+    def step(batches):
+        n = tuple([0 if idx is None else len(idx) for idx in batches])
+        if n not in layouts:
+            B = max(n)
+            pad = np.arange(B) >= np.array(n)[:, None]
+            layouts[n] = (np.maximum(n, 1).reshape(R, 1, 1), pad if pad.any() else None,
+                          np.arange(0, R * B * C, C).reshape(R, B))
+        div, pad, flat = layouts[n]
+        if R == 1:
+            rows = batches[0][None]
+        else:
+            rows = np.full(flat.shape, -1)  # -1 is the zero row
+            for r, idx in enumerate(batches):
+                if n[r]:
+                    np.add(idx, start[r], out=rows[r, :n[r]])
+        Xb = X[rows]
+        if pad is None:  # every product is (B x d) @ (d x C) as alone
+            Z = np.matmul(Xb, Wt)
+        else:
+            Z = np.zeros(flat.shape + (C,))
+            for r, m in enumerate(n):
+                if m:
+                    np.dot(Xb[r, :m], W[r].T, out=Z[r, :m])
+        Z += bb
+        losses, M, reg, db = grads(Z, y[rows], W, n, div, pad, flat)
+        dW = np.matmul(M.transpose(0, 2, 1), Xb)
+        dW += reg
+        if 0 in n:  # a done run's parameters keep their bits
+            done = np.equal(n, 0)
+            dW[done] = 0.0
+            db[done] = 0.0
+        return losses, [[(dW.reshape(R * C, d), db.reshape(R * C))]]
 
-    nn.train([nn.Network([layer])], cfg, n, step)
-    return Classifier(kind, s.classes, d, {"W": layer.W, "b": layer.b}, s.provenance)
+    nn.train([nn.Network([layer])], cfg, [len(s.y) for s in sets], step)
+    return [Classifier(kind, s.classes, d, {"W": W[r].copy(), "b": b[r].copy()}, s.provenance)
+            for r, s in enumerate(sets)]
+
+
+def _logreg(
+    sets: list[LabeledSet],
+    l2: float = 1e-4,
+    lr: float = 0.1,
+    epochs: int = 200,
+    batch_size: int = 64,
+    seed: int = 0,
+) -> list[Classifier]:
+    """train_logreg on each set, the sets fitted together; the defaults are
+    train_logreg's."""
+    for s in sets:
+        _check_training(s)
+
+    # the ufuncs' reduce is what ndarray.sum and .max call, without their
+    # Python wrappers: a fit of a small set is about 200 steps of small arrays
+    def grads(Z, yb, W, n, div, pad, flat):
+        Z -= np.maximum.reduce(Z, 2, keepdims=True)
+        P = np.exp(Z)
+        total = np.add.reduce(P, 2, keepdims=True)
+        at = yb + flat  # each row's label logit, flat
+        per_row = np.log(total[..., 0]) - Z.take(at)
+        losses = [float(np.add.reduce(per_row[r, :m])) / m if m else 0.0 for r, m in enumerate(n)]
+        P /= total
+        P.reshape(-1)[at] -= 1.0
+        G = P / div
+        if pad is not None:
+            G[pad] = -0.0
+        return losses, G, l2 * W, np.add.reduce(G, 1)
+
+    return _fit_linear("logreg", sets, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
 
 
 def train_logreg(
@@ -221,21 +307,7 @@ def train_logreg(
     """Multinomial softmax regression, mini-batch gradient descent on
     cross-entropy plus 0.5*l2*||W||^2 (bias unregularized). Zero init, so an
     untrained model predicts the uniform distribution."""
-    _check_training(s)
-
-    def grads(Xb, yb, W, b):
-        Z = Xb @ W.T + b
-        Z -= Z.max(axis=1, keepdims=True)
-        P = np.exp(Z)
-        total = P.sum(axis=1, keepdims=True)
-        at = np.arange(len(yb))
-        loss = float((np.log(total[:, 0]) - Z[at, yb]).sum()) / len(yb)
-        P /= total
-        P[at, yb] -= 1.0
-        G = P / len(yb)
-        return loss, G.T @ Xb + l2 * W, G.sum(axis=0)
-
-    return _fit_linear("logreg", s, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
+    return _logreg([s], l2, lr, epochs, batch_size, seed)[0]
 
 
 def train_knn(s: LabeledSet, k: int = 6) -> Classifier:
@@ -316,45 +388,54 @@ def _best_splits(
     return feature, threshold
 
 
-def train_rf(
-    s: LabeledSet,
+def _forests(
+    sets: list[LabeledSet],
     trees: int = 100,
     seed: int = 0,
     bootstrap: bool = True,
     feature_sample: str = "sqrt",
-) -> Classifier:
-    """Bagged Gini trees grown until pure or fewer than 2 rows; sqrt(D)
-    candidate features per split, all D when none of those splits the rows.
-    bootstrap=False and feature_sample="all" reduce the forest to
-    deterministic plain trees for oracle checks.
+) -> list[Classifier]:
+    """train_rf on each set, the sets grown together; the defaults are
+    train_rf's.
 
-    Tree t draws its bootstrap, then one feature sample per splittable node
-    in preorder, from default_rng([seed, t]). A node is a range of its
-    tree's row of boot, partitioned in place by its split; each tree's stack
-    pushes the hi child before the lo child, and pops in preorder. One
-    bincount over the rows as the split routes them gives both children's
-    class counts, so a pure or one-row child is pushed as a finished leaf
-    and popped without a split search. The trees grow in lockstep: each step
-    takes the next node to split of every tree still growing and searches
-    their splits in one batch. Leaves have feature -1, internal nodes leaf
-    -1, and an internal node's lo child follows it.
+    Tree t of a set draws its bootstrap, then one feature sample per
+    splittable node in preorder, from default_rng([seed, t]). A node is a
+    range of its tree's row of boot, partitioned in place by its split; each
+    tree's stack pushes the hi child before the lo child, and pops in
+    preorder. One bincount over the rows as the split routes them gives both
+    children's class counts, so a pure or one-row child is pushed as a
+    finished leaf and popped without a split search. The trees grow in
+    lockstep: each step takes the next node to split of every tree still
+    growing and searches their splits in one batch. The sets, of one width
+    and class count, grow in the same lockstep: their rows lie end to end in
+    one matrix, and set r's tree t is tree r * trees + t, its bootstrap rows
+    offset to its set's. Leaves have feature -1, internal nodes leaf -1, and
+    an internal node's lo child follows it.
     """
-    _check_training(s)
+    for s in sets:
+        _check_training(s)
     if feature_sample not in ("sqrt", "all") or trees < 1:
         raise ValueError("feature_sample must be 'sqrt' or 'all', and trees at least 1")
-    n, d = s.X.shape
-    C = len(s.classes)
+    X, y = np.concatenate([s.X for s in sets]), np.concatenate([s.y for s in sets])
+    d, C = sets[0].dim, len(sets[0].classes)
     m = d if feature_sample == "all" else max(1, int(np.sqrt(d)))
-    rngs = [np.random.default_rng([seed, t]) for t in range(trees)]
-    boot = np.stack([rng.integers(0, n, n) if bootstrap else np.arange(n) for rng in rngs])
-    counts = np.bincount((np.arange(trees)[:, None] * C + s.y[boot]).ravel(), minlength=trees * C)
-    counts = counts.reshape(trees, C)
+    sizes = [len(s.y) for s in sets]
+    n = np.repeat(sizes, trees)  # each tree's row count
+    first = np.repeat(np.cumsum([0] + sizes[:-1]), trees)  # and its set's first row in X
+    rngs = [np.random.default_rng([seed, t]) for _ in sets for t in range(trees)]
+    T = len(rngs)
+    boot = np.zeros((T, max(sizes)), dtype=np.intp)  # a tree's row past its count is never read
+    for g, (rng, k) in enumerate(zip(rngs, n.tolist())):
+        boot[g, :k] = first[g] + (rng.integers(0, k, k) if bootstrap else np.arange(k))
+    in_tree = np.arange(boot.shape[1]) < n[:, None]
+    counts = np.bincount((np.arange(T)[:, None] * C + y[boot])[in_tree], minlength=T * C)
+    counts = counts.reshape(T, C)
     pure = np.where(counts.max(axis=1) == n, counts.argmax(axis=1), -1).tolist()
     # per tree, preorder [feature, threshold, right, leaf]; a pure bootstrap is one leaf
     nodes = [[[-1, 0.0, -1, lf]] if lf >= 0 else [] for lf in pure]
     # (start, stop, the id whose right child this is or -1, leaf class or -1 to split)
-    stacks = [[] if grown else [(0, n, -1, -1)] for grown in nodes]
-    growing = [t for t in range(trees) if stacks[t]]
+    stacks = [[] if grown else [(0, k, -1, -1)] for grown, k in zip(nodes, n.tolist())]
+    growing = [t for t in range(T) if stacks[t]]
     while growing:
         tree = np.array(growing)
         start, stop, parent = np.array([stacks[t].pop()[:3] for t in growing]).T
@@ -364,11 +445,11 @@ def train_rf(
         rows = boot[tree[node], at]
         F = np.sort([rngs[t].choice(d, m, replace=False) for t in growing], axis=1)
         spans = np.column_stack([tree, start, stop])
-        feature, threshold = _best_splits(s.X, s.y, boot, spans, F, C)
+        feature, threshold = _best_splits(X, y, boot, spans, F, C)
         # partition every range stably, lo rows first; an unsplit range is never read again
-        side = 2 * node + (s.X[rows, feature[node]] > threshold[node])
+        side = 2 * node + (X[rows, feature[node]] > threshold[node])
         boot[tree[node], at] = rows[np.argsort(side, kind="stable")]
-        counts = np.bincount(side * C + s.y[rows], minlength=2 * len(tree) * C)
+        counts = np.bincount(side * C + y[rows], minlength=2 * len(tree) * C)
         counts = counts.reshape(len(tree), 2, C)
         sides = counts.sum(axis=2)
         # a node no feature splits is a leaf of its majority class
@@ -389,14 +470,65 @@ def train_rf(
                     grown[p][2] = len(grown)
                 grown.append([-1, 0.0, -1, lf])
         growing = [t for t in growing if stacks[t]]
-    sizes = [len(grown) for grown in nodes]
-    roots = np.cumsum([0] + sizes[:-1])
-    feature, threshold, right, leaf = map(np.array, zip(*(r for g in nodes for r in g)))
-    inner = feature >= 0
-    left = np.where(inner, np.arange(len(feature)) + 1, -1)
-    right = np.where(inner, right + np.repeat(roots, sizes), -1)  # tree-local ids become forest-wide
-    params = dict(zip(FOREST_ARRAYS, (feature, threshold, left, right, leaf, roots)))
-    return Classifier("rf", s.classes, s.dim, params, s.provenance)
+    forests = []
+    for r, s in enumerate(sets):
+        grown = nodes[r * trees:(r + 1) * trees]
+        tree_sizes = [len(g) for g in grown]
+        roots = np.cumsum([0] + tree_sizes[:-1])
+        feature, threshold, right, leaf = map(np.array, zip(*(row for g in grown for row in g)))
+        inner = feature >= 0
+        left = np.where(inner, np.arange(len(feature)) + 1, -1)
+        # tree-local ids become forest-wide
+        right = np.where(inner, right + np.repeat(roots, tree_sizes), -1)
+        params = dict(zip(FOREST_ARRAYS, (feature, threshold, left, right, leaf, roots)))
+        forests.append(Classifier("rf", s.classes, d, params, s.provenance))
+    return forests
+
+
+def train_rf(
+    s: LabeledSet,
+    trees: int = 100,
+    seed: int = 0,
+    bootstrap: bool = True,
+    feature_sample: str = "sqrt",
+) -> Classifier:
+    """Bagged Gini trees grown until pure or fewer than 2 rows; sqrt(D)
+    candidate features per split, all D when none of those splits the rows.
+    bootstrap=False and feature_sample="all" reduce the forest to
+    deterministic plain trees for oracle checks. How the trees grow is
+    _forests'."""
+    return _forests([s], trees, seed, bootstrap, feature_sample)[0]
+
+
+def _linsvm(
+    sets: list[LabeledSet],
+    c: float = 1.0,
+    lr: float = 0.01,
+    epochs: int = 200,
+    batch_size: int = 64,
+    seed: int = 0,
+) -> list[Classifier]:
+    """train_linsvm on each set, the sets fitted together; the defaults are
+    train_linsvm's."""
+    for s in sets:
+        _check_training(s)
+    if c < 0:
+        raise ValueError("c must be nonnegative")
+    signs = np.where(np.eye(len(sets[0].classes), dtype=bool), 1.0, -1.0)  # row y: +1 at y
+
+    def grads(Z, yb, W, n, div, pad, flat):
+        Sb = signs[yb]
+        margins = Sb * Z
+        viol = (margins < 1.0).astype(np.float64)
+        slack = 1.0 - margins
+        losses = [0.5 * float(np.vdot(W[r], W[r])) + c * float(np.vdot(slack[r, :m], viol[r, :m])) / m
+                  if m else 0.0 for r, m in enumerate(n)]
+        coeff = -(Sb * viol) / div
+        if pad is not None:
+            coeff[pad] = -0.0
+        return losses, c * coeff, W, c * np.add.reduce(coeff, 1)
+
+    return _fit_linear("linsvm", sets, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
 
 
 def train_linsvm(
@@ -410,20 +542,7 @@ def train_linsvm(
     """One-vs-rest linear SVM by seeded mini-batch subgradient descent on
     0.5*||w||^2 + c * mean hinge. c = 0 keeps all weights at zero, so every
     prediction degenerates to the smallest class id."""
-    _check_training(s)
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    signs = np.where(np.eye(len(s.classes), dtype=bool), 1.0, -1.0)  # row y: +1 at y
-
-    def grads(Xb, yb, W, b):
-        Sb = signs[yb]
-        margins = Sb * (Xb @ W.T + b)
-        viol = (margins < 1.0).astype(np.float64)
-        loss = 0.5 * float(np.vdot(W, W)) + c * float(np.vdot(1.0 - margins, viol)) / len(yb)
-        coeff = -(Sb * viol) / len(yb)          # (m, C)
-        return loss, W + c * coeff.T @ Xb, c * coeff.sum(axis=0)
-
-    return _fit_linear("linsvm", s, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
+    return _linsvm([s], c, lr, epochs, batch_size, seed)[0]
 
 
 def train_dummy(s: LabeledSet) -> Classifier:
@@ -434,23 +553,35 @@ def train_dummy(s: LabeledSet) -> Classifier:
     return Classifier("dummy", s.classes, s.dim, {"majority": majority}, s.provenance)
 
 
-def train(model: str, s: LabeledSet, seed: int = 0) -> Classifier:
-    """Train one model from MODELS with its default settings.
+def train_sets(model: str, sets: list[LabeledSet], seed: int = 0) -> list[Classifier]:
+    """Train one model from MODELS with its default settings on each set;
+    every classifier has the bytes training its set alone gives.
 
-    The trainers are looked up as module globals at call time, so a wrapper
-    set on this module's attributes sees every fit.
+    logreg, svm and rf fit sets of one width and class count together, in
+    one lockstep of their SGD runs or trees, which checks every set before
+    it fits any; of several runs that diverge, the first set's
+    TrainingDivergedError is raised. Sets of mixed shapes fit one at a time.
+    knn and dummy go through train_knn and train_dummy, looked up as module
+    globals at call time, so a wrapper set on them sees every fit.
     """
-    if model == "logreg":
-        return train_logreg(s, seed=seed)
     if model == "knn":
-        return train_knn(s)
-    if model == "rf":
-        return train_rf(s, seed=seed)
-    if model == "svm":
-        return train_linsvm(s, seed=seed)
+        return [train_knn(s) for s in sets]
     if model == "dummy":
-        return train_dummy(s)
-    raise ValueError(f"unknown model {model!r}; want one of {MODELS}")
+        return [train_dummy(s) for s in sets]
+    fit = {"logreg": _logreg, "rf": _forests, "svm": _linsvm}.get(model)
+    if fit is None:
+        raise ValueError(f"unknown model {model!r}; want one of {MODELS}")
+    if len({(s.dim, len(s.classes)) for s in sets}) != 1:
+        return [fit([s], seed=seed)[0] for s in sets]
+    return fit(sets, seed=seed)
+
+
+def train(model: str, s: LabeledSet, seed: int = 0) -> Classifier:
+    """Train one model from MODELS on one set with its default settings:
+    train_sets' one-set case. logreg, svm and rf fit through private
+    multi-set trainers, so a wrapper set on train_logreg, train_linsvm or
+    train_rf does not see these fits, nor evaluate's."""
+    return train_sets(model, [s], seed)[0]
 
 
 def _check_rows(clf: Classifier, x: np.ndarray) -> np.ndarray:

@@ -305,7 +305,8 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
 @click.option("--embedding-from-full-log", is_flag=True,
               help="Fit schema and encoder on the whole unlabeled corpus instead of each train fold.")
 @click.option("--timings", is_flag=True,
-              help="Add wall-clock columns and run the one-row latency probe (breaks byte-identical output).")
+              help="Add wall-clock columns and run the one-row latency probe (breaks byte-identical "
+                   "output). A cell's train_seconds is its share of its model's one fit over all folds.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--medians-out", default=None, type=click.Path(dir_okay=False))
 @guarded

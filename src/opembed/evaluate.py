@@ -13,12 +13,13 @@ import csv
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from . import classifiers as clf_mod
 from . import nn
-from .featurize import encode_corpus, fit_encode
+from .featurize import FeatureSchema, encode_corpus, fit_encode
 from .featurizer import Featurizer, fit_featurization, parse_featurization
 from .hourglass import DEFAULT_HIDDEN
 from .plans import Corpus, subcorpus
@@ -46,7 +47,25 @@ class CellResult:
     prior: float
     recalls: dict[str, float]
     mean_infer_ms: float | None     # None when evaluated without timings
+    # the cell's share of its model's one fit over every fold (that wall
+    # time over the fold count); None when evaluated without timings
     train_seconds: float | None
+
+
+@dataclass
+class _Fold:
+    """One fold's fitted schema, encoded rows and labels, which every
+    featurization reads."""
+
+    schema: FeatureSchema
+    X_train: np.ndarray
+    children: np.ndarray | None     # None when the schema was fit on the full log
+    X_test: np.ndarray
+    y_train: list[str]
+    classes: tuple[str, ...]
+    y_test: np.ndarray
+    prior: float                    # test-side share of the train-majority class
+    masks: dict[str, np.ndarray]    # each class the test side holds, with its rows
 
 
 @dataclass
@@ -132,8 +151,11 @@ def evaluate(
 ) -> EvalReport:
     """Train on each fold's train fifth, test on its test side, and record
     accuracy, per-class recall and the test-side prior of the train-majority
-    class. With timings, each cell also gets its training wall time and mean
-    one-row predict latency over up to INFER_SAMPLE test rows (else None).
+    class. With timings, each cell also gets its share of its model's
+    training wall time and its mean one-row predict latency over up to
+    INFER_SAMPLE test rows (else None). Each model trains once per
+    featurization, on every fold's train side at once (train_sets), and a
+    cell's share is that time over the fold count.
 
     With embedding_from_full_log the schema and the embedding are fit once on
     the whole (unlabeled) corpus and shared by every fold; classifiers and the
@@ -163,15 +185,13 @@ def evaluate(
         stops = np.searchsorted(full.query_index, qs, side="right")
         return np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
 
-    report = None
-    for fold_idx, (train_q, test_q) in enumerate(plan.folds):
+    folds = []
+    for train_q, test_q in plan.folds:
         sub_train = subcorpus(corpus, train_q)
         sub_test = subcorpus(corpus, test_q)
 
         y_train, classes, threshold = task_labels(spec, sub_train)
         y_test, _, _ = task_labels(spec, sub_test, threshold)
-        if report is None:
-            report = EvalReport(spec, plan.strategy, classes)
 
         children = None
         if embedding_from_full_log:
@@ -185,30 +205,35 @@ def evaluate(
 
         # the train side's most common class; ties go to the first in classes
         majority_label = max(classes, key=Counter(y_train).__getitem__)
-        y_test_arr = np.array(y_test)
-        prior = float(np.mean(y_test_arr == majority_label))
+        y_test = np.array(y_test)
         # the classes the test side holds, each with its rows
-        masks = {cls: mask for cls in classes if (mask := y_test_arr == cls).any()}
+        masks = {cls: mask for cls in classes if (mask := y_test == cls).any()}
+        folds.append(_Fold(schema, X_train, children, X_test, y_train, classes, y_test,
+                           float(np.mean(y_test == majority_label)), masks))
 
-        for feat_name in featurizations:
-            if feat_name in shared_fits:
-                fitted = shared_fits[feat_name]
-            else:
-                fitted = fit_featurization(
-                    feat_name, schema, X_train, children, sgd, hidden_dims, seed
-                )
-            F_train = fitted.transform(X_train)
-            F_test = fitted.transform(X_test)
-            train_set = clf_mod.make_labeled_set(F_train, y_train, classes, fitted.provenance)
-            for model in models:
-                t0 = time.perf_counter() if timings else None
-                clf = clf_mod.train(model, train_set, seed)
-                train_seconds = time.perf_counter() - t0 if timings else None
+    # each model trains once per featurization, on every fold's train side at once
+    cells = {}
+    for feat_name in featurizations:
+        train_sets, tests = [], []
+        for fold in folds:
+            fitted = shared_fits.get(feat_name) or fit_featurization(
+                feat_name, fold.schema, fold.X_train, fold.children, sgd, hidden_dims, seed)
+            train_sets.append(clf_mod.make_labeled_set(
+                fitted.transform(fold.X_train), fold.y_train, fold.classes, fitted.provenance))
+            tests.append(fitted.transform(fold.X_test))
+        for model in models:
+            t0 = time.perf_counter() if timings else None
+            clfs = clf_mod.train_sets(model, train_sets, seed)
+            train_seconds = (time.perf_counter() - t0) / len(folds) if timings else None
+            for fold_idx, (clf, F_test, fold) in enumerate(zip(clfs, tests, folds)):
                 preds = np.array(clf_mod.predict(clf, F_test))
-                accuracy = float(np.mean(preds == y_test_arr))
-                recalls = {cls: float(np.mean(preds[m] == cls)) for cls, m in masks.items()}
+                accuracy = float(np.mean(preds == fold.y_test))
+                recalls = {cls: float(np.mean(preds[m] == cls)) for cls, m in fold.masks.items()}
                 infer_ms = (clf_mod.measure_inference(clf, F_test[:INFER_SAMPLE]).mean_ms
                             if timings else None)
-                report.cells.append(CellResult(spec.task, feat_name, model, fold_idx, accuracy,
-                                               prior, recalls, infer_ms, train_seconds))
+                cells[fold_idx, feat_name, model] = CellResult(
+                    spec.task, feat_name, model, fold_idx, accuracy, fold.prior, recalls,
+                    infer_ms, train_seconds)
+    report = EvalReport(spec, plan.strategy, folds[0].classes)
+    report.cells = [cells[key] for key in product(range(len(folds)), featurizations, models)]
     return report

@@ -15,6 +15,10 @@ segment losses:
 
 loss() rejects non-finite input; the training path skips that scan, as
 train() raises TrainingDivergedError on a non-finite batch loss.
+
+train() is the one SGD loop. It steps one run (the hourglass, a classifier
+fit on one set), or several independent runs at once, each with its own
+seeded batch order: a linear classifier fit on every fold's train side.
 """
 
 from __future__ import annotations
@@ -341,35 +345,76 @@ def iter_batches(n: int, cfg: SgdConfig, rng: np.random.Generator):
 def train(
     nets: list[Network],
     cfg: SgdConfig,
-    n_rows: int,
+    n_rows: int | list[int],
     step,
-) -> list[float]:
+) -> list[float] | list[list[float]]:
     """Mini-batch SGD over rows 0..n_rows-1; returns the mean batch loss per
     epoch.
 
     step(idx) computes one batch: it returns the batch loss and one
     gradient list per network in nets, and must not update them.
+
+    n_rows may instead be a list of R row counts, one per independent run;
+    then every step advances every run that has batches left, and the
+    result is one loss list per run. Each run draws its batches from its
+    own default_rng(cfg.seed), as it would alone, so runs of different
+    sizes take different batch counts per epoch. step(batches) gets one
+    index array per run, or None for a run that is done, and returns one
+    batch loss per run (a done run's is ignored) and the gradient lists,
+    which must hold +0.0 for a done run's parameters so they keep their
+    bits. A non-finite loss ends its run and every later one while the
+    earlier ones go on; then the first run's TrainingDivergedError is
+    raised, the one training the runs one at a time would raise.
     """
-    if n_rows == 0:
+    multi = not isinstance(n_rows, (int, np.integer))
+    sizes = list(n_rows) if multi else [n_rows]
+    if 0 in sizes:
         raise ValueError("empty training set")
-    rng = np.random.default_rng(cfg.seed)
-    trace_losses: list[float] = []
+    R = len(sizes)
+    rngs = [np.random.default_rng(cfg.seed) for _ in sizes]
+    per_epoch = [-(-n // cfg.batch_size) for n in sizes]
+    ends = [cfg.epochs * k for k in per_epoch]  # each run's step count
+    plans = [None] * R  # each run's batches of its current epoch
+    batch_losses: list[list[float]] = [[] for _ in sizes]
+    live = [r for r in range(R) if ends[r]]
+    failed = None  # (run, epoch, batch) of the first run's non-finite loss
+    step_no = 0
     # overflow on the way to a non-finite loss is reported once, with its
     # location, as TrainingDivergedError rather than as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            batch_losses = []
-            for b, idx in enumerate(iter_batches(n_rows, cfg, rng)):
-                batch_loss, grads = step(idx)
-                if not math.isfinite(batch_loss):
-                    raise TrainingDivergedError(epoch, b)
-                for net, g in zip(nets, grads):
-                    sgd_step(net, g, cfg.learning_rate)
-                batch_losses.append(batch_loss)
-            # np.mean's arithmetic, bit for bit, without its Python overhead:
-            # a linear classifier runs one batch per epoch, so this is per step
-            trace_losses.append(float(np.add.reduce(batch_losses) / len(batch_losses)))
-    return trace_losses
+        while live:
+            batches = [None] * R
+            for r in live:
+                b = step_no % per_epoch[r]
+                if b == 0:
+                    plans[r] = list(iter_batches(sizes[r], cfg, rngs[r]))
+                batches[r] = plans[r][b]
+            if multi:
+                losses, grads = step(batches)
+            else:
+                loss, grads = step(batches[0])
+                losses = (loss,)
+            for r in live:
+                if not math.isfinite(losses[r]) and (failed is None or r < failed[0]):
+                    failed = (r, *divmod(step_no, per_epoch[r]))
+            if failed is not None:
+                live = [r for r in live if r < failed[0]]
+                if not live:
+                    break
+            for net, g in zip(nets, grads):
+                sgd_step(net, g, cfg.learning_rate)
+            step_no += 1
+            for r in live:
+                batch_losses[r].append(losses[r])
+            if step_no in ends:
+                live = [r for r in live if step_no < ends[r]]
+    if failed is not None:
+        raise TrainingDivergedError(*failed[1:])
+    # each epoch's mean batch loss: np.mean's pairwise sum over the epoch's
+    # row of batch losses, then one division, for every epoch at once
+    traces = [(np.add.reduce(np.reshape(run_losses, (cfg.epochs, k)), 1) / k).tolist()
+              for run_losses, k in zip(batch_losses, per_epoch)]
+    return traces if multi else traces[0]
 
 
 @dataclass

@@ -449,6 +449,103 @@ def test_linear_trainers_raise_on_divergence():
             trainer(s, lr=1e300)
 
 
+def _linear_sets(n_classes, sizes=(63, 64, 65, 129), dims=None):
+    # one provenance per set, so each classifier must carry its own set's
+    rng = np.random.default_rng(n_classes)
+    sets = []
+    for i, (n, d) in enumerate(zip(sizes, dims or [5] * len(sizes))):
+        y = np.arange(n) % n_classes
+        X = rng.normal(size=(n, d))
+        X[:, 0] += y
+        sets.append(LabeledSet(X, y, tuple("abc"[:n_classes]), FeatProvenance("pca", f"fold{i}")))
+    return sets
+
+
+def _assert_same_bytes(got, want):
+    assert (got.kind, got.classes, got.dim, got.provenance) == (
+        want.kind, want.classes, want.dim, want.provenance)
+    for name in classifiers.PARAMS[got.kind]:
+        a, b = np.asarray(got.params[name]), np.asarray(want.params[name])
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("model, settings", [
+    # 64-row batches: the sets of 63, 64, 65 and 129 rows take 1, 1, 2 and 3
+    # batches an epoch, the last ones padded to 64 rows
+    ("logreg", {}),
+    ("svm", {}),
+    ("svm", {"c": 0.0}),
+    # 16-row batches: 4, 4, 5 and 9 batches an epoch
+    ("logreg", {"batch_size": 16, "epochs": 20}),
+])
+def test_linear_sets_fit_together_as_each_set_alone(model, settings, n_classes):
+    # train_sets fits with the default settings; its trainers take others
+    alone, fit = {"logreg": (train_logreg, classifiers._logreg),
+                  "svm": (train_linsvm, classifiers._linsvm)}[model]
+    sets = _linear_sets(n_classes)
+    together = (fit(sets, seed=3, **settings) if settings
+                else classifiers.train_sets(model, sets, seed=3))
+    for got, s in zip(together, sets):
+        _assert_same_bytes(got, alone(s, seed=3, **settings))
+    if settings.get("c") == 0.0:
+        assert not together[0].params["W"].any()
+
+
+@pytest.mark.parametrize("sets, settings", [
+    # 8 to 12 rows, one or two of them the minority: some bootstraps hold one class
+    pytest.param([_sparse_set(19, 2, 4, label_p=(0.85, 0.15), rows=r) for r in (8, 9, 12)],
+                 {"trees": 30}, id="pure-bootstrap"),
+    # 22 of 25 columns constant: most samples cannot split, so nodes retry every feature
+    pytest.param([_sparse_set(14 + i, 3, 25, constant=22, rows=r) for i, r in enumerate((60, 45, 70))],
+                 {"trees": 12}, id="constant-features"),
+    pytest.param([_sparse_set(12 + i, 3, 9, rows=r) for i, r in enumerate((60, 30, 41))],
+                 {"trees": 3, "bootstrap": False, "feature_sample": "all"}, id="plain-trees"),
+])
+def test_forests_grow_together_as_each_set_alone(sets, settings):
+    together = classifiers._forests(sets, seed=7, **settings)
+    for got, s in zip(together, sets):
+        _assert_same_bytes(got, train_rf(s, seed=7, **settings))
+        sizes = np.diff(np.append(got.params["roots"], len(got.params["leaf"])))
+        # every set of the pure-bootstrap case has trees that are one leaf
+        assert settings["trees"] != 30 or sizes.min() == 1
+
+
+@pytest.mark.parametrize("dims", [pytest.param(None, id="one-shape"),
+                                  pytest.param([4, 6, 4], id="mixed-widths")])
+@pytest.mark.parametrize("model", classifiers.MODELS)
+def test_train_sets_gives_each_set_what_train_gives_it(model, dims):
+    sets = _linear_sets(3, sizes=(40, 47, 52), dims=dims)
+    for got, s in zip(classifiers.train_sets(model, sets, seed=5), sets):
+        _assert_same_bytes(got, classifiers.train(model, s, seed=5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_linear_sets_raise_the_first_diverging_sets_error():
+    # with lr 10 the weights grow tenfold a step until the loss overflows:
+    # the sooner, the larger the features
+    def labeled(rows, scale, seed):
+        rng = np.random.default_rng(seed)
+        y = np.arange(rows) % 2
+        return LabeledSet((rng.normal(size=(rows, 3)) + y[:, None]) * scale, y, ("a", "b"))
+
+    sets = [labeled(40, 1.0, 0), labeled(50, 1.0, 1), labeled(70, 1e100, 2),
+            labeled(45, 1.0, 3), labeled(30, 1e140, 4)]
+    settings = {"lr": 10.0, "epochs": 100}
+    for s in sets[:2]:
+        train_linsvm(s, **settings)
+    with pytest.raises(TrainingDivergedError) as third:
+        train_linsvm(sets[2], **settings)
+    with pytest.raises(TrainingDivergedError) as fifth:
+        train_linsvm(sets[4], **settings)
+    # the fifth set diverges first in the lockstep; the third set's error must win
+    assert (fifth.value.epoch, fifth.value.batch) < (third.value.epoch, third.value.batch)
+    with pytest.raises(TrainingDivergedError) as together:
+        classifiers._linsvm(sets, **settings)
+    assert (together.value.epoch, together.value.batch) == (third.value.epoch, third.value.batch)
+    assert third.value.batch == 1  # 70 rows: its error is in the second batch of an epoch
+
+
 def test_dummy_predicts_majority_with_smallest_id_ties():
     s = make_labeled_set(np.zeros((4, 2)), ["b", "a", "b", "a"], classes=("a", "b"))
     clf = train_dummy(s)

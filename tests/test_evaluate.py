@@ -236,3 +236,34 @@ def test_untimed_evaluate_skips_the_latency_probe(eval_corpus, eval_plan, tmp_pa
     assert "infer ms" in timed.format_table()
     assert "infer ms" not in bare.format_table()
     assert bare.format_table() == evaluate(*args).format_table()
+
+
+@pytest.mark.parametrize("full_log", [False, True])
+def test_each_model_trains_once_over_the_folds(eval_corpus, eval_plan, tmp_path, monkeypatch,
+                                               full_log):
+    from opembed import classifiers
+
+    args = (eval_corpus, TaskSpec("card"), ["sparse", "pca-8"], ["logreg", "knn", "rf", "svm"],
+            eval_plan)
+    fit_one_set = classifiers.train_sets
+    calls = []
+
+    def one_set_at_a_time(model, sets, seed=0):
+        calls.append(len(sets))
+        return [fit_one_set(model, [s], seed)[0] for s in sets]
+
+    timed = evaluate(*args, embedding_from_full_log=full_log, timings=True)
+    # a cell's train_seconds is its share of its model's one fit over the folds
+    assert all(c.train_seconds > 0 for c in timed.cells)
+    for feat in ("sparse", "pca-8"):
+        for model in args[3]:
+            shares = {c.train_seconds for c in timed.cells
+                      if (c.featurization, c.model) == (feat, model)}
+            assert len(shares) == 1
+    together = tmp_path / "together.csv"
+    evaluate(*args, embedding_from_full_log=full_log).to_csv(together)
+    monkeypatch.setattr(classifiers, "train_sets", one_set_at_a_time)
+    alone = tmp_path / "alone.csv"
+    evaluate(*args, embedding_from_full_log=full_log).to_csv(alone)
+    assert calls == [len(eval_plan)] * 8
+    assert together.read_bytes() == alone.read_bytes()

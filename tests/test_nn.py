@@ -229,6 +229,38 @@ def test_train_same_seed_bitwise_identical(rng):
     assert runs[0][1] == runs[1][1]
 
 
+def test_train_steps_runs_together_as_each_alone(rng):
+    # 16-row batches: the runs take 1, 2, 4 and 5 batches an epoch
+    sizes = [10, 25, 64, 65]
+    data = [(rng.normal(size=(n, 3)), rng.normal(size=(n, 2))) for n in sizes]
+    spec = LossSpec((("mse", 0, 2),))
+    cfg = SgdConfig(learning_rate=0.05, batch_size=16, epochs=3, seed=4)
+
+    def fresh():
+        return Network([dense_layer(np.random.default_rng(1), 3, 2, layer_norm=True)])
+
+    alone = [fit(fresh(), spec, cfg, X, Y) for X, Y in data]
+    nets = [fresh() for _ in data]
+
+    def step(batches):
+        losses, grads = [], []
+        for net, (X, Y), idx in zip(nets, data, batches):
+            if idx is None:  # a done run: +0.0 gradients
+                losses.append(0.0)
+                grads.append([tuple(map(np.zeros_like, layer.params)) for layer in net.layers])
+                continue
+            fwd = forward(net, X[idx])
+            losses.append(loss(spec, fwd.activations[-1], Y[idx]))
+            grads.append(backward(net, spec, fwd, Y[idx]))
+        return losses, grads
+
+    traces = train(nets, cfg, sizes, step)
+    for (net_alone, trace_alone), net, trace in zip(alone, nets, traces):
+        assert trace == trace_alone
+        for a, b in zip(net.layers[0].params, net_alone.layers[0].params):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises_with_location(rng):
     X = rng.normal(size=(32, 3)) * 1e3
