@@ -8,6 +8,7 @@ class id so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 
@@ -159,10 +160,6 @@ class Classifier:
                 raise bad(f"{name} holds a class id outside [0, {C})")
         if self.kind == "rf":
             _check_forest(params, self.dim, C, bad)
-            # compatibility shim read only by perfbench's traced train_rf hook;
-            # remove it once the benchmark counts nodes from the arrays
-            starts = params["roots"].tolist() + [len(params["leaf"])]
-            params["trees"] = [{"leaf": params["leaf"][a:b]} for a, b in zip(starts, starts[1:])]
 
 
 def _check_forest(params: dict, dim: int, n_classes: int, bad) -> None:
@@ -185,11 +182,28 @@ def _check_forest(params: dict, dim: int, n_classes: int, bad) -> None:
         raise bad(f"leaf class outside [0, {n_classes})")
 
 
-def _check_training(s: LabeledSet) -> None:
-    if len(s.X) == 0:
-        raise ValueError("empty training set")
-    if len(np.unique(s.y)) < 2:
-        raise ValueError("training requires at least 2 distinct classes")
+def _check_training(sets: list[LabeledSet]) -> None:
+    for s in sets:
+        if len(s.X) == 0:
+            raise ValueError("empty training set")
+        if len(np.unique(s.y)) < 2:
+            raise ValueError("training requires at least 2 distinct classes")
+
+
+def _one_set(fit, name: str):
+    """fit's one-set case, name(s, ...) = fit([s], ...)[0], showing fit's
+    settings and defaults in its signature."""
+    def train(s, *args, **kwargs):
+        return fit([s], *args, **kwargs)[0]
+
+    sig = inspect.signature(fit)
+    sets, *settings = sig.parameters.values()
+    train.__signature__ = sig.replace(
+        parameters=[sets.replace(name="s", annotation="LabeledSet"), *settings],
+        return_annotation="Classifier")
+    train.__name__ = train.__qualname__ = name
+    train.__doc__ = fit.__doc__
+    return train
 
 
 def _fit_linear(kind: str, sets: list[LabeledSet], cfg: nn.SgdConfig, grads) -> list[Classifier]:
@@ -264,18 +278,13 @@ def _fit_linear(kind: str, sets: list[LabeledSet], cfg: nn.SgdConfig, grads) -> 
             for r, s in enumerate(sets)]
 
 
-def _logreg(
-    sets: list[LabeledSet],
-    l2: float = 1e-4,
-    lr: float = 0.1,
-    epochs: int = 200,
-    batch_size: int = 64,
-    seed: int = 0,
-) -> list[Classifier]:
-    """train_logreg on each set, the sets fitted together; the defaults are
-    train_logreg's."""
-    for s in sets:
-        _check_training(s)
+def _logreg(sets: list[LabeledSet], l2: float = 1e-4, lr: float = 0.1, epochs: int = 200,
+            batch_size: int = 64, seed: int = 0) -> list[Classifier]:
+    """Multinomial softmax regression on each set, mini-batch gradient
+    descent on cross-entropy plus 0.5*l2*||W||^2 (bias unregularized). Zero
+    init, so an untrained model predicts the uniform distribution. The sets
+    fit together (_fit_linear)."""
+    _check_training(sets)
 
     # the ufuncs' reduce is what ndarray.sum and .max call, without their
     # Python wrappers: a fit of a small set is about 200 steps of small arrays
@@ -296,24 +305,13 @@ def _logreg(
     return _fit_linear("logreg", sets, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
 
 
-def train_logreg(
-    s: LabeledSet,
-    l2: float = 1e-4,
-    lr: float = 0.1,
-    epochs: int = 200,
-    batch_size: int = 64,
-    seed: int = 0,
-) -> Classifier:
-    """Multinomial softmax regression, mini-batch gradient descent on
-    cross-entropy plus 0.5*l2*||W||^2 (bias unregularized). Zero init, so an
-    untrained model predicts the uniform distribution."""
-    return _logreg([s], l2, lr, epochs, batch_size, seed)[0]
+train_logreg = _one_set(_logreg, "train_logreg")
 
 
 def train_knn(s: LabeledSet, k: int = 6) -> Classifier:
     """Memorize the training set; prediction weights the k nearest Euclidean
     neighbors by 1/(distance + 1e-9)."""
-    _check_training(s)
+    _check_training([s])
     return Classifier(
         "knn",
         s.classes,
@@ -388,15 +386,12 @@ def _best_splits(
     return feature, threshold
 
 
-def _forests(
-    sets: list[LabeledSet],
-    trees: int = 100,
-    seed: int = 0,
-    bootstrap: bool = True,
-    feature_sample: str = "sqrt",
-) -> list[Classifier]:
-    """train_rf on each set, the sets grown together; the defaults are
-    train_rf's.
+def _forests(sets: list[LabeledSet], trees: int = 100, seed: int = 0, bootstrap: bool = True,
+             feature_sample: str = "sqrt") -> list[Classifier]:
+    """Bagged Gini trees on each set, grown until pure or fewer than 2 rows;
+    sqrt(D) candidate features per split, all D when none of those splits
+    the rows. bootstrap=False and feature_sample="all" reduce a forest to
+    deterministic plain trees for oracle checks.
 
     Tree t of a set draws its bootstrap, then one feature sample per
     splittable node in preorder, from default_rng([seed, t]). A node is a
@@ -412,8 +407,7 @@ def _forests(
     offset to its set's. Leaves have feature -1, internal nodes leaf -1, and
     an internal node's lo child follows it.
     """
-    for s in sets:
-        _check_training(s)
+    _check_training(sets)
     if feature_sample not in ("sqrt", "all") or trees < 1:
         raise ValueError("feature_sample must be 'sqrt' or 'all', and trees at least 1")
     X, y = np.concatenate([s.X for s in sets]), np.concatenate([s.y for s in sets])
@@ -485,33 +479,16 @@ def _forests(
     return forests
 
 
-def train_rf(
-    s: LabeledSet,
-    trees: int = 100,
-    seed: int = 0,
-    bootstrap: bool = True,
-    feature_sample: str = "sqrt",
-) -> Classifier:
-    """Bagged Gini trees grown until pure or fewer than 2 rows; sqrt(D)
-    candidate features per split, all D when none of those splits the rows.
-    bootstrap=False and feature_sample="all" reduce the forest to
-    deterministic plain trees for oracle checks. How the trees grow is
-    _forests'."""
-    return _forests([s], trees, seed, bootstrap, feature_sample)[0]
+train_rf = _one_set(_forests, "train_rf")
 
 
-def _linsvm(
-    sets: list[LabeledSet],
-    c: float = 1.0,
-    lr: float = 0.01,
-    epochs: int = 200,
-    batch_size: int = 64,
-    seed: int = 0,
-) -> list[Classifier]:
-    """train_linsvm on each set, the sets fitted together; the defaults are
-    train_linsvm's."""
-    for s in sets:
-        _check_training(s)
+def _linsvm(sets: list[LabeledSet], c: float = 1.0, lr: float = 0.01, epochs: int = 200,
+            batch_size: int = 64, seed: int = 0) -> list[Classifier]:
+    """One-vs-rest linear SVM on each set by seeded mini-batch subgradient
+    descent on 0.5*||w||^2 + c * mean hinge. c = 0 keeps all weights at
+    zero, so every prediction degenerates to the smallest class id. The
+    sets fit together (_fit_linear)."""
+    _check_training(sets)
     if c < 0:
         raise ValueError("c must be nonnegative")
     signs = np.where(np.eye(len(sets[0].classes), dtype=bool), 1.0, -1.0)  # row y: +1 at y
@@ -531,18 +508,7 @@ def _linsvm(
     return _fit_linear("linsvm", sets, nn.SgdConfig(lr, batch_size, epochs, seed), grads)
 
 
-def train_linsvm(
-    s: LabeledSet,
-    c: float = 1.0,
-    lr: float = 0.01,
-    epochs: int = 200,
-    batch_size: int = 64,
-    seed: int = 0,
-) -> Classifier:
-    """One-vs-rest linear SVM by seeded mini-batch subgradient descent on
-    0.5*||w||^2 + c * mean hinge. c = 0 keeps all weights at zero, so every
-    prediction degenerates to the smallest class id."""
-    return _linsvm([s], c, lr, epochs, batch_size, seed)[0]
+train_linsvm = _one_set(_linsvm, "train_linsvm")
 
 
 def train_dummy(s: LabeledSet) -> Classifier:
@@ -557,12 +523,14 @@ def train_sets(model: str, sets: list[LabeledSet], seed: int = 0) -> list[Classi
     """Train one model from MODELS with its default settings on each set;
     every classifier has the bytes training its set alone gives.
 
-    logreg, svm and rf fit sets of one width and class count together, in
-    one lockstep of their SGD runs or trees, which checks every set before
-    it fits any; of several runs that diverge, the first set's
-    TrainingDivergedError is raised. Sets of mixed shapes fit one at a time.
-    knn and dummy go through train_knn and train_dummy, looked up as module
-    globals at call time, so a wrapper set on them sees every fit.
+    logreg, svm and rf fit through _logreg, _linsvm and _forests, never the
+    one-set train_logreg, train_linsvm or train_rf. Sets of one width and
+    class count fit together, in one lockstep of their SGD runs or trees,
+    which checks every set before it fits any; of several runs that
+    diverge, the first set's TrainingDivergedError is raised. Sets of mixed
+    shapes fit one at a time. knn and dummy go through train_knn and
+    train_dummy, looked up as module globals at call time, so a wrapper set
+    on them sees every fit.
     """
     if model == "knn":
         return [train_knn(s) for s in sets]
@@ -574,14 +542,6 @@ def train_sets(model: str, sets: list[LabeledSet], seed: int = 0) -> list[Classi
     if len({(s.dim, len(s.classes)) for s in sets}) != 1:
         return [fit([s], seed=seed)[0] for s in sets]
     return fit(sets, seed=seed)
-
-
-def train(model: str, s: LabeledSet, seed: int = 0) -> Classifier:
-    """Train one model from MODELS on one set with its default settings:
-    train_sets' one-set case. logreg, svm and rf fit through private
-    multi-set trainers, so a wrapper set on train_logreg, train_linsvm or
-    train_rf does not see these fits, nor evaluate's."""
-    return train_sets(model, [s], seed)[0]
 
 
 def _check_rows(clf: Classifier, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .classifiers import (
     FeatProvenance,
     make_labeled_set,
     predict as clf_predict,
-    train as train_classifier,
+    train_sets,
 )
 from .errors import OpembedError
 from .evaluate import _write_csv, evaluate as run_evaluate
@@ -241,7 +241,7 @@ def train_task(corpus_path, features_path, task, model, percentile, factor, seed
             raise ValueError(f"{features_path} line {line} has id {got!r}, "
                              f"but the corpus's operator there is {expected!r}")
     prov = store.bundle_provenance(provenance_path) if provenance_path else FeatProvenance("csv")
-    clf = train_classifier(model, make_labeled_set(X, labels, classes, prov), seed)
+    clf = train_sets(model, [make_labeled_set(X, labels, classes, prov)], seed)[0]
     meta = {"task": task, "seed": seed}
     if task == "admission":
         meta["percentile"] = percentile

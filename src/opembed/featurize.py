@@ -53,6 +53,9 @@ _FIELDS = ("node_type", *CORE_NUMERIC_FIELDS, "join_type", "parent_relationship"
            "hash_algorithm", "sort_key", "sort_method", "relation_name", *ATTR_STAT_FIELDS,
            "index_name", "scan_direction", "agg_strategy", "partial_mode", "agg_operator")
 _field_values = operator.attrgetter(*_FIELDS)
+# the kind of every slot fit_encode gives a field
+_SLOT_KINDS = {f: CATEGORICAL if f in ("node_type",) + OPTIONAL_CATEGORICAL_FIELDS
+               else BOOLEAN if f in OPTIONAL_BOOLEAN_FIELDS else NUMERIC for f in _FIELDS}
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,8 @@ class SlotSpec:
 @dataclass(frozen=True)
 class FeatureSchema:
     """The sparse layout. Only the slots, the z-score stats and the attribute
-    width are stored; every index map below is derived from the slots. The
+    width are stored; every index map below is derived from the slots. A
+    slot has the kind and group fit_encode gives the field it names, and the
     stats hold a finite (mean, stddev >= MIN_STDDEV) pair per numeric slot."""
 
     slots: tuple[SlotSpec, ...]
@@ -85,6 +89,14 @@ class FeatureSchema:
     def __post_init__(self):
         vocab: dict[str, dict[str, int]] = {}
         for i, slot in enumerate(self.slots):
+            field = slot.name.partition("=")[0].partition("[")[0]
+            kind = _SLOT_KINDS.get(field)
+            if kind is None:
+                raise SchemaError(f"slot {i} ({slot.name!r}) names no operator field")
+            group = field if kind == CATEGORICAL else None
+            if (slot.kind, slot.group) != (kind, group):
+                raise SchemaError(f"slot {i} ({slot.name!r}) has kind {slot.kind!r}, group "
+                                  f"{slot.group!r}; fit_encode gives {field} {kind!r}, {group!r}")
             if slot.kind == CATEGORICAL:
                 # a categorical slot is named "<group>=<value>"
                 vocab.setdefault(slot.group, {})[slot.name[len(slot.group) + 1:]] = i
@@ -257,7 +269,7 @@ def fit_encode(corpus: Corpus) -> tuple[FeatureSchema, OperatorTable]:
         raise SchemaError("cannot build a schema from an empty corpus")
     nodes, ids, query_index, children = _table_walk(corpus)
     # each group's observed values as dict keys, in first-appearance order
-    vocab_values: dict[str, dict] = {g: {} for g in ("node_type",) + OPTIONAL_CATEGORICAL_FIELDS}
+    vocab_values: dict[str, dict] = {g: {} for g in _FIELDS if _SLOT_KINDS[g] == CATEGORICAL}
     attr_width, observed = 0, set()  # observed: the fields some operator carries
     for _, cols in _blocks(nodes):
         for group, values in vocab_values.items():
@@ -273,7 +285,7 @@ def fit_encode(corpus: Corpus) -> tuple[FeatureSchema, OperatorTable]:
         elif field in ATTR_STAT_FIELDS:
             slots += (SlotSpec(f"{field}[{j}]", NUMERIC) for j in range(attr_width))
         elif field in observed:
-            slots.append(SlotSpec(field, BOOLEAN if field in OPTIONAL_BOOLEAN_FIELDS else NUMERIC))
+            slots.append(SlotSpec(field, _SLOT_KINDS[field]))
     # a slot no operator fills keeps (0, sentinel)
     stats = {i: (0.0, STDDEV_SENTINEL) for i, slot in enumerate(slots) if slot.kind == NUMERIC}
     layout = FeatureSchema(tuple(slots), stats, attr_width)

@@ -96,7 +96,8 @@ def train_embedding(
     present = children >= 0
     heads = (enet.head1, enet.head2)
 
-    def step(idx):
+    def step(batches):
+        (idx,) = batches
         n = len(idx)
         trunk_trace = nn.forward(enet.trunk, X[idx])
         E = trunk_trace.activations[-1]
@@ -128,9 +129,9 @@ def train_embedding(
             grads.append(g)
             dEs.append(dE)
         gt, _ = nn.backprop_layers(enet.trunk, trunk_trace, dEs[0] + dEs[1], input_grad=False)
-        return total, [gt, *grads]
+        return [total], [gt, *grads]
 
-    return enet, nn.train([enet.trunk, *heads], cfg, len(children), step)
+    return enet, nn.train([enet.trunk, *heads], cfg, [len(children)], step)[0]
 
 
 def predict_children(

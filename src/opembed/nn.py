@@ -16,9 +16,9 @@ segment losses:
 loss() rejects non-finite input; the training path skips that scan, as
 train() raises TrainingDivergedError on a non-finite batch loss.
 
-train() is the one SGD loop. It steps one run (the hourglass, a classifier
-fit on one set), or several independent runs at once, each with its own
-seeded batch order: a linear classifier fit on every fold's train side.
+train() is the one SGD loop. It steps a list of independent runs at once,
+each with its own seeded batch order: the hourglass is one run, and a
+linear classifier fit on every fold's train side is one run per fold.
 """
 
 from __future__ import annotations
@@ -345,29 +345,23 @@ def iter_batches(n: int, cfg: SgdConfig, rng: np.random.Generator):
 def train(
     nets: list[Network],
     cfg: SgdConfig,
-    n_rows: int | list[int],
+    sizes: list[int],
     step,
-) -> list[float] | list[list[float]]:
-    """Mini-batch SGD over rows 0..n_rows-1; returns the mean batch loss per
-    epoch.
+) -> list[list[float]]:
+    """Mini-batch SGD of R independent runs, run r over rows 0..sizes[r]-1;
+    returns each run's mean batch loss per epoch.
 
-    step(idx) computes one batch: it returns the batch loss and one
-    gradient list per network in nets, and must not update them.
-
-    n_rows may instead be a list of R row counts, one per independent run;
-    then every step advances every run that has batches left, and the
-    result is one loss list per run. Each run draws its batches from its
-    own default_rng(cfg.seed), as it would alone, so runs of different
-    sizes take different batch counts per epoch. step(batches) gets one
-    index array per run, or None for a run that is done, and returns one
-    batch loss per run (a done run's is ignored) and the gradient lists,
-    which must hold +0.0 for a done run's parameters so they keep their
-    bits. A non-finite loss ends its run and every later one while the
-    earlier ones go on; then the first run's TrainingDivergedError is
-    raised, the one training the runs one at a time would raise.
+    Every step advances every run that has batches left. Each run draws its
+    batches from its own default_rng(cfg.seed), as it would alone, so runs
+    of different sizes take different batch counts per epoch. step(batches)
+    gets one index array per run, or None for a run that is done, and
+    returns one batch loss per run (a done run's is ignored) and one
+    gradient list per network in nets, which must hold +0.0 for a done
+    run's parameters so they keep their bits; it must not update the nets.
+    A non-finite loss ends its run and every later one while the earlier
+    ones go on; then the first run's TrainingDivergedError is raised, the
+    one training the runs one at a time would raise.
     """
-    multi = not isinstance(n_rows, (int, np.integer))
-    sizes = list(n_rows) if multi else [n_rows]
     if 0 in sizes:
         raise ValueError("empty training set")
     R = len(sizes)
@@ -389,11 +383,7 @@ def train(
                 if b == 0:
                     plans[r] = list(iter_batches(sizes[r], cfg, rngs[r]))
                 batches[r] = plans[r][b]
-            if multi:
-                losses, grads = step(batches)
-            else:
-                loss, grads = step(batches[0])
-                losses = (loss,)
+            losses, grads = step(batches)
             for r in live:
                 if not math.isfinite(losses[r]) and (failed is None or r < failed[0]):
                     failed = (r, *divmod(step_no, per_epoch[r]))
@@ -412,9 +402,8 @@ def train(
         raise TrainingDivergedError(*failed[1:])
     # each epoch's mean batch loss: np.mean's pairwise sum over the epoch's
     # row of batch losses, then one division, for every epoch at once
-    traces = [(np.add.reduce(np.reshape(run_losses, (cfg.epochs, k)), 1) / k).tolist()
-              for run_losses, k in zip(batch_losses, per_epoch)]
-    return traces if multi else traces[0]
+    return [(np.add.reduce(np.reshape(run_losses, (cfg.epochs, k)), 1) / k).tolist()
+            for run_losses, k in zip(batch_losses, per_epoch)]
 
 
 @dataclass

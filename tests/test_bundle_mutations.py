@@ -13,10 +13,10 @@ import pytest
 from click.testing import CliRunner
 
 from opembed import nn, store
-from opembed.classifiers import MODELS, FeatProvenance, make_labeled_set, train, train_logreg
+from opembed.classifiers import MODELS, FeatProvenance, make_labeled_set, train_logreg, train_sets
 from opembed.cli import main
 from opembed.errors import OpembedError
-from opembed.featurize import build_schema, encode_corpus, schema_hash
+from opembed.featurize import fit_encode, schema_hash
 from opembed.hourglass import HourglassSpec, build, cut_off, train_embedding
 from opembed.plans import save_corpus
 from opembed.reducers import fit_fa, fit_pca, transform_fa, transform_pca
@@ -33,15 +33,14 @@ def bundles(tmp_path_factory):
     root = tmp_path_factory.mktemp("mutations")
     corpus = generate(SynthConfig(n_queries=12, seed=5))
     save_corpus(corpus, root / "plans.json")
-    schema = build_schema(corpus)
+    schema, table = fit_encode(corpus)
     store.save_schema_bundle(root / "schema.opeb", schema)
-    table = encode_corpus(schema, corpus)
     X = table.X
     labels = ["slow" if i % 3 == 0 else "ok" for i in range(len(X))]
     digest = schema_hash(schema)
     sparse = make_labeled_set(X, labels, CLASSES, FeatProvenance("sparse", digest))
     for model in MODELS:
-        store.save_classifier_bundle(root / f"{model}.opeb", train(model, sparse))
+        store.save_classifier_bundle(root / f"{model}.opeb", train_sets(model, [sparse])[0])
     for kind, model, transform in (("pca", fit_pca(X, 4), transform_pca),
                                    ("fa", fit_fa(X, 4), transform_fa)):
         getattr(store, f"save_{kind}_bundle")(root / f"{kind}.opeb", model, digest)

@@ -350,7 +350,11 @@ def test_rf_lockstep_takes_as_many_steps_as_the_most_splittable_tree(monkeypatch
     assert len(steps) < np.diff(roots + [len(nodes["feature"])]).max()
 
 
-def test_rf_default_tree_count():
+def test_one_set_trainers_show_their_multi_set_settings():
+    for one, fit in ((train_logreg, classifiers._logreg), (train_linsvm, classifiers._linsvm),
+                     (train_rf, classifiers._forests)):
+        s, *settings = inspect.signature(one).parameters.values()
+        assert s.name == "s" and settings == list(inspect.signature(fit).parameters.values())[1:]
     assert inspect.signature(train_rf).parameters["trees"].default == 100
 
 
@@ -515,9 +519,12 @@ def test_forests_grow_together_as_each_set_alone(sets, settings):
                                   pytest.param([4, 6, 4], id="mixed-widths")])
 @pytest.mark.parametrize("model", classifiers.MODELS)
 def test_train_sets_gives_each_set_what_train_gives_it(model, dims):
+    alone = {"logreg": train_logreg, "knn": train_knn, "rf": train_rf, "svm": train_linsvm,
+             "dummy": train_dummy}[model]
+    seeded = {"seed": 5} if "seed" in inspect.signature(alone).parameters else {}
     sets = _linear_sets(3, sizes=(40, 47, 52), dims=dims)
     for got, s in zip(classifiers.train_sets(model, sets, seed=5), sets):
-        _assert_same_bytes(got, classifiers.train(model, s, seed=5))
+        _assert_same_bytes(got, alone(s, **seeded))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

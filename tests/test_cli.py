@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from opembed import evaluate as evaluate_mod, store
+from opembed.classifiers import make_labeled_set, train_dummy
 from opembed.cli import main
 
 
@@ -426,6 +427,23 @@ def test_reduce_refuses_schema_with_bad_stats(runner, tmp_path, pipeline, edit):
     err = run_err(runner, ["reduce", "--corpus", str(corpus), "--schema", str(bad),
                            "--method", "sparse", "--out", str(out)])
     assert str(bad) in err and f"stats for slot {key} (plan_width)" in err
+    assert not out.exists()
+
+
+def test_predict_refuses_schema_slot_of_another_kind(runner, tmp_path, pipeline):
+    _, corpus, _, schema = pipeline
+    header, arrays = store.load_bundle(schema)
+    payload = header["schema"]
+    idx = [slot["name"] for slot in payload["slots"]].index("plan_rows")
+    payload["slots"][idx]["kind"] = "boolean"
+    del payload["stats"][str(idx)], payload["hash"]
+    bad, clf, out = tmp_path / "bad.opeb", tmp_path / "clf.opeb", tmp_path / "p.csv"
+    store.save_bundle(bad, "schema", header, arrays)
+    # predict loads its classifier before the schema; any classifier will do
+    store.save_classifier_bundle(clf, train_dummy(make_labeled_set(np.zeros((2, 1)), "ab")))
+    err = run_err(runner, ["predict", "--plans", str(corpus), "--classifier", str(clf),
+                           "--schema", str(bad), "--out", str(out)])
+    assert str(bad) in err and f"slot {idx} ('plan_rows') has kind 'boolean'" in err
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from opembed import nn, store
 from opembed.cli import main
 from opembed.errors import OpembedError
-from opembed.featurize import build_schema, encode_corpus
+from opembed.featurize import fit_encode
 from opembed.hourglass import HourglassSpec, build, cut_off, train_embedding
 from opembed.plans import corpus_to_dict, load_corpus
 from opembed.synth import SynthConfig, generate
@@ -29,8 +29,7 @@ CLI_MUTATIONS = 12
 def valid():
     """A 6-query plan document and a matching 4-dim encoder bundle."""
     corpus = generate(SynthConfig(n_queries=6, seed=11))
-    schema = build_schema(corpus)
-    table = encode_corpus(schema, corpus)
+    schema, table = fit_encode(corpus)
     enet = build(HourglassSpec(hidden_dims=(8,), embedding_dim=4), schema)
     train_embedding(enet, table.X, table.children, nn.SgdConfig(epochs=1))
     return corpus_to_dict(corpus), cut_off(enet), schema

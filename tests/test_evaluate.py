@@ -36,10 +36,10 @@ def test_parse_featurization_forms():
 
 
 def test_fit_featurization_needs_triples_for_neural(eval_corpus):
-    from opembed.featurize import build_schema, encode_corpus
+    from opembed.featurize import fit_encode
 
-    schema = build_schema(eval_corpus)
-    X = encode_corpus(schema, eval_corpus).X
+    schema, table = fit_encode(eval_corpus)
+    X = table.X
     with pytest.raises(ValueError, match="triples"):
         fit_featurization("neural-8", schema, X)
     fitted = fit_featurization("pca-8", schema, X)

@@ -300,6 +300,23 @@ def test_schema_json_rejects_tampering(schema60):
         schema_from_json(broken)
 
 
+@pytest.mark.parametrize("edit, reason", [
+    ({"kind": "bogus"}, "('plan_rows') has kind 'bogus', group None; fit_encode gives"),
+    ({"kind": "boolean"}, "('plan_rows') has kind 'boolean', group None; fit_encode gives"),
+    ({"kind": "categorical", "group": "plan_rows"}, "('plan_rows') has kind 'categorical'"),
+    ({"name": "plan_rowz"}, "('plan_rowz') names no operator field"),
+], ids=["bogus", "boolean", "categorical", "no-field"])
+def test_schema_json_rejects_a_slot_its_field_does_not_give(schema60, edit, reason):
+    # loaded, such a slot would take raw plan_rows values where the fit puts z-scores
+    payload = _unhashed_payload(schema60)
+    idx = schema60.index["plan_rows"]
+    payload["slots"][idx].update(edit)
+    del payload["stats"][str(idx)]
+    with pytest.raises(SchemaError) as err:
+        schema_from_json(json.dumps(payload))
+    assert str(err.value).startswith(f"slot {idx} {reason}")
+
+
 def test_export_csv_round_trip(tmp_path, corpus60, schema60):
     from opembed.cli import _read_feature_csv, _write_feature_csv
 

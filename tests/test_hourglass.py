@@ -6,7 +6,7 @@ import pytest
 
 from opembed import nn
 from opembed.errors import SchemaError, TrainingDivergedError
-from opembed.featurize import build_schema, encode, encode_corpus
+from opembed.featurize import build_schema, encode, encode_corpus, fit_encode
 from opembed.hourglass import (
     DEFAULT_HIDDEN,
     Encoder,
@@ -39,8 +39,7 @@ def sorted_corpus():
 
 @pytest.fixture(scope="module")
 def sorted_run(sorted_corpus):
-    schema = build_schema(sorted_corpus)
-    table = encode_corpus(schema, sorted_corpus)
+    schema, table = fit_encode(sorted_corpus)
     enet = build(HourglassSpec(hidden_dims=(64, 32), embedding_dim=16, seed=0), schema)
     enet, trace = train_embedding(
         enet, table.X, table.children, nn.SgdConfig(epochs=80, seed=0)
@@ -102,8 +101,7 @@ def test_training_recovers_sort_context(sorted_corpus, sorted_run):
 
 def test_training_halves_initial_loss():
     corpus = generate(SynthConfig(n_queries=420, seed=5))
-    schema = build_schema(corpus)
-    table = encode_corpus(schema, corpus)
+    schema, table = fit_encode(corpus)
     children = table.children[:2000]
     assert len(children) == 2000
     enet = build(HourglassSpec(hidden_dims=(64, 32), embedding_dim=16, seed=0), schema)
@@ -218,8 +216,7 @@ def _reference_training(enet, X, children, cfg, masked):
 @pytest.mark.parametrize("masked", [False, True])
 def test_training_matches_two_pass_reference_step(masked):
     corpus = generate(SynthConfig(n_queries=12, seed=5))
-    schema = build_schema(corpus)
-    table = encode_corpus(schema, corpus)
+    schema, table = fit_encode(corpus)
     # 3-row batches, the last one partial: some batch holds only leaves, so
     # masked mode takes its m == 0 branch for both heads at once
     assert len(table.children) % 3
@@ -235,8 +232,7 @@ def test_training_matches_two_pass_reference_step(masked):
 
 def test_diverging_training_raises_without_numpy_warnings():
     corpus = generate(replace(planted_card_config(), n_queries=60, seed=0))
-    schema = build_schema(corpus)
-    table = encode_corpus(schema, corpus)
+    schema, table = fit_encode(corpus)
     spec = HourglassSpec(hidden_dims=(48, 40), embedding_dim=8)
     for masked in (False, True):
         with warnings.catch_warnings():

@@ -27,11 +27,12 @@ from opembed.nn import (
 def fit(net, spec, cfg, X, Y):
     """Supervised regression of net(X) onto Y through the shared SGD loop."""
 
-    def step(idx):
+    def step(batches):
+        (idx,) = batches
         fwd = forward(net, X[idx])
-        return loss(spec, fwd.activations[-1], Y[idx]), [backward(net, spec, fwd, Y[idx])]
+        return [loss(spec, fwd.activations[-1], Y[idx])], [backward(net, spec, fwd, Y[idx])]
 
-    return net, train([net], cfg, len(X), step)
+    return net, train([net], cfg, [len(X)], step)[0]
 
 
 def affine(W, b, ln=False, relu=False):

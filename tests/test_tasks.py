@@ -9,7 +9,7 @@ from opembed.classifiers import (
     train_logreg,
 )
 from opembed.errors import BundleError, CoverageError
-from opembed.featurize import build_schema, encode, encode_corpus, schema_hash
+from opembed.featurize import build_schema, encode, fit_encode, schema_hash
 from opembed.hourglass import HourglassSpec, build, cut_off
 from opembed.plans import Corpus, PlanNode, QueryRecord, walk_operators
 from opembed.reducers import fit_fa, fit_pca, transform_fa, transform_pca
@@ -165,8 +165,8 @@ def ramp_corpus(n=10):
 
 def test_flag_query_transform_applies():
     corpus = ramp_corpus()
-    schema = build_schema(corpus)
-    X = encode_corpus(schema, corpus).X
+    schema, table = fit_encode(corpus)
+    X = table.X
     labels = ["ok"] * 5 + ["slow"] * 5
     for kind, model, transform in (("pca", fit_pca(X, 2), transform_pca),
                                    ("fa", fit_fa(X, 2), transform_fa)):
@@ -184,8 +184,8 @@ def test_flag_query_refuses_a_classifier_of_another_featurization():
     # a 2-dim encoder on the same schema feeds rows as wide as pca-2, so
     # only the provenance tells the two featurizations apart
     corpus = ramp_corpus()
-    schema = build_schema(corpus)
-    X = encode_corpus(schema, corpus).X
+    schema, table = fit_encode(corpus)
+    X = table.X
     pca = fit_pca(X, 2)
     prov = FeatProvenance("pca", schema_hash(schema))
     clf = train_logreg(make_labeled_set(
