@@ -100,7 +100,7 @@ op synth --preset tpcds-like --seed 3 --queries 150 --out "$d/corpus.json"
 op embed --corpus "$d/corpus.json" --encoder "$t/encoder.opeb" --out "$d/embeddings.csv"
 op embed --corpus "$d/corpus.json" --encoder "$t/encoder_small.opeb" --out "$d/embeddings_small.csv"
 op embed --corpus "$d/corpus.json" --encoder "$t/encoder_pre.opeb" --out "$d/embeddings_pre.csv"
-# a 4-wide embedding is under featurize.MIN_BLOCKED_WIDTH, so it is one block
+# a 4-wide embedding is under featurizer.MIN_BLOCKED_WIDTH, so it is one block
 op train-embedding --corpus "$t/corpus.json" --epochs 3 --hidden 64,32 --embedding-dim 4 \
    --encoder-out "$d/encoder_narrow.opeb"
 op embed --corpus "$d/corpus.json" --encoder "$d/encoder_narrow.opeb" --out "$d/embeddings_narrow.csv"
@@ -112,9 +112,37 @@ op predict --plans "$d/corpus.json" --classifier "$t/clf_fa.opeb" \
    --reducer "$t/fa.opeb" --schema "$t/schema.opeb" --out "$d/pred_fa.csv"
 op predict --plans "$d/corpus.json" --classifier "$t/clf_sparse.opeb" \
    --schema "$t/schema.opeb" --out "$d/pred_sparse.csv"
-for f in pred_enc pred_pca pred_fa pred_sparse; do
+# clf_admission flags no query of this log; a kNN on the same embeddings flags
+# some, so the verdicts below hold both kinds
+op train-task --corpus "$t/corpus.json" --features "$t/embeddings.csv" --task admission \
+   --model knn --percentile 80 --provenance "$t/encoder.opeb" --out "$d/clf_knn.opeb"
+op predict --plans "$d/corpus.json" --classifier "$d/clf_knn.opeb" \
+   --encoder "$t/encoder.opeb" --out "$d/pred_knn.csv"
+for f in pred_enc pred_pca pred_fa pred_sparse pred_knn; do
   cut -d, -f1-3 "$d/$f.csv" | tr -d "\r" > "$d/$f.cols.csv"; rm "$d/$f.csv"
 done
+# the library's per-record tasks.flag_query verdicts for the same log, through
+# the encoder and pca bundles: each record is featurized on its own, and the
+# files match predict's pred_knn and pred_pca verdicts CSVs byte for byte
+python - "$d" "$t" <<'EOF_PY'
+import csv
+import sys
+from pathlib import Path
+from opembed import store
+from opembed.plans import load_corpus
+from opembed.tasks import flag_query
+d, t = map(Path, sys.argv[1:])
+records = load_corpus(d / "corpus.json").records
+for name, clf, paths in (("knn", d / "clf_knn.opeb", {"encoder": t / "encoder.opeb"}),
+                         ("pca", t / "clf_pca.opeb", {"reducer": t / "pca.opeb",
+                                                      "schema": t / "schema.opeb"})):
+    model, _ = store.load_classifier_bundle(clf)
+    feat = store.load_featurizer(**paths)
+    with open(d / f"flag_{name}.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("query_id", "verdict")] + [
+            (r.query_id, flag_query(model, feat.schema, r, transform=feat.model))
+            for r in records])
+EOF_PY
 # a grid whose folds' train sides hold 49 to 77 rows, 64 and 65 among them:
 # with 64-row batches some take one SGD batch an epoch and some two, so the
 # folds' linear fits, trained together, pad short batches and end their

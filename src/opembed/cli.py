@@ -27,7 +27,7 @@ from .classifiers import (
 )
 from .errors import OpembedError
 from .evaluate import _write_csv, evaluate as run_evaluate
-from .featurize import corpus_operators, encode_corpus, encode_in_blocks, fit_encode
+from .featurize import corpus_operators, encode_corpus, fit_encode
 from .featurizer import fit_featurization
 from .hourglass import (
     HourglassSpec,
@@ -40,7 +40,7 @@ from .hourglass import (
 from .nn import SgdConfig
 from .plans import load_corpus, save_corpus
 from .synth import PRESETS, describe, generate
-from .tasks import ADMISSION_CLASSES, TASKS, TaskSpec, make_folds, task_labels
+from .tasks import ADMISSION_CLASSES, TASKS, TaskSpec, _verdict, make_folds, task_labels
 
 def guarded(fn):
     """Convert contract violations into one-line nonzero exits."""
@@ -272,20 +272,18 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
     feat.accept(clf)
     nodes, ids, query_index = corpus_operators(corpus)
     # one predict over all the features, so no score depends on the blocks
-    preds = clf_predict(clf, encode_in_blocks(feat.schema, nodes, feat.transform, feat.narrowest))
+    preds = clf_predict(clf, feat.features(nodes))
     _write_csv(out, ["id", "node_type", "prediction"],
                zip(ids, (node.node_type for node in nodes), preds))
 
     flagged = ""
-    slow = ADMISSION_CLASSES[1]
-    if slow in clf.classes:
-        # verdict per query: flag when any of its operators predicts "slow"
-        hit = np.zeros(len(corpus.records), dtype=bool)
-        hit[query_index[np.array(preds) == slow]] = True
-        verdicts = ("flag" if flag else "admit" for flag in hit)
+    if ADMISSION_CLASSES[1] in clf.classes:
+        # each query's operators are one run of query_index
+        bounds = np.searchsorted(query_index, np.arange(len(corpus.records) + 1))
+        verdicts = [_verdict(preds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         _write_csv(f"{out}.verdicts.csv", ["query_id", "verdict"],
                    zip((r.query_id for r in corpus.records), verdicts))
-        flagged = f"; {int(hit.sum())}/{len(hit)} queries flagged"
+        flagged = f"; {verdicts.count('flag')}/{len(verdicts)} queries flagged"
     click.echo(f"predicted {len(preds)} operators{flagged} -> {out}")
 
 

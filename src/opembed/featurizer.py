@@ -13,13 +13,23 @@ import numpy as np
 
 from . import nn
 from .classifiers import Classifier, FeatProvenance
-from .errors import BundleError
-from .featurize import FeatureSchema, schema_hash
+from .errors import BundleError, SchemaError
+from .featurize import FeatureSchema, encode_rows, schema_hash
 from .hourglass import DEFAULT_HIDDEN, Encoder, HourglassSpec, build, cut_off, train_embedding
+from .plans import PlanNode
 from .reducers import FaModel, PcaModel, fit_fa, fit_pca, transform_fa, transform_pca
 
 # the feature kind each model type produces; no model means raw sparse rows
 _KINDS = {type(None): "sparse", Encoder: "neural", PcaModel: "pca", FaModel: "fa"}
+
+# rows Featurizer.features encodes and transforms at once: at least this many
+READ_BLOCK_ROWS = 256
+# the narrowest matrix product Featurizer.features splits into blocks.
+# OpenBLAS 0.3.31 (Haswell kernels, 1 or 2 threads) computes an M x N product
+# over 32 or more inputs with M * N <= 1200 by another kernel than a larger
+# one, which changes the last bits of its rows; a block of READ_BLOCK_ROWS
+# rows is past that size only when N >= 5
+MIN_BLOCKED_WIDTH = 5
 
 
 def check_schema_hash(expected: str, found: str, context: str) -> None:
@@ -45,7 +55,10 @@ class Featurizer:
                 "want an Encoder, PcaModel, FaModel or None"
             )
         if isinstance(self.model, Encoder):
-            self.model.check_schema(self.schema)
+            digest, trained = schema_hash(self.schema), self.model.schema_digest
+            if digest != trained:
+                raise SchemaError(f"encoder was trained against schema {trained[:12]}..., "
+                                  f"got {digest[:12]}...")
         if self.model is not None:
             width = (self.model.trunk.in_dim if isinstance(self.model, Encoder)
                      else len(self.model.mean) if isinstance(self.model, PcaModel)
@@ -69,12 +82,6 @@ class Featurizer:
         return self.schema.total_dim
 
     @property
-    def narrowest(self) -> int:
-        """The fewest columns of any matrix product transform computes (or,
-        with none, of its output): featurize.encode_in_blocks reads it."""
-        return self.model.narrowest if isinstance(self.model, Encoder) else self.dim
-
-    @property
     def provenance(self) -> FeatProvenance:
         return FeatProvenance(self.kind, schema_hash(self.schema))
 
@@ -87,6 +94,23 @@ class Featurizer:
         if isinstance(self.model, FaModel):
             return transform_fa(self.model, X)
         return X
+
+    def features(self, nodes: list[PlanNode]) -> np.ndarray:
+        """The read path: ``transform(encode_rows(schema, nodes))`` bit for bit,
+        holding the encodings of one block of at least READ_BLOCK_ROWS rows at
+        a time; see MIN_BLOCKED_WIDTH for the models that take one block."""
+        if not nodes:
+            raise ValueError("corpus has no operators to encode")
+        count = len(nodes) // READ_BLOCK_ROWS
+        # the narrowest matrix product: a trunk's narrowest layer, else the output
+        layers = self.model.trunk.layers if isinstance(self.model, Encoder) else ()
+        if count < 2 or min((l.out_dim for l in layers), default=self.dim) < MIN_BLOCKED_WIDTH:
+            return self.transform(encode_rows(self.schema, nodes))
+        out = np.empty((len(nodes), self.dim))
+        for rows in np.array_split(np.arange(len(nodes)), count):
+            lo, hi = int(rows[0]), int(rows[-1]) + 1
+            out[lo:hi] = self.transform(encode_rows(self.schema, nodes[lo:hi]))
+        return out
 
     def accept(self, clf: Classifier) -> None:
         """Refuse a classifier trained on features of another kind, schema or

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .errors import SchemaError
-from .featurize import FeatureSchema, corpus_operators, encode_in_blocks, schema_hash
+from .featurize import FeatureSchema, corpus_operators, schema_hash
 from .plans import Corpus
 
 DEFAULT_HIDDEN = (256, 256, 128, 128, 64, 64)
@@ -159,11 +158,6 @@ class Encoder:
         return self.trunk.out_dim
 
     @property
-    def narrowest(self) -> int:
-        """The fewest columns any trunk layer yields."""
-        return min(layer.out_dim for layer in self.trunk.layers)
-
-    @property
     def pre_activation(self) -> bool:
         """Whether the embedding is the raw affine output: the last layer
         applies neither layer norm nor ReLU."""
@@ -172,15 +166,6 @@ class Encoder:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return nn.predict(self.trunk, x)
-
-    def check_schema(self, schema: FeatureSchema) -> None:
-        """Refuse a schema other than the one the trunk was trained against."""
-        digest = schema_hash(schema)
-        if digest != self.schema_digest:
-            raise SchemaError(
-                f"encoder was trained against schema {self.schema_digest[:12]}..., "
-                f"got {digest[:12]}..."
-            )
 
 
 def cut_off(enet: EmbeddingNetwork, pre_activation: bool = False) -> Encoder:
@@ -199,14 +184,13 @@ def cut_off(enet: EmbeddingNetwork, pre_activation: bool = False) -> Encoder:
 def embed_corpus(
     encoder: Encoder, schema: FeatureSchema, corpus: Corpus
 ) -> tuple[list[str], np.ndarray]:
-    """Embed every operator in walk order; returns the operator ids and the
-    (n, embedding_dim) embeddings, one row per id. Operators are encoded and
-    embedded in blocks (featurize.encode_in_blocks), so the wide encodings
-    of only one block are held at a time; the bytes equal those of
-    embedding the whole encoded corpus at once."""
-    encoder.check_schema(schema)
+    """Embed every operator in walk order through Featurizer.features, which
+    refuses a schema other than the encoder's; returns the operator ids and
+    the (n, embedding_dim) embeddings, one row per id."""
+    from .featurizer import Featurizer
+
     nodes, ids, _ = corpus_operators(corpus)
-    return ids, encode_in_blocks(schema, nodes, encoder, encoder.narrowest)
+    return ids, Featurizer(schema, encoder).features(nodes)
 
 
 def project_2d(X: np.ndarray) -> np.ndarray:

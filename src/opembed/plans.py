@@ -56,6 +56,15 @@ ATTR_STAT_FIELDS = ("attr_mins", "attr_medians", "attr_maxs")
 # frames deep and still load a plan at the bound; saving needs a few frames.
 MAX_PLAN_DEPTH = 400
 
+# Largest magnitude of a plan numeric or attribute statistic that save_corpus
+# writes and load_corpus reads. Each square downstream stays below float64's
+# 1.8e308: a schema slot's sum of squared deviations over n operators is at
+# most 4e200 * n; a stddev under featurize.MIN_STDDEV (1e-12) becomes 1, so
+# |z| <= 2e100 / 1e-12 = 2e112; and the first layer's LayerNorm, with at most
+# 1e6 inputs and outputs and weights of magnitude at most 1e6, squares outputs
+# of at most 2e124 and sums to at most 1.6e255.
+MAX_PLAN_MAGNITUDE = 1e100
+
 _NUMERIC_FIELDS = CORE_NUMERIC_FIELDS + OPTIONAL_NUMERIC_FIELDS
 # a node's fields in file order, children aside: the first group is written
 # even when None, the second only when set
@@ -134,13 +143,17 @@ def _check_scalar(value, name: str, path: str, nonnegative: bool = True) -> floa
     if not math.isfinite(v) or (nonnegative and v < 0):
         bound = " and >= 0" if nonnegative else ""
         raise PlanFormatError(f"{path}: field {name!r} must be finite{bound}, got {v}")
+    if abs(v) > MAX_PLAN_MAGNITUDE:
+        raise PlanFormatError(f"{path}: field {name!r} must be at most {MAX_PLAN_MAGNITUDE:g} "
+                              f"in magnitude, got {v}")
     return v
 
 
 def _check_stats(seq, name: str, path: str) -> tuple[float, ...]:
-    """A list of finite numbers. Attribute statistics may be negative (a
-    column's minimum), unlike the scalar fields."""
-    if {float}.issuperset(map(type, seq)) and all(map(math.isfinite, seq)):
+    """A list of numbers within MAX_PLAN_MAGNITUDE. Attribute statistics may
+    be negative (a column's minimum), unlike the scalar fields."""
+    # the sum of the magnitudes bounds each one, and is NaN or inf if any is
+    if {float}.issuperset(map(type, seq)) and sum(map(abs, seq)) <= MAX_PLAN_MAGNITUDE:
         return tuple(seq)
     # an int or a bad entry: check each in turn, which names the first bad one
     return tuple(_check_scalar(v, f"{name}[{j}]", path, nonnegative=False)
@@ -165,9 +178,9 @@ def _check_node(obj, path: str) -> tuple[dict, list]:
     for name in _NUMERIC_FIELDS:
         value = get(name)
         if value is not None:
-            # a finite non-negative float is the common case; the rest go
-            # through _check_scalar, which converts or names what is wrong
-            ok = type(value) is float and 0.0 <= value < math.inf
+            # a non-negative float within the bound is the common case; the
+            # rest go through _check_scalar, which converts or names what is wrong
+            ok = type(value) is float and 0.0 <= value <= MAX_PLAN_MAGNITUDE
             fields[name] = value if ok else _check_scalar(value, name, path)
     for name in OPTIONAL_CATEGORICAL_FIELDS:
         value = get(name)
@@ -228,8 +241,8 @@ def load_corpus(path) -> Corpus:
     """Load a canonical plan file, preserving document order as arrival order.
 
     Raises :class:`PlanFormatError` with node-path context on parse errors or
-    invariant violations (non-objects, negative/non-finite numerics, missing
-    node_type).
+    invariant violations (non-objects, negative or non-finite numerics,
+    numerics past MAX_PLAN_MAGNITUDE, missing node_type).
 
     The cyclic collector is paused while the file is decoded and the corpus
     built: both only allocate, and each object they keep would otherwise be

@@ -255,8 +255,7 @@ def save_pca_bundle(path, model: PcaModel, schema_hash: str, meta: dict | None =
 @_header_checked
 def load_pca_bundle(path) -> tuple[PcaModel, dict]:
     header, arrays = load_bundle(path, "pca")
-    model = PcaModel(arrays["mean"], arrays["components"], arrays["explained_variance"])
-    return model, header
+    return _REDUCERS["pca"](header, arrays), header
 
 
 def save_fa_bundle(path, model: FaModel, schema_hash: str, meta: dict | None = None) -> Path:
@@ -271,8 +270,13 @@ def save_fa_bundle(path, model: FaModel, schema_hash: str, meta: dict | None = N
 
 @_header_checked
 def load_fa_bundle(path) -> tuple[FaModel, dict]:
-    header, _ = load_bundle(path, "fa")
-    return FaModel(clusters=header["clusters"], dim=header["dim"]), header
+    header, arrays = load_bundle(path, "fa")
+    return _REDUCERS["fa"](header, arrays), header
+
+
+# the model a pca or fa bundle holds, from its header and arrays
+_REDUCERS = {"pca": lambda h, a: PcaModel(a["mean"], a["components"], a["explained_variance"]),
+             "fa": lambda h, a: FaModel(clusters=h["clusters"], dim=h["dim"])}
 
 
 # -- featurizers --------------------------------------------------------
@@ -281,10 +285,11 @@ def load_fa_bundle(path) -> tuple[FaModel, dict]:
 BUNDLE_FEATURES = {"schema": "sparse", "encoder": "neural", "pca": "pca", "fa": "fa"}
 
 
-def bundle_provenance(path) -> FeatProvenance:
+def bundle_provenance(path, header: dict | None = None) -> FeatProvenance:
     """The feature kind and schema hash a schema, encoder or reducer bundle
-    stands for, as a classifier trained on its features records them."""
-    header, _ = load_bundle(path)
+    stands for, as a classifier trained on its features records them. The
+    bundle is read unless its header is given."""
+    header = header or load_bundle(path)[0]
     kind = BUNDLE_FEATURES.get(header["kind"])
     if kind is None or not isinstance(header.get("schema_hash"), str):
         raise BundleError(f"{path} is a {header['kind']} bundle without a schema hash; "
@@ -316,12 +321,12 @@ def load_featurizer(encoder=None, reducer=None, schema=None) -> Featurizer:
 
 @_header_checked
 def _reducer_featurizer(path, sparse: FeatureSchema) -> Featurizer:
-    prov = bundle_provenance(path)
-    if prov.kind not in ("pca", "fa"):
+    header, arrays = load_bundle(path)  # read once: its kind picks the model
+    prov = bundle_provenance(path, header)
+    if prov.kind not in _REDUCERS:
         raise BundleError(f"{path} holds {prov.kind} features, not a pca or fa reducer")
     check_schema_hash(prov.digest, schema_hash(sparse), "reducer vs schema")
-    model, _ = load_pca_bundle(path) if prov.kind == "pca" else load_fa_bundle(path)
-    return Featurizer(sparse, model)
+    return Featurizer(sparse, _REDUCERS[prov.kind](header, arrays))
 
 
 # -- classifiers --------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifiers import predict
 from .errors import CoverageError
-from .featurize import FeatureSchema, encode_rows
+from .featurize import FeatureSchema
 from .featurizer import Featurizer
 from .plans import Corpus, QueryRecord, iter_nodes
 
@@ -118,11 +118,15 @@ def flag_query(classifier, schema: FeatureSchema, record: QueryRecord, transform
     """"flag" if the classifier marks any operator of the query "slow",
     else "admit". transform is the model that maps encoded rows to the
     classifier's feature space: an Encoder, PcaModel or FaModel, or None for
-    raw sparse rows. A classifier trained on another featurization kind,
-    schema or width is refused, as predict refuses it."""
+    raw sparse rows. As in CLI predict, Featurizer.features reads the rows
+    and a classifier of another featurization kind, schema or width is refused."""
     feat = Featurizer(schema, transform)
     feat.accept(classifier)
-    preds = predict(classifier, feat.transform(encode_rows(schema, list(iter_nodes(record.root)))))
+    return _verdict(predict(classifier, feat.features(list(iter_nodes(record.root)))))
+
+
+def _verdict(preds) -> str:
+    """A query's verdict from its operators' labels, for CLI predict too."""
     return "flag" if ADMISSION_CLASSES[1] in preds else "admit"
 
 

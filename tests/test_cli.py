@@ -211,24 +211,34 @@ def test_train_task_and_predict_round_trip(runner, tmp_path, pipeline):
     assert all(line.split(",")[1] in ("admit", "flag") for line in verdicts[1:])
 
 
-def test_predict_verdicts_match_flag_query(runner, tmp_path, pipeline):
+@pytest.mark.parametrize("featurization", ["encoder", "pca", "fa", "sparse"])
+def test_predict_verdicts_match_flag_query(runner, tmp_path, pipeline, featurization):
     from opembed.plans import load_corpus
     from opembed.tasks import flag_query
 
-    _, corpus, encoder, _ = pipeline
-    emb = tmp_path / "emb.csv"
-    run_ok(
-        runner,
-        ["embed", "--corpus", str(corpus), "--encoder", str(encoder), "--out", str(emb)],
-    )
+    _, corpus, encoder, schema = pipeline
+    feats, bundle = tmp_path / "feats.csv", tmp_path / "reducer.opeb"
+    reduce = ["reduce", "--corpus", str(corpus), "--schema", str(schema), "--out", str(feats)]
+    if featurization == "encoder":
+        run_ok(runner, ["embed", "--corpus", str(corpus), "--encoder", str(encoder),
+                        "--out", str(feats)])
+        paths, provenance = {"encoder": encoder}, encoder
+    elif featurization == "sparse":
+        run_ok(runner, [*reduce, "--method", "sparse"])
+        paths, provenance = {"schema": schema}, schema
+    else:
+        run_ok(runner, [*reduce, "--method", featurization, "--dim", "8",
+                        "--model-out", str(bundle)])
+        paths, provenance = {"reducer": bundle, "schema": schema}, bundle
     # kNN recalls its own training labels, so scoring the training log flags
     # exactly the queries holding a slow operator: both verdicts occur
     clf_path = tmp_path / "clf.opeb"
     run_ok(
         runner,
         [
-            "train-task", "--corpus", str(corpus), "--features", str(emb),
+            "train-task", "--corpus", str(corpus), "--features", str(feats),
             "--task", "admission", "--model", "knn", "--out", str(clf_path),
+            "--provenance", str(provenance),
         ],
     )
     preds = tmp_path / "preds.csv"
@@ -236,16 +246,16 @@ def test_predict_verdicts_match_flag_query(runner, tmp_path, pipeline):
         runner,
         [
             "predict", "--plans", str(corpus), "--classifier", str(clf_path),
-            "--encoder", str(encoder), "--out", str(preds),
+            *(arg for name, path in paths.items() for arg in (f"--{name}", str(path))),
+            "--out", str(preds),
         ],
     )
     rows = (tmp_path / "preds.csv.verdicts.csv").read_text().splitlines()[1:]
     got = [tuple(line.split(",")) for line in rows]
     clf, _ = store.load_classifier_bundle(clf_path)
-    enc, header = store.load_encoder_bundle(encoder)
-    schema = store.bundle_schema(encoder, header)
+    feat = store.load_featurizer(**paths)
     want = [
-        (rec.query_id, flag_query(clf, schema, rec, transform=enc))
+        (rec.query_id, flag_query(clf, feat.schema, rec, transform=feat.model))
         for rec in load_corpus(corpus).records
     ]
     assert got == want
@@ -254,7 +264,8 @@ def test_predict_verdicts_match_flag_query(runner, tmp_path, pipeline):
 
 def test_predict_over_several_read_blocks_matches_one_shot_scores(runner, tmp_path, pipeline):
     from opembed.classifiers import predict as clf_predict
-    from opembed.featurize import READ_BLOCK_ROWS, encode_corpus
+    from opembed.featurize import encode_corpus
+    from opembed.featurizer import READ_BLOCK_ROWS
     from opembed.plans import load_corpus, walk_operators
 
     _, corpus, encoder, _ = pipeline
@@ -284,6 +295,60 @@ def test_predict_over_several_read_blocks_matches_one_shot_scores(runner, tmp_pa
                                    for q, rec in enumerate(plans.records)]
     assert (tmp_path / "preds.csv.verdicts.csv").read_text().splitlines() == want
     assert 0 < len(slow) < len(plans.records)
+
+
+def _plans_with(path, value):
+    """The planted-card seed-0 log of 60 queries with the first root's
+    plan_rows set to value and the first scan's attr_mins[0] to -value,
+    written as plan-file text (save_corpus refuses a value past the bound)."""
+    from opembed.plans import corpus_to_dict, iter_nodes
+    from opembed.synth import PRESETS, generate
+
+    corpus = generate(PRESETS["planted-card"](seed=0))
+    del corpus.records[60:]
+    corpus.records[0].root.plan_rows = value
+    scan = next(node for node in iter_nodes(corpus.records[0].root) if node.attr_mins)
+    scan.attr_mins = (-value, *scan.attr_mins[1:])
+    path.write_text(json.dumps(corpus_to_dict(corpus), indent=1))
+    return path
+
+
+def test_plan_numerics_past_the_bound_end_in_one_error_line(runner, tmp_path, pipeline):
+    from opembed.plans import MAX_PLAN_MAGNITUDE
+
+    _, _, encoder, _ = pipeline
+    plans = _plans_with(tmp_path / "past.json", MAX_PLAN_MAGNITUDE * 1.01)
+    clf = tmp_path / "clf.opeb"
+    store.save_classifier_bundle(clf, train_dummy(make_labeled_set(
+        np.zeros((2, 8)), ["ok", "slow"], ("ok", "slow"))))
+    where = "queries[0].plan: field 'plan_rows' must be at most 1e+100 in magnitude"
+    for args in (["train-embedding", "--encoder-out", str(tmp_path / "e.opeb")],
+                 ["embed", "--encoder", str(encoder), "--out", str(tmp_path / "e.csv")],
+                 ["predict", "--classifier", str(clf), "--encoder", str(encoder),
+                  "--out", str(tmp_path / "p.csv")]):
+        flag = "--plans" if args[0] == "predict" else "--corpus"
+        assert run_err(runner, [*args, flag, str(plans)]).startswith(f"error: {where}")
+
+
+@pytest.mark.filterwarnings("error")
+def test_plan_numerics_at_the_bound_train_and_embed_to_finite_rows(runner, tmp_path, pipeline):
+    from opembed.plans import MAX_PLAN_MAGNITUDE, load_corpus, walk_operators
+
+    _, _, clean, _ = pipeline
+    plans = _plans_with(tmp_path / "edge.json", MAX_PLAN_MAGNITUDE)
+    operators = sum(1 for _ in walk_operators(load_corpus(plans)))
+    encoder = tmp_path / "encoder.opeb"
+    run_ok(runner, ["train-embedding", "--corpus", str(plans), "--epochs", "2",
+                    "--encoder-out", str(encoder)])
+    # its own encoder z-scores the extremes with their stats; the pipeline's,
+    # fit on another log, gives them z-scores near 1e100
+    for bundle in (encoder, clean):
+        out = tmp_path / "rows.csv"
+        run_ok(runner, ["embed", "--corpus", str(plans), "--encoder", str(bundle),
+                        "--out", str(out)])
+        rows = np.array([line.split(",")[1:] for line in out.read_text().splitlines()[1:]],
+                        dtype=float)
+        assert rows.shape[0] == operators and np.isfinite(rows).all()
 
 
 def test_predict_refuses_mismatched_provenance(runner, tmp_path, pipeline):

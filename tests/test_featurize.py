@@ -9,15 +9,12 @@ import pytest
 from opembed.errors import SchemaError
 from opembed.featurize import (
     BOOLEAN,
-    MIN_BLOCKED_WIDTH,
     MIN_STDDEV,
-    READ_BLOCK_ROWS,
     STDDEV_SENTINEL,
     build_schema,
     corpus_operators,
     encode,
     encode_corpus,
-    encode_in_blocks,
     encode_rows,
     fit_encode,
     schema_from_json,
@@ -36,7 +33,7 @@ from opembed.plans import (
     subcorpus,
     walk_operators,
 )
-from opembed.featurizer import Featurizer
+from opembed.featurizer import MIN_BLOCKED_WIDTH, READ_BLOCK_ROWS, Featurizer
 from opembed.hourglass import HourglassSpec, build, cut_off
 from opembed.reducers import fit_fa, fit_pca
 from opembed.synth import PRESETS, SynthConfig, generate, tpcds_like_config
@@ -428,7 +425,7 @@ def wide():
     nodes, _, _ = corpus_operators(corpus)
     X = encode_rows(schema, nodes)
     models = {"sparse": None, "pca": fit_pca(X, 16), "fa": fit_fa(X, 8),
-              "pca-2": fit_pca(X, 2), "pca-4": fit_pca(X, 4)}
+              "pca-2": fit_pca(X, 2), "pca-4": fit_pca(X, 4), "pca-5": fit_pca(X, 5)}
     for name, hidden, dim in (("default", (256, 256, 128, 128, 64, 64), 32),
                               ("small", (48, 24), 8), ("narrow-4", (64, 32), 4),
                               ("narrow-2", (4,), 2)):
@@ -438,37 +435,48 @@ def wide():
     return schema, nodes, {k: Featurizer(schema, m) for k, m in models.items()}
 
 
+# Featurizer.features is the one read path; the tests keep the names they had
+# when its read-block loop was featurize.encode_in_blocks
 @pytest.mark.parametrize("n", [1, 4, 5, 255, 256, 511, 512, None])  # None: every operator
 @pytest.mark.parametrize("kind", ["default", "default-pre", "small", "small-pre", "narrow-4",
-                                  "narrow-2-pre", "pca", "pca-2", "pca-4", "fa", "sparse"])
+                                  "narrow-2-pre", "pca", "pca-2", "pca-4", "pca-5", "fa",
+                                  "sparse"])
 def test_encode_in_blocks_matches_one_transform_of_all_rows(wide, kind, n):
     schema, nodes, featurizers = wide
     nodes = nodes[:n]
     assert n is not None or len(nodes) > 5 * READ_BLOCK_ROWS
     feat = featurizers[kind]
     want = feat.transform(encode_rows(schema, nodes))
-    got = encode_in_blocks(schema, nodes, feat.transform, feat.narrowest)
+    got = feat.features(nodes)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+# the featurizers whose narrowest matrix product (or, with none, output) is
+# at least MIN_BLOCKED_WIDTH (5) columns wide, and those under it
+_BY_NARROWEST = {5: ("pca-5", "default", "small", "fa", "sparse"),
+                 4: ("pca-4", "narrow-4", "narrow-2-pre", "pca-2")}
 
 
 @pytest.mark.parametrize("n, narrowest, sizes", [
     (1, 5, [1]), (511, 5, [511]), (512, 5, [256, 256]), (1031, 5, [258, 258, 258, 257]),
     (1031, 4, [1031]),
 ])
-def test_encode_in_blocks_transforms_blocks_of_at_least_read_block_rows(wide, n, narrowest,
-                                                                        sizes):
+def test_encode_in_blocks_transforms_blocks_of_at_least_read_block_rows(wide, monkeypatch, n,
+                                                                        narrowest, sizes):
     schema, nodes, featurizers = wide
     assert MIN_BLOCKED_WIDTH == 5
-    seen = []
-    encode_in_blocks(schema, nodes[:n], lambda X: seen.append(len(X)) or X, narrowest)
-    assert seen == sizes
-    assert [featurizers[k].narrowest for k in ("default", "narrow-4", "pca-2", "fa", "sparse")] \
-        == [32, 4, 2, 8, schema.total_dim]
+    transform, seen = Featurizer.transform, []
+    monkeypatch.setattr(Featurizer, "transform",
+                        lambda self, X: seen.append(len(X)) or transform(self, X))
+    for kind in _BY_NARROWEST[narrowest]:
+        seen.clear()
+        featurizers[kind].features(nodes[:n])
+        assert seen == sizes, kind
 
 
 def test_encode_in_blocks_refuses_no_operators(schema60):
     with pytest.raises(ValueError, match="no operators to encode"):
-        encode_in_blocks(schema60, [], lambda X: X, schema60.total_dim)
+        Featurizer(schema60).features([])
     with pytest.raises(ValueError, match="no operators to encode"):
         corpus_operators(Corpus())

@@ -17,6 +17,7 @@ from opembed.cli import main
 from opembed.errors import PlanFormatError
 from opembed.plans import (
     MAX_PLAN_DEPTH,
+    MAX_PLAN_MAGNITUDE,
     Corpus,
     PlanNode,
     QueryRecord,
@@ -307,6 +308,41 @@ def test_save_corpus_refuses_what_load_corpus_refuses(tmp_path, record, where):
         save_corpus(corpus, tmp_path / "odd.json")
     assert str(err.value).startswith(where), str(err.value)
     assert list(tmp_path.iterdir()) == []
+
+
+_PAST = MAX_PLAN_MAGNITUDE * 1.01
+
+
+@pytest.mark.parametrize(
+    "fields, where",
+    [({"plan_rows": _PAST},
+      "field 'plan_rows' must be at most 1e+100 in magnitude, got 1.01e+100"),
+     ({"actual_latency_ms": _PAST}, "field 'actual_latency_ms' must be at most 1e+100"),
+     ({"hash_buckets": 10 ** 101}, "field 'hash_buckets' must be at most 1e+100 in magnitude, "
+                                   "got 1e+101"),
+     ({"attr_mins": (1.0, -_PAST)}, "field 'attr_mins[1]' must be at most 1e+100 in magnitude, "
+                                    "got -1.01e+100"),
+     ({"attr_maxs": (2.0, 3, _PAST)}, "field 'attr_maxs[2]' must be at most 1e+100")],
+    ids=["rows", "latency", "int", "negative-attr", "attr-after-an-int"],
+)
+def test_numerics_past_the_magnitude_bound_are_refused_by_save_and_load(tmp_path, fields, where):
+    odd = Corpus([QueryRecord("odd", None, _bad(**fields))])
+    with pytest.raises(PlanFormatError) as err:
+        save_corpus(odd, tmp_path / "odd.json")
+    assert str(err.value).startswith(f"query 'odd' at queries[0].plan.children[0]: {where}")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(PlanFormatError) as err:
+        _load_text(tmp_path, json.dumps(corpus_to_dict(odd)))
+    assert str(err.value).startswith(f"queries[0].plan.children[0]: {where}")
+
+
+def test_numerics_at_the_magnitude_bound_save_and_load(tmp_path):
+    # the attribute list's magnitudes sum past the bound, though none is past it
+    edge = _bad(plan_rows=MAX_PLAN_MAGNITUDE, total_cost=MAX_PLAN_MAGNITUDE,
+                attr_mins=(-MAX_PLAN_MAGNITUDE, MAX_PLAN_MAGNITUDE, 0.5))
+    save_corpus(Corpus([QueryRecord("edge", None, edge)]), tmp_path / "edge.json")
+    loaded = load_corpus(tmp_path / "edge.json").records[0].root.children[0]
+    assert loaded == edge.children[0]
 
 
 def _assert_saved_as_json_dumps(tmp_path, corpus):

@@ -1,6 +1,8 @@
 import json
 import re
 import struct
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from opembed.classifiers import (
     train_rf,
 )
 from opembed.errors import BundleError
-from opembed.featurize import build_schema, schema_hash
+from opembed.featurize import build_schema, encode_corpus, schema_hash
 from opembed.hourglass import HourglassSpec, build, cut_off
 from opembed.reducers import fit_fa, fit_pca, transform_fa, transform_pca
 from opembed.store import (
@@ -279,6 +281,21 @@ def test_fa_bundle_round_trip(tmp_path, rng):
     assert loaded.dim == model.dim
     probe = rng.normal(size=7)
     assert np.array_equal(transform_fa(loaded, probe), transform_fa(model, probe))
+
+
+@pytest.mark.parametrize("kind", ["pca", "fa"])
+def test_load_featurizer_reads_each_bundle_once(tmp_path, monkeypatch, corpus60, schema60, kind):
+    X = encode_corpus(schema60, corpus60).X
+    model = fit_pca(X, 4) if kind == "pca" else fit_fa(X, 4)
+    save = save_pca_bundle if kind == "pca" else save_fa_bundle
+    save(tmp_path / "reducer.opeb", model, schema_hash(schema60))
+    save_schema_bundle(tmp_path / "schema.opeb", schema60)
+    reads, read_bytes = Counter(), Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda p: reads.update([p.name]) or read_bytes(p))
+    feat = load_featurizer(reducer=tmp_path / "reducer.opeb", schema=tmp_path / "schema.opeb")
+    assert reads == {"reducer.opeb": 1, "schema.opeb": 1}
+    assert feat.kind == kind and feat.transform(X).tobytes() == (
+        transform_pca(model, X) if kind == "pca" else transform_fa(model, X)).tobytes()
 
 
 def test_classifier_bundles_round_trip_all_kinds(tmp_path, toy_set, rng):
