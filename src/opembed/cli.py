@@ -203,8 +203,8 @@ def reduce(corpus_path, schema_path, method, dim, out, model_out) -> None:
     else:
         cols = [f"{method[0]}{j}" for j in range(dim)]  # p0.. for pca, f0.. for fa
     if model_out:
-        save = store.save_pca_bundle if method == "pca" else store.save_fa_bundle
-        save(model_out, feat.model, feat.provenance.digest, meta={"dim": dim})
+        store.save_model(method, model_out, feat.model, feat.provenance.digest,
+                         meta={"dim": dim})
     _write_feature_csv(out, table.ids, cols, rows)
     click.echo(f"wrote {rows.shape[0]}x{rows.shape[1]} {method} features -> {out}")
 

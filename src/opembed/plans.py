@@ -316,7 +316,7 @@ def corpus_to_dict(corpus: Corpus) -> dict:
 
 # the JSON text json.dumps writes for each scalar a checked node may hold
 _SCALAR_JSON = {
-    float: float.__repr__,  # finite only, which the pre-pass ensures
+    float: float.__repr__,  # finite only, which _check_node ensures first
     int: int.__repr__,
     str: json.encoder.encode_basestring_ascii,
     bool: lambda v: "true" if v else "false",
@@ -338,17 +338,23 @@ def _stats_json(values, indent: str) -> str:
     return "[" + inner + text + indent + "]"
 
 
-def _plan_json(root: PlanNode, level: int) -> Iterator[str]:
-    """The text json.dumps(..., indent=1) writes for a plan whose object opens
-    at the given indent level, from an explicit stack of nodes (with their
-    level and the text before them) and closing brackets."""
-    stack: list = [(root, level, "")]
+def _plan_json(r: QueryRecord, qpath: str) -> Iterator[str]:
+    """The text json.dumps(..., indent=1) writes for a record's plan, whose
+    object opens at indent level 3, from an explicit stack of nodes (with
+    their path, depth, indent level and the text before them) and closing
+    brackets. Each node is refused as load_corpus would refuse it of the
+    saved file, naming the query and the node path, before it is written."""
+    stack: list = [(r.root, f"query {r.query_id!r} at {qpath}.plan", 1, 3, "")]
     while stack:
         item = stack.pop()
         if type(item) is str:
             yield item
             continue
-        node, level, before = item
+        node, path, depth, level, before = item
+        if not isinstance(node, PlanNode):
+            raise PlanFormatError(f"{path}: plan node must be a PlanNode, "
+                                  f"got {type(node).__name__}")
+        _, children = _check_node(vars(node), path)
         indent = "\n" + " " * (level + 1)
         parts = [_KEY_JSON[name] + (_stats_json(value, indent) if name in ATTR_STAT_FIELDS
                                     else _SCALAR_JSON[type(value)](value))
@@ -356,57 +362,42 @@ def _plan_json(root: PlanNode, level: int) -> Iterator[str]:
         parts.append('"children": [')
         head = before + "{" + indent + ("," + indent).join(parts)
         close = "\n" + " " * level + "}"
-        children = node.children
         if not children:
             yield head + "]" + close
             continue
+        if depth >= MAX_PLAN_DEPTH:
+            raise PlanFormatError(
+                f"query {r.query_id!r}: plan nesting is deeper than {MAX_PLAN_DEPTH} levels")
         yield head
         stack.append(indent + "]" + close)
         inner = "\n" + " " * (level + 2)
         for i in range(len(children) - 1, -1, -1):
-            stack.append((children[i], level + 2, ("," if i else "") + inner))
+            stack.append((children[i], f"{path}.children[{i}]", depth + 1, level + 2,
+                          ("," if i else "") + inner))
 
 
 def _corpus_json(corpus: Corpus) -> Iterator[str]:
-    """json.dumps(corpus_to_dict(corpus), indent=1) + "\\n", one record per chunk."""
+    """json.dumps(corpus_to_dict(corpus), indent=1) + "\\n", one record per
+    chunk, each checked as it is written."""
     yield '{\n "queries": ['
     before = "\n  "
-    for r in corpus.records:
+    seen_ids: set[str] = set()
+    for i, r in enumerate(corpus.records):
+        _check_ids(r.query_id, r.user_label, f"queries[{i}]", seen_ids)
         qid = _SCALAR_JSON[str](r.query_id)
         user = _SCALAR_JSON[type(r.user_label)](r.user_label)
         head = f'{before}{{\n   "query_id": {qid},\n   "user": {user},\n   "plan": '
-        yield "".join([head, *_plan_json(r.root, 3), "\n  }"])
+        yield "".join([head, *_plan_json(r, f"queries[{i}]"), "\n  }"])
         before = ",\n  "
     yield "\n ]\n}\n" if corpus.records else "]\n}\n"
-
-
-def _check_corpus(corpus: Corpus) -> None:
-    """Refuse what load_corpus would refuse of the saved file, naming the
-    query and the node path."""
-    seen_ids: set[str] = set()
-    for i, r in enumerate(corpus.records):
-        qpath = f"queries[{i}]"
-        _check_ids(r.query_id, r.user_label, qpath, seen_ids)
-        stack = [(r.root, f"query {r.query_id!r} at {qpath}.plan", 1)]
-        while stack:
-            node, path, level = stack.pop()
-            if not isinstance(node, PlanNode):
-                raise PlanFormatError(f"{path}: plan node must be a PlanNode, "
-                                      f"got {type(node).__name__}")
-            _, children = _check_node(vars(node), path)
-            if children and level >= MAX_PLAN_DEPTH:
-                raise PlanFormatError(
-                    f"query {r.query_id!r}: plan nesting is deeper than {MAX_PLAN_DEPTH} levels")
-            for j in range(len(children) - 1, -1, -1):
-                stack.append((children[j], f"{path}.children[{j}]", level + 1))
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus in the canonical plan-file format, byte for byte what
     json.dumps(corpus_to_dict(corpus), indent=1) gives plus a newline, one
-    record at a time. What load_corpus would refuse is refused before any file
-    is opened; the write is atomic, so a failed one leaves no file behind."""
-    _check_corpus(corpus)
+    record at a time. What load_corpus would refuse is refused as it is
+    reached; the write is atomic, so a refused or failed one leaves no file
+    behind."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as f:
         try:

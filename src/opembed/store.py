@@ -6,18 +6,22 @@ little-endian 64-bit values. Headers are serialized with sorted keys and no
 whitespace and arrays are laid out in sorted name order, so saving the same
 object twice produces identical bytes and save->load->save round-trips.
 
+Each bundle kind is declared once, in BUNDLES; save_model and load_model,
+and the per-kind save_*/load_*_bundle shorthands for them, go through it.
+
 Relative bundle paths resolve against the OPEMBED_STORE directory when that
 environment variable is set.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +35,6 @@ from .reducers import FaModel, PcaModel
 
 MAGIC = b"OPEB"
 VERSION = 1
-KINDS = ("schema", "encoder", "pca", "fa", "classifier")
 
 
 def _jsonable(obj):
@@ -69,7 +72,7 @@ def _array_dtype(arr: np.ndarray) -> str:
 
 def save_bundle(path, kind: str, body: dict, arrays: dict[str, np.ndarray] | None = None) -> Path:
     """Write one bundle atomically; returns the resolved target path."""
-    if kind not in KINDS:
+    if kind not in BUNDLES:
         raise BundleError(f"unknown bundle kind {kind!r}")
     arrays = arrays or {}
     manifest = []
@@ -155,7 +158,7 @@ def load_bundle(path, expected_kind: str | None = None) -> tuple[dict, dict[str,
     if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
         raise BundleError(f"corrupt bundle header in {target}: want an object with an arrays list")
     kind = header.get("kind")
-    if kind not in KINDS:
+    if not (isinstance(kind, str) and kind in BUNDLES):
         raise BundleError(f"{target} has unknown bundle kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise BundleError(f"expected a {expected_kind} bundle, got {kind!r}")
@@ -163,70 +166,41 @@ def load_bundle(path, expected_kind: str | None = None) -> tuple[dict, dict[str,
     return header, arrays
 
 
-def _header_checked(load):
-    """Make a loader that cannot find, or cannot use, a header key, array or
-    embedded schema it needs raise one BundleError naming the file."""
-    @functools.wraps(load)
-    def checked(path, *args):
-        try:
-            return load(path, *args)
-        except (KeyError, TypeError, ValueError, SchemaError) as exc:
-            raise BundleError(
-                f"malformed bundle {resolve_store_path(path)}: {type(exc).__name__} {exc}"
-            ) from exc
-    return checked
+# -- bundle kinds -------------------------------------------------------
+
+@contextmanager
+def _reading(path):
+    """Raise a header key, array or embedded schema that a bundle lacks, or
+    holds in a form its model refuses, as one BundleError naming the file."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
+        raise BundleError(
+            f"malformed bundle {resolve_store_path(path)}: {type(exc).__name__} {exc}"
+        ) from exc
 
 
-# -- schema -------------------------------------------------------------
-
-def save_schema_bundle(path, schema: FeatureSchema, meta: dict | None = None) -> Path:
+def _schema_fields(schema: FeatureSchema) -> dict:
     payload = json.loads(schema_to_json(schema))
-    body = {"schema": payload, "schema_hash": payload["hash"], "meta": meta or {}}
-    return save_bundle(path, "schema", body)
+    return {"schema": payload, "schema_hash": payload["hash"]}
 
 
-@_header_checked
-def load_schema_bundle(path) -> tuple[FeatureSchema, dict]:
-    header, _ = load_bundle(path, "schema")
-    schema = schema_from_json(json.dumps(header["schema"]))
-    return schema, header
-
-
-# -- encoder ------------------------------------------------------------
-
-def save_encoder_bundle(path, encoder: Encoder, schema: FeatureSchema,
-                        meta: dict | None = None) -> Path:
-    """Persist the trunk with its schema embedded, so the bundle can featurize
-    raw plans on its own."""
+def _encoder_fields(encoder: Encoder, schema: FeatureSchema) -> tuple[dict, dict]:
+    """The trunk's layer flags and arrays, with its schema embedded so the
+    bundle can featurize raw plans on its own."""
     layers = []
     arrays: dict[str, np.ndarray] = {}
     for i, layer in enumerate(encoder.trunk.layers):
         layers.append({"layer_norm": layer.apply_layer_norm, "relu": layer.apply_relu})
         arrays.update((f"layer{i}_{name}", p) for name, p in zip(nn.PARAM_NAMES, layer.params))
-    payload = json.loads(schema_to_json(schema))
-    check_schema_hash(encoder.schema_digest, payload["hash"], "embedded schema")
-    body = {
-        "schema_hash": encoder.schema_digest,
-        "embedding_dim": encoder.embedding_dim,
-        "pre_activation": encoder.pre_activation,
-        "layers": layers,
-        "schema": payload,
-        "meta": meta or {},
-    }
-    return save_bundle(path, "encoder", body, arrays)
+    fields = _schema_fields(schema)
+    check_schema_hash(encoder.schema_digest, fields["schema_hash"], "embedded schema")
+    fields.update(schema_hash=encoder.schema_digest, embedding_dim=encoder.embedding_dim,
+                  pre_activation=encoder.pre_activation, layers=layers)
+    return fields, arrays
 
 
-@_header_checked
-def bundle_schema(path, header: dict) -> FeatureSchema:
-    """Rebuild the schema embedded in the header of the encoder bundle at path."""
-    if "schema" not in header:
-        raise BundleError(f"{path} carries no schema; re-create it with train-embedding")
-    return schema_from_json(json.dumps(header["schema"]))
-
-
-@_header_checked
-def load_encoder_bundle(path) -> tuple[Encoder, dict]:
-    header, arrays = load_bundle(path, "encoder")
+def _encoder(header: dict, arrays: dict) -> Encoder:
     # a layer's arrays that the bundle lacks, or holds against its flags, are
     # refused by the layer itself
     layers = [nn.DenseLayer(apply_layer_norm=spec["layer_norm"], apply_relu=spec["relu"],
@@ -237,52 +211,113 @@ def load_encoder_bundle(path) -> tuple[Encoder, dict]:
         if header[name] != getattr(encoder, name):
             raise ValueError(f"header {name} {header[name]!r} disagrees with the trunk's "
                              f"{getattr(encoder, name)!r}")
-    return encoder, header
+    return encoder
 
 
-# -- reducers -----------------------------------------------------------
+def _classifier_fields(clf: Classifier) -> tuple[dict, dict]:
+    """Array params become bundle arrays, int params the header's "extra"."""
+    prov = None if clf.provenance is None else {"kind": clf.provenance.kind,
+                                                "digest": clf.provenance.digest}
+    return ({"model": clf.kind, "classes": list(clf.classes), "dim": clf.dim, "provenance": prov,
+             "extra": {name: v for name, v in clf.params.items() if isinstance(v, int)}},
+            {name: v for name, v in clf.params.items() if isinstance(v, np.ndarray)})
+
+
+def _classifier(header: dict, arrays: dict) -> Classifier:
+    prov = None
+    if header.get("provenance"):
+        prov = FeatProvenance(header["provenance"]["kind"], header["provenance"].get("digest"))
+        if not isinstance(prov.kind, str) or not isinstance(prov.digest, (str, type(None))):
+            raise TypeError("provenance kind and digest must be strings")
+    params = {**arrays, **header.get("extra", {})}
+    return Classifier(header["model"], header["classes"], header["dim"], params, prov)
+
+
+class BundleKind(NamedTuple):
+    features: str | None  # the feature kind its bundles stand for; None for a classifier
+    fields: Callable      # (object, *context) -> (header fields, arrays)
+    build: Callable       # (header, arrays) -> object
+
+
+# each bundle kind, declared once
+BUNDLES = {
+    "schema": BundleKind("sparse", lambda schema: (_schema_fields(schema), {}),
+                         lambda h, a: schema_from_json(json.dumps(h["schema"]))),
+    "encoder": BundleKind("neural", _encoder_fields, _encoder),
+    "pca": BundleKind("pca", lambda m, digest: ({"schema_hash": digest}, {
+                          "mean": m.mean, "components": m.components,
+                          "explained_variance": m.explained_variance}),
+                      lambda h, a: PcaModel(a["mean"], a["components"], a["explained_variance"])),
+    "fa": BundleKind("fa", lambda m, digest: ({"schema_hash": digest, "dim": m.dim,
+                                               "clusters": [list(c) for c in m.clusters]}, {}),
+                     lambda h, a: FaModel(clusters=h["clusters"], dim=h["dim"])),
+    "classifier": BundleKind(None, _classifier_fields, _classifier),
+}
+
+
+def save_model(kind: str, path, *obj, meta: dict | None = None) -> Path:
+    """Save the object of a bundle kind, given with any context its fields
+    need (an encoder's schema, a reducer's schema hash)."""
+    fields, arrays = BUNDLES[kind].fields(*obj)
+    return save_bundle(path, kind, {**fields, "meta": meta or {}}, arrays)
+
+
+def load_model(kind: str, path) -> tuple:
+    """The object a bundle of the given kind holds, and its header."""
+    header, arrays = load_bundle(path, kind)
+    with _reading(path):
+        return BUNDLES[kind].build(header, arrays), header
+
+
+def save_schema_bundle(path, schema: FeatureSchema, meta: dict | None = None) -> Path:
+    return save_model("schema", path, schema, meta=meta)
+
+
+def load_schema_bundle(path) -> tuple[FeatureSchema, dict]:
+    return load_model("schema", path)
+
+
+def save_encoder_bundle(path, encoder: Encoder, schema: FeatureSchema,
+                        meta: dict | None = None) -> Path:
+    return save_model("encoder", path, encoder, schema, meta=meta)
+
+
+def load_encoder_bundle(path) -> tuple[Encoder, dict]:
+    return load_model("encoder", path)
+
 
 def save_pca_bundle(path, model: PcaModel, schema_hash: str, meta: dict | None = None) -> Path:
-    arrays = {
-        "mean": model.mean,
-        "components": model.components,
-        "explained_variance": model.explained_variance,
-    }
-    body = {"schema_hash": schema_hash, "meta": meta or {}}
-    return save_bundle(path, "pca", body, arrays)
+    return save_model("pca", path, model, schema_hash, meta=meta)
 
 
-@_header_checked
 def load_pca_bundle(path) -> tuple[PcaModel, dict]:
-    header, arrays = load_bundle(path, "pca")
-    return _REDUCERS["pca"](header, arrays), header
+    return load_model("pca", path)
 
 
 def save_fa_bundle(path, model: FaModel, schema_hash: str, meta: dict | None = None) -> Path:
-    body = {
-        "schema_hash": schema_hash,
-        "dim": model.dim,
-        "clusters": [list(c) for c in model.clusters],
-        "meta": meta or {},
-    }
-    return save_bundle(path, "fa", body)
+    return save_model("fa", path, model, schema_hash, meta=meta)
 
 
-@_header_checked
 def load_fa_bundle(path) -> tuple[FaModel, dict]:
-    header, arrays = load_bundle(path, "fa")
-    return _REDUCERS["fa"](header, arrays), header
+    return load_model("fa", path)
 
 
-# the model a pca or fa bundle holds, from its header and arrays
-_REDUCERS = {"pca": lambda h, a: PcaModel(a["mean"], a["components"], a["explained_variance"]),
-             "fa": lambda h, a: FaModel(clusters=h["clusters"], dim=h["dim"])}
+def save_classifier_bundle(path, clf: Classifier, meta: dict | None = None) -> Path:
+    return save_model("classifier", path, clf, meta=meta)
+
+
+def load_classifier_bundle(path) -> tuple[Classifier, dict]:
+    return load_model("classifier", path)
 
 
 # -- featurizers --------------------------------------------------------
 
-# the kind of features each featurizing bundle produces
-BUNDLE_FEATURES = {"schema": "sparse", "encoder": "neural", "pca": "pca", "fa": "fa"}
+def bundle_schema(path, header: dict) -> FeatureSchema:
+    """Rebuild the schema embedded in the header of the encoder bundle at path."""
+    if "schema" not in header:
+        raise BundleError(f"{path} carries no schema; re-create it with train-embedding")
+    with _reading(path):
+        return BUNDLES["schema"].build(header, {})
 
 
 def bundle_provenance(path, header: dict | None = None) -> FeatProvenance:
@@ -290,17 +325,11 @@ def bundle_provenance(path, header: dict | None = None) -> FeatProvenance:
     stands for, as a classifier trained on its features records them. The
     bundle is read unless its header is given."""
     header = header or load_bundle(path)[0]
-    kind = BUNDLE_FEATURES.get(header["kind"])
+    kind = BUNDLES[header["kind"]].features
     if kind is None or not isinstance(header.get("schema_hash"), str):
         raise BundleError(f"{path} is a {header['kind']} bundle without a schema hash; "
                           "it cannot stand for a featurization")
     return FeatProvenance(kind, header["schema_hash"])
-
-
-@_header_checked
-def _encoder_featurizer(path) -> Featurizer:
-    encoder, header = load_encoder_bundle(path)
-    return Featurizer(bundle_schema(path, header), encoder)
 
 
 def load_featurizer(encoder=None, reducer=None, schema=None) -> Featurizer:
@@ -310,52 +339,20 @@ def load_featurizer(encoder=None, reducer=None, schema=None) -> Featurizer:
     if encoder and reducer:
         raise ValueError("pass either --encoder or --reducer, not both")
     if encoder:
-        return _encoder_featurizer(encoder)
+        model, header = load_encoder_bundle(encoder)
+        with _reading(encoder):
+            return Featurizer(bundle_schema(encoder, header), model)
     if reducer and not schema:
         raise ValueError("--reducer needs --schema to build sparse vectors")
     if not schema:
         raise ValueError("pass one of --encoder, --reducer + --schema, or --schema")
     sparse, _ = load_schema_bundle(schema)
-    return _reducer_featurizer(reducer, sparse) if reducer else Featurizer(sparse)
-
-
-@_header_checked
-def _reducer_featurizer(path, sparse: FeatureSchema) -> Featurizer:
-    header, arrays = load_bundle(path)  # read once: its kind picks the model
-    prov = bundle_provenance(path, header)
-    if prov.kind not in _REDUCERS:
-        raise BundleError(f"{path} holds {prov.kind} features, not a pca or fa reducer")
+    if not reducer:
+        return Featurizer(sparse)
+    header, arrays = load_bundle(reducer)  # read once: its kind picks the model
+    prov = bundle_provenance(reducer, header)
+    if prov.kind not in ("pca", "fa"):
+        raise BundleError(f"{reducer} holds {prov.kind} features, not a pca or fa reducer")
     check_schema_hash(prov.digest, schema_hash(sparse), "reducer vs schema")
-    return Featurizer(sparse, _REDUCERS[prov.kind](header, arrays))
-
-
-# -- classifiers --------------------------------------------------------
-
-def save_classifier_bundle(path, clf: Classifier, meta: dict | None = None) -> Path:
-    """Array params become bundle arrays, int params the header's "extra"."""
-    prov = None
-    if clf.provenance is not None:
-        prov = {"kind": clf.provenance.kind, "digest": clf.provenance.digest}
-    body = {
-        "model": clf.kind,
-        "classes": list(clf.classes),
-        "dim": clf.dim,
-        "provenance": prov,
-        "extra": {name: v for name, v in clf.params.items() if isinstance(v, int)},
-        "meta": meta or {},
-    }
-    arrays = {name: v for name, v in clf.params.items() if isinstance(v, np.ndarray)}
-    return save_bundle(path, "classifier", body, arrays)
-
-
-@_header_checked
-def load_classifier_bundle(path) -> tuple[Classifier, dict]:
-    header, arrays = load_bundle(path, "classifier")
-    prov = None
-    if header.get("provenance"):
-        prov = FeatProvenance(header["provenance"]["kind"], header["provenance"].get("digest"))
-        if not isinstance(prov.kind, str) or not isinstance(prov.digest, (str, type(None))):
-            raise TypeError("provenance kind and digest must be strings")
-    params = {**arrays, **header.get("extra", {})}
-    clf = Classifier(header["model"], header["classes"], header["dim"], params, prov)
-    return clf, header
+    with _reading(reducer):
+        return Featurizer(sparse, BUNDLES[header["kind"]].build(header, arrays))

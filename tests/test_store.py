@@ -10,6 +10,7 @@ import pytest
 from opembed import nn
 from opembed.classifiers import (
     FOREST_ARRAYS,
+    MODELS,
     FeatProvenance,
     make_labeled_set,
     predict_scores,
@@ -17,6 +18,7 @@ from opembed.classifiers import (
     train_knn,
     train_logreg,
     train_rf,
+    train_sets,
 )
 from opembed.errors import BundleError
 from opembed.featurize import build_schema, encode_corpus, schema_hash
@@ -296,6 +298,37 @@ def test_load_featurizer_reads_each_bundle_once(tmp_path, monkeypatch, corpus60,
     assert reads == {"reducer.opeb": 1, "schema.opeb": 1}
     assert feat.kind == kind and feat.transform(X).tobytes() == (
         transform_pca(model, X) if kind == "pca" else transform_fa(model, X)).tobytes()
+
+
+@pytest.mark.parametrize("case", ["schema", "encoder", "encoder-pre", "pca", "fa", *MODELS])
+def test_every_bundle_kind_saves_the_bytes_it_loads(tmp_path, corpus60, schema60, toy_set, case):
+    """save -> load -> save, the second save taking its context (an encoder's
+    schema, a reducer's schema hash) from what the first one wrote."""
+    X, digest = encode_corpus(schema60, corpus60).X, schema_hash(schema60)
+    if case == "schema":
+        save, load, obj, context = save_schema_bundle, load_schema_bundle, schema60, ()
+    elif case.startswith("encoder"):
+        enet = build(HourglassSpec(hidden_dims=(32, 16), embedding_dim=8), schema60)
+        obj = cut_off(enet, pre_activation=case == "encoder-pre")
+        save, load, context = save_encoder_bundle, load_encoder_bundle, (schema60,)
+    elif case == "pca":
+        save, load, obj, context = save_pca_bundle, load_pca_bundle, fit_pca(X, 4), (digest,)
+    elif case == "fa":
+        save, load, obj, context = save_fa_bundle, load_fa_bundle, fit_fa(X, 4), (digest,)
+    else:
+        tagged = make_labeled_set(toy_set.X, [toy_set.classes[i] for i in toy_set.y],
+                                  toy_set.classes, FeatProvenance("neural", "f00d"))
+        save, load, context = save_classifier_bundle, load_classifier_bundle, ()
+        obj = train_sets(case, [tagged], seed=3)[0]
+    first, second = tmp_path / "first.opeb", tmp_path / "second.opeb"
+    save(first, obj, *context, meta={"case": case})
+    loaded, header = load(first)
+    if case.startswith("encoder"):
+        context = (bundle_schema(first, header),)
+    elif case in ("pca", "fa"):
+        context = (header["schema_hash"],)
+    save(second, loaded, *context, meta=header["meta"])
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_classifier_bundles_round_trip_all_kinds(tmp_path, toy_set, rng):
