@@ -79,9 +79,12 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
      --featurizations sparse,neural-16,pca-8 --models logreg,knn,rf,svm,dummy --epochs 2 \
      --strategy by_group --seed "$seed" \
      --out "$d/report-by_group.csv" --medians-out "$d/medians-by_group.csv"
-  table "$d/table-user.txt" --corpus "$d/corpus.json" --task user \
-     --featurizations sparse,neural-16 --models logreg,rf,dummy --epochs 2 --seed "$seed" \
-     --out "$d/report-user.csv" --medians-out "$d/medians-user.csv"
+  for full in "" --embedding-from-full-log; do
+    tag=user${full:+-full}
+    table "$d/table-$tag.txt" --corpus "$d/corpus.json" --task user \
+       --featurizations sparse,neural-16 --models logreg,rf,dummy --epochs 2 --seed "$seed" \
+       $full --out "$d/report-$tag.csv" --medians-out "$d/medians-$tag.csv"
+  done
 done
 # encode one corpus with another corpus's schema, so unseen categorical values
 # and stats fit elsewhere are exercised: planted-card-1's plans, read through

@@ -13,16 +13,15 @@ import csv
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from . import classifiers as clf_mod
 from . import nn
-from .featurize import FeatureSchema, encode_corpus, fit_encode
-from .featurizer import Featurizer, fit_featurization, parse_featurization
+from .featurize import FeatureSchema, OperatorTable, encode_rows, fit_encode
+from .featurizer import fit_featurization, parse_featurization
 from .hourglass import DEFAULT_HIDDEN
-from .plans import Corpus, subcorpus
+from .plans import Corpus, iter_nodes, subcorpus
 from .tasks import FoldPlan, TaskSpec, task_labels
 
 INFER_SAMPLE = 100  # test rows per cell for the one-row latency probe
@@ -54,18 +53,25 @@ class CellResult:
 
 @dataclass
 class _Fold:
-    """One fold's fitted schema, encoded rows and labels, which every
-    featurization reads."""
+    """One fold's labels and train side, kept through evaluate's passes: the
+    full-log table and the fold's rows in query order (embedding_from_full_log),
+    else the fold's own fit_encode table, all of it (rows None). No test rows."""
 
     schema: FeatureSchema
-    X_train: np.ndarray
-    children: np.ndarray | None     # None when the schema was fit on the full log
-    X_test: np.ndarray
+    table: OperatorTable
+    rows: np.ndarray | None
+    test_q: np.ndarray
     y_train: list[str]
     classes: tuple[str, ...]
     y_test: np.ndarray
     prior: float                    # test-side share of the train-majority class
-    masks: dict[str, np.ndarray]    # each class the test side holds, with its rows
+
+
+def _rows_for(table: OperatorTable, qs: np.ndarray) -> np.ndarray:
+    """The table's rows of queries qs, query by query in qs's order."""
+    starts = np.searchsorted(table.query_index, qs, side="left")
+    stops = np.searchsorted(table.query_index, qs, side="right")
+    return np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
 
 
 @dataclass
@@ -153,87 +159,81 @@ def evaluate(
     accuracy, per-class recall and the test-side prior of the train-majority
     class. With timings, each cell also gets its share of its model's
     training wall time and its mean one-row predict latency over up to
-    INFER_SAMPLE test rows (else None). Each model trains once per
-    featurization, on every fold's train side at once (train_sets), and a
-    cell's share is that time over the fold count.
+    INFER_SAMPLE test rows (else None).
+
+    Three passes: label each fold and keep its train side; per featurization,
+    train each model once on every fold's train side (train_sets), a cell's
+    share being that time over the fold count; per fold, build the test side,
+    score it and drop it. Cells come out in (fold, featurization, model) order.
 
     With embedding_from_full_log the schema and the embedding are fit once on
     the whole (unlabeled) corpus and shared by every fold; classifiers and the
     pca/fa reductions still see only the fold's train fifth.
     """
-    if (not featurizations or not models or len(set(featurizations)) < len(featurizations)
-            or len(set(models)) < len(models)):
-        raise ValueError("evaluate needs at least one featurization and one model, each named once")
+    if (not plan.folds or not featurizations or not models
+            or len(set(featurizations)) < len(featurizations) or len(set(models)) < len(models)):
+        raise ValueError("evaluate needs a fold, at least one featurization and one model, "
+                         "each named once")
     for name in featurizations:
         parse_featurization(name)
     for model in models:
         if model not in clf_mod.MODELS:
             raise ValueError(f"unknown model {model!r}; want one of {clf_mod.MODELS}")
 
-    full = None
-    shared_fits: dict[str, Featurizer] = {}
-    if embedding_from_full_log:
-        full_schema, full = fit_encode(corpus)
-        for name in featurizations:
-            if parse_featurization(name)[0] == "neural":
-                shared_fits[name] = fit_featurization(
-                    name, full_schema, full.X, full.children, sgd, hidden_dims, seed
-                )
-
-    def rows_for(qs: np.ndarray) -> np.ndarray:
-        starts = np.searchsorted(full.query_index, qs, side="left")
-        stops = np.searchsorted(full.query_index, qs, side="right")
-        return np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
-
+    full = fit_encode(corpus) if embedding_from_full_log else None
+    # per fold: the labels and the train side
     folds = []
     for train_q, test_q in plan.folds:
         sub_train = subcorpus(corpus, train_q)
-        sub_test = subcorpus(corpus, test_q)
-
         y_train, classes, threshold = task_labels(spec, sub_train)
-        y_test, _, _ = task_labels(spec, sub_test, threshold)
-
-        children = None
-        if embedding_from_full_log:
-            schema = full_schema
-            X_train = full.X[rows_for(train_q)]
-            X_test = full.X[rows_for(test_q)]
-        else:
-            schema, train_table = fit_encode(sub_train)
-            X_train, children = train_table.X, train_table.children
-            X_test = encode_corpus(schema, sub_test).X
-
+        y_test = np.array(task_labels(spec, subcorpus(corpus, test_q), threshold)[0])
         # the train side's most common class; ties go to the first in classes
         majority_label = max(classes, key=Counter(y_train).__getitem__)
-        y_test = np.array(y_test)
-        # the classes the test side holds, each with its rows
-        masks = {cls: mask for cls in classes if (mask := y_test == cls).any()}
-        folds.append(_Fold(schema, X_train, children, X_test, y_train, classes, y_test,
-                           float(np.mean(y_test == majority_label)), masks))
+        schema, table = full or fit_encode(sub_train)
+        folds.append(_Fold(schema, table, _rows_for(table, train_q) if full else None, test_q,
+                           y_train, classes, y_test, float(np.mean(y_test == majority_label))))
 
-    # each model trains once per featurization, on every fold's train side at once
-    cells = {}
+    # per featurization: fit each fold's featurizer, then train each model once over the folds
+    fitted = {}
     for feat_name in featurizations:
-        train_sets, tests = [], []
+        shared = None  # a neural featurization's one full-log fit, which every fold shares
+        if full and parse_featurization(feat_name)[0] == "neural":
+            shared = fit_featurization(feat_name, full[0], full[1].X, full[1].children, sgd,
+                                       hidden_dims, seed)
+        fits, train_sets = [], []
         for fold in folds:
-            fitted = shared_fits.get(feat_name) or fit_featurization(
-                feat_name, fold.schema, fold.X_train, fold.children, sgd, hidden_dims, seed)
+            X_train, children = ((fold.table.X[fold.rows], None) if full
+                                 else (fold.table.X, fold.table.children))
+            fits.append(shared or fit_featurization(
+                feat_name, fold.schema, X_train, children, sgd, hidden_dims, seed))
             train_sets.append(clf_mod.make_labeled_set(
-                fitted.transform(fold.X_train), fold.y_train, fold.classes, fitted.provenance))
-            tests.append(fitted.transform(fold.X_test))
+                fits[-1].transform(X_train), fold.y_train, fold.classes, fits[-1].provenance))
+        trained = {}
         for model in models:
             t0 = time.perf_counter() if timings else None
             clfs = clf_mod.train_sets(model, train_sets, seed)
-            train_seconds = (time.perf_counter() - t0) / len(folds) if timings else None
-            for fold_idx, (clf, F_test, fold) in enumerate(zip(clfs, tests, folds)):
-                preds = np.array(clf_mod.predict(clf, F_test))
+            trained[model] = clfs, (time.perf_counter() - t0) / len(folds) if timings else None
+        fitted[feat_name] = fits, trained
+    del train_sets, X_train  # before any test side is built
+
+    # every fold's classes, in first appearance over the folds, name the recall columns
+    report = EvalReport(spec, plan.strategy, tuple(dict.fromkeys(
+        cls for fold in folds for cls in fold.classes)))
+    # per fold: build the test side once, score it with every featurization and model, drop it
+    for k, fold in enumerate(folds):
+        X_test = (fold.table.X[_rows_for(fold.table, fold.test_q)] if full else encode_rows(
+            fold.schema, [node for q in fold.test_q for node in iter_nodes(corpus.records[q].root)]))
+        # the classes the test side holds, each with its rows
+        masks = {cls: mask for cls in fold.classes if (mask := fold.y_test == cls).any()}
+        for feat_name, (fits, trained) in fitted.items():
+            F_test = fits[k].transform(X_test)
+            for model, (clfs, train_seconds) in trained.items():
+                preds = np.array(clf_mod.predict(clfs[k], F_test))
                 accuracy = float(np.mean(preds == fold.y_test))
-                recalls = {cls: float(np.mean(preds[m] == cls)) for cls, m in fold.masks.items()}
-                infer_ms = (clf_mod.measure_inference(clf, F_test[:INFER_SAMPLE]).mean_ms
+                recalls = {cls: float(np.mean(preds[m] == cls)) for cls, m in masks.items()}
+                infer_ms = (clf_mod.measure_inference(clfs[k], F_test[:INFER_SAMPLE]).mean_ms
                             if timings else None)
-                cells[fold_idx, feat_name, model] = CellResult(
-                    spec.task, feat_name, model, fold_idx, accuracy, fold.prior, recalls,
-                    infer_ms, train_seconds)
-    report = EvalReport(spec, plan.strategy, folds[0].classes)
-    report.cells = [cells[key] for key in product(range(len(folds)), featurizations, models)]
+                report.cells.append(CellResult(spec.task, feat_name, model, k, accuracy,
+                                               fold.prior, recalls, infer_ms, train_seconds))
+        del X_test, F_test  # before the next fold's test side is built
     return report

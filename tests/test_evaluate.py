@@ -154,6 +154,8 @@ def test_unknown_model_and_featurization_rejected(eval_corpus, eval_plan):
         evaluate(eval_corpus, TaskSpec("card"), ["dense-4"], ["dummy"], eval_plan)
     with pytest.raises(ValueError, match="model"):
         evaluate(eval_corpus, TaskSpec("card"), ["sparse"], ["xgboost"], eval_plan)
+    with pytest.raises(ValueError, match="needs a fold"):
+        evaluate(eval_corpus, TaskSpec("card"), ["sparse"], ["dummy"], FoldPlan("random", 0, []))
     assert MODELS == ("logreg", "knn", "rf", "svm", "dummy")
 
 
@@ -267,3 +269,39 @@ def test_each_model_trains_once_over_the_folds(eval_corpus, eval_plan, tmp_path,
     evaluate(*args, embedding_from_full_log=full_log).to_csv(alone)
     assert calls == [len(eval_plan)] * 8
     assert together.read_bytes() == alone.read_bytes()
+
+
+def test_recall_columns_name_every_folds_classes(tmp_path):
+    # at 40 queries, user_1 and user_4 never reach fold 0's train fifth; their
+    # recalls in the folds that trained on them still get columns
+    corpus = generate(SynthConfig(n_queries=40, seed=0))
+    plan = make_folds(corpus, "random", seed=0)
+    report = evaluate(corpus, TaskSpec("user"), ["sparse"], ["dummy"], plan)
+    trained = [tuple(dict.fromkeys(corpus.records[q].user_label for q in train))
+               for train, _ in plan.folds]
+    assert {"user_1", "user_4"}.isdisjoint(trained[0])
+    assert set(report.classes) == {r.user_label for r in corpus.records}
+    assert report.classes == tuple(dict.fromkeys(u for users in trained for u in users))
+    report.to_csv(tmp_path / "cells.csv")
+    header = (tmp_path / "cells.csv").read_text().splitlines()[0].split(",")
+    assert header[7:] == [f"recall_{c}" for c in report.classes]
+    assert all(set(cell.recalls) <= set(trained[cell.fold]) for cell in report.cells)
+    assert any("user_1" in cell.recalls for cell in report.cells)
+
+
+@pytest.mark.parametrize("strategy,full_log", [("random", False), ("temporal", True)])
+def test_each_folds_cells_equal_its_one_fold_evaluation(eval_corpus, strategy, full_log):
+    # the passes keep each fold's featurizer, classifiers and test rows together
+    plan = make_folds(eval_corpus, strategy, seed=0)
+    args = (TaskSpec("card"), ["sparse", "neural-8", "pca-4"], list(MODELS))
+    kwargs = dict(sgd=nn.SgdConfig(epochs=2, seed=0), hidden_dims=(16,),
+                  embedding_from_full_log=full_log)
+    grid = evaluate(eval_corpus, *args, plan, **kwargs)
+    per_fold = len(args[1]) * len(args[2])
+    for k, fold in enumerate(plan.folds):
+        alone = evaluate(eval_corpus, *args, FoldPlan(strategy, 0, [fold]), **kwargs)
+        cells = grid.cells[k * per_fold:(k + 1) * per_fold]
+        assert [(c.fold, c.featurization, c.model) for c in cells] == [
+            (k, feat, model) for feat in args[1] for model in args[2]]
+        assert [(c.accuracy, c.prior, c.recalls) for c in cells] == [
+            (c.accuracy, c.prior, c.recalls) for c in alone.cells]
