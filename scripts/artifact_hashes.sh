@@ -85,6 +85,10 @@ for spec in planted-card:0:150:card planted-card:1:150:card tpcds-like:0:40:admi
        --featurizations sparse,neural-16 --models logreg,rf,dummy --epochs 2 --seed "$seed" \
        $full --out "$d/report-$tag.csv" --medians-out "$d/medians-$tag.csv"
   done
+  # no --models and no --strategy: the grid the CLI's defaults name
+  table "$d/table-defaults.txt" --corpus "$d/corpus.json" --task "$task" \
+     --featurizations sparse --epochs 2 --seed "$seed" \
+     --out "$d/report-defaults.csv" --medians-out "$d/medians-defaults.csv"
 done
 # encode one corpus with another corpus's schema, so unseen categorical values
 # and stats fit elsewhere are exercised: planted-card-1's plans, read through

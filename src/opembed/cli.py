@@ -27,20 +27,15 @@ from .classifiers import (
 )
 from .errors import OpembedError
 from .evaluate import _write_csv, evaluate as run_evaluate
-from .featurize import corpus_operators, encode_corpus, fit_encode
+from .featurize import corpus_operators, encode_rows, fit_encode
 from .featurizer import fit_featurization
-from .hourglass import (
-    HourglassSpec,
-    build,
-    cut_off,
-    embed_corpus,
-    project_2d,
-    train_embedding,
-)
+from .hourglass import DEFAULT_HIDDEN, HourglassSpec, build, cut_off, train_embedding
 from .nn import SgdConfig
 from .plans import load_corpus, save_corpus
+from .reducers import project_2d
 from .synth import PRESETS, describe, generate
-from .tasks import ADMISSION_CLASSES, TASKS, TaskSpec, _verdict, make_folds, task_labels
+from .tasks import (ADMISSION_CLASSES, STRATEGIES, TASKS, TaskSpec, _verdict, make_folds,
+                    task_labels)
 
 def guarded(fn):
     """Convert contract violations into one-line nonzero exits."""
@@ -125,11 +120,11 @@ def synth(seed: int, queries: int | None, preset: str, out: str) -> None:
 
 @main.command("train-embedding")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--embedding-dim", default=32, show_default=True, type=int)
-@click.option("--hidden", default="256,256,128,128,64,64", show_default=True)
-@click.option("--epochs", default=100, show_default=True, type=int)
-@click.option("--lr", default=0.01, show_default=True, type=float)
-@click.option("--batch", default=64, show_default=True, type=int)
+@click.option("--embedding-dim", default=HourglassSpec.embedding_dim, show_default=True, type=int)
+@click.option("--hidden", default=",".join(map(str, DEFAULT_HIDDEN)), show_default=True)
+@click.option("--epochs", default=SgdConfig.epochs, show_default=True, type=int)
+@click.option("--lr", default=SgdConfig.learning_rate, show_default=True, type=float)
+@click.option("--batch", default=SgdConfig.batch_size, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--masked-loss", is_flag=True,
               help="Skip missing-child slots in the loss instead of scoring zeros.")
@@ -174,7 +169,8 @@ def embed(corpus_path, encoder_path, out) -> None:
     """Embed every operator; writes id + one column per embedding dim."""
     corpus = load_corpus(corpus_path)
     feat = store.load_featurizer(encoder=encoder_path)
-    ids, E = embed_corpus(feat.model, feat.schema, corpus)
+    nodes, ids, _ = corpus_operators(corpus)
+    E = feat.features(nodes)
     cols = [f"e{j}" for j in range(E.shape[1])]
     _write_feature_csv(out, ids, cols, E)
     click.echo(f"embedded {len(ids)} operators at dim {len(cols)} -> {out}")
@@ -195,9 +191,10 @@ def reduce(corpus_path, schema_path, method, dim, out, model_out) -> None:
         raise ValueError("--model-out applies to pca/fa, not sparse")
     corpus = load_corpus(corpus_path)
     schema, _ = store.load_schema_bundle(schema_path)
-    table = encode_corpus(schema, corpus)
-    feat = fit_featurization(method if method == "sparse" else f"{method}-{dim}", schema, table.X)
-    rows = feat.transform(table.X)
+    nodes, ids, _ = corpus_operators(corpus)
+    X = encode_rows(schema, nodes)
+    feat = fit_featurization(method if method == "sparse" else f"{method}-{dim}", schema, X)
+    rows = feat.transform(X)
     if method == "sparse":
         cols = [slot.name for slot in schema.slots]
     else:
@@ -205,7 +202,7 @@ def reduce(corpus_path, schema_path, method, dim, out, model_out) -> None:
     if model_out:
         store.save_model(method, model_out, feat.model, feat.provenance.digest,
                          meta={"dim": dim})
-    _write_feature_csv(out, table.ids, cols, rows)
+    _write_feature_csv(out, ids, cols, rows)
     click.echo(f"wrote {rows.shape[0]}x{rows.shape[1]} {method} features -> {out}")
 
 
@@ -217,8 +214,8 @@ _MODEL_CHOICES = tuple(m for m in MODELS if m != "dummy")
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", required=True, type=click.Choice(TASKS))
 @click.option("--model", required=True, type=click.Choice(_MODEL_CHOICES))
-@click.option("--percentile", default=95.0, show_default=True, type=float)
-@click.option("--factor", default=2.0, show_default=True, type=float)
+@click.option("--percentile", default=TaskSpec.percentile, show_default=True, type=float)
+@click.option("--factor", default=TaskSpec.factor, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--provenance", "provenance_path", default=None, type=click.Path(dir_okay=False),
               help="Bundle whose schema hash the classifier is chained to.")
@@ -291,14 +288,13 @@ def predict(plans_path, classifier_path, encoder_path, reducer_path, schema_path
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", default="card", show_default=True, type=click.Choice(TASKS))
 @click.option("--featurizations", default="sparse,neural-32,pca-32,fa-32", show_default=True)
-@click.option("--models", default="logreg,knn,rf,svm,dummy", show_default=True)
-@click.option("--strategy", default="random", show_default=True,
-              type=click.Choice(["random", "temporal", "by_group"]))
-@click.option("--percentile", default=95.0, show_default=True, type=float)
-@click.option("--factor", default=2.0, show_default=True, type=float)
-@click.option("--epochs", default=100, show_default=True, type=int)
-@click.option("--lr", default=0.01, show_default=True, type=float)
-@click.option("--batch", default=64, show_default=True, type=int)
+@click.option("--models", default=",".join(MODELS), show_default=True)
+@click.option("--strategy", default=STRATEGIES[0], show_default=True, type=click.Choice(STRATEGIES))
+@click.option("--percentile", default=TaskSpec.percentile, show_default=True, type=float)
+@click.option("--factor", default=TaskSpec.factor, show_default=True, type=float)
+@click.option("--epochs", default=SgdConfig.epochs, show_default=True, type=int)
+@click.option("--lr", default=SgdConfig.learning_rate, show_default=True, type=float)
+@click.option("--batch", default=SgdConfig.batch_size, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--embedding-from-full-log", is_flag=True,
               help="Fit schema and encoder on the whole unlabeled corpus instead of each train fold.")

@@ -54,11 +54,13 @@ class CellResult:
 @dataclass
 class _Fold:
     """One fold's labels and train side, kept through evaluate's passes: the
-    full-log table and the fold's rows in query order (embedding_from_full_log),
-    else the fold's own fit_encode table, all of it (rows None). No test rows."""
+    full-log schema, X and children and the fold's rows in query order
+    (embedding_from_full_log), else the fold's own fit_encode schema, X and
+    children, all of X (rows None). No ids and no test rows."""
 
     schema: FeatureSchema
-    table: OperatorTable
+    X: np.ndarray
+    children: np.ndarray
     rows: np.ndarray | None
     test_q: np.ndarray
     y_train: list[str]
@@ -190,8 +192,10 @@ def evaluate(
         # the train side's most common class; ties go to the first in classes
         majority_label = max(classes, key=Counter(y_train).__getitem__)
         schema, table = full or fit_encode(sub_train)
-        folds.append(_Fold(schema, table, _rows_for(table, train_q) if full else None, test_q,
+        folds.append(_Fold(schema, table.X, table.children,
+                           _rows_for(table, train_q) if full else None, test_q,
                            y_train, classes, y_test, float(np.mean(y_test == majority_label))))
+        del table  # else the last fold's ids would live through the passes below
 
     # per featurization: fit each fold's featurizer, then train each model once over the folds
     fitted = {}
@@ -202,8 +206,7 @@ def evaluate(
                                        hidden_dims, seed)
         fits, train_sets = [], []
         for fold in folds:
-            X_train, children = ((fold.table.X[fold.rows], None) if full
-                                 else (fold.table.X, fold.table.children))
+            X_train, children = (fold.X[fold.rows], None) if full else (fold.X, fold.children)
             fits.append(shared or fit_featurization(
                 feat_name, fold.schema, X_train, children, sgd, hidden_dims, seed))
             train_sets.append(clf_mod.make_labeled_set(
@@ -221,7 +224,7 @@ def evaluate(
         cls for fold in folds for cls in fold.classes)))
     # per fold: build the test side once, score it with every featurization and model, drop it
     for k, fold in enumerate(folds):
-        X_test = (fold.table.X[_rows_for(fold.table, fold.test_q)] if full else encode_rows(
+        X_test = (full[1].X[_rows_for(full[1], fold.test_q)] if full else encode_rows(
             fold.schema, [node for q in fold.test_q for node in iter_nodes(corpus.records[q].root)]))
         # the classes the test side holds, each with its rows
         masks = {cls: mask for cls in fold.classes if (mask := fold.y_test == cls).any()}

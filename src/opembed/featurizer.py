@@ -25,10 +25,11 @@ _KINDS = {type(None): "sparse", Encoder: "neural", PcaModel: "pca", FaModel: "fa
 # rows Featurizer.features encodes and transforms at once: at least this many
 READ_BLOCK_ROWS = 256
 # the narrowest matrix product Featurizer.features splits into blocks.
-# OpenBLAS 0.3.31 (Haswell kernels, 1 or 2 threads) computes an M x N product
-# over 32 or more inputs with M * N <= 1200 by another kernel than a larger
-# one, which changes the last bits of its rows; a block of READ_BLOCK_ROWS
-# rows is past that size only when N >= 5
+# OpenBLAS 0.3.31 (1 or 2 threads; measured with its Haswell kernels and
+# again with its SkylakeX kernels) computes an M x N product over 32 or more
+# inputs with M * N <= 1200 by another kernel than a larger one, which
+# changes the last bits of its rows; a block of READ_BLOCK_ROWS rows is past
+# that size only when N >= 5
 MIN_BLOCKED_WIDTH = 5
 
 
@@ -148,7 +149,8 @@ def fit_featurization(
     seed: int = 0,
 ) -> Featurizer:
     """Fit one featurization on train-side data. neural-<k> needs the child
-    rows of X_train (an OperatorTable's children) to train on."""
+    rows of X_train (an OperatorTable's children) to train on; seed seeds its
+    initialization and, when sgd is None, its batch order."""
     kind, dim = parse_featurization(name)
     if kind == "sparse":
         return Featurizer(schema)
@@ -156,7 +158,7 @@ def fit_featurization(
         if children is None:
             raise ValueError("neural featurization needs training triples")
         enet = build(HourglassSpec(hidden_dims, dim, seed), schema)
-        train_embedding(enet, X_train, children, sgd or nn.SgdConfig())
+        train_embedding(enet, X_train, children, sgd or nn.SgdConfig(seed=seed))
         return Featurizer(schema, cut_off(enet))
     if kind == "pca":
         return Featurizer(schema, fit_pca(X_train, dim))

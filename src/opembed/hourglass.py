@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .featurize import FeatureSchema, corpus_operators, schema_hash
-from .plans import Corpus
+from .featurize import FeatureSchema, schema_hash
 
 DEFAULT_HIDDEN = (256, 256, 128, 128, 64, 64)
 
@@ -179,23 +178,3 @@ def cut_off(enet: EmbeddingNetwork, pre_activation: bool = False) -> Encoder:
     if pre_activation:
         layers[-1] = nn.DenseLayer(layers[-1].W, layers[-1].b)
     return Encoder(trunk=nn.Network(layers), schema_digest=enet.schema_digest)
-
-
-def embed_corpus(
-    encoder: Encoder, schema: FeatureSchema, corpus: Corpus
-) -> tuple[list[str], np.ndarray]:
-    """Embed every operator in walk order through Featurizer.features, which
-    refuses a schema other than the encoder's; returns the operator ids and
-    the (n, embedding_dim) embeddings, one row per id."""
-    from .featurizer import Featurizer
-
-    nodes, ids, _ = corpus_operators(corpus)
-    return ids, Featurizer(schema, encoder).features(nodes)
-
-
-def project_2d(X: np.ndarray) -> np.ndarray:
-    """PCA projection of a row matrix to 2 columns."""
-    from .reducers import fit_pca, transform_pca
-
-    X = np.asarray(X)
-    return transform_pca(fit_pca(X, 2), X)

@@ -1,5 +1,6 @@
 """Non-neural featurization baselines: PCA by one eigendecomposition of
-the sample covariance, and greedy correlation-based feature agglomeration.
+the sample covariance, and greedy correlation-based feature agglomeration;
+plus the two-column PCA projection for plotting.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def transform_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Coordinates of centered x on the principal directions."""
     x = np.asarray(x, dtype=np.float64)
     return (x - model.mean) @ model.components.T
+
+
+def project_2d(X: np.ndarray) -> np.ndarray:
+    """PCA projection of a row matrix to 2 columns."""
+    X = np.asarray(X)
+    return transform_pca(fit_pca(X, 2), X)
 
 
 @dataclass

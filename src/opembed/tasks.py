@@ -22,6 +22,8 @@ from .plans import Corpus, QueryRecord, iter_nodes
 ADMISSION_CLASSES = ("ok", "slow")
 CARD_CLASSES = ("correct", "over", "under")
 TASKS = ("admission", "card", "user")
+# make_folds' strategies; the first is the CLI's default
+STRATEGIES = ("random", "temporal", "by_group")
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def make_folds(
             buckets[smallest].extend(groups[key])
         parts = [np.array(bucket, dtype=np.intp) for bucket in buckets]
     else:
-        raise ValueError(f"unknown fold strategy {strategy!r}")
+        raise ValueError(f"unknown fold strategy {strategy!r}; want one of {STRATEGIES}")
     # part i trains; the other parts, in order, are its test side
     folds = [(np.sort(part), np.sort(np.concatenate(parts[:i] + parts[i + 1:])))
              for i, part in enumerate(parts)]

@@ -664,6 +664,25 @@ def test_evaluate_table_is_deterministic_without_timings(runner, tmp_path, pipel
     assert "infer ms" in run_ok(runner, args + ["--timings"]).output
 
 
+def test_evaluate_defaults_are_the_librarys(runner, tmp_path, pipeline):
+    """CLI evaluate given only the options it needs writes the report that
+    evaluate.evaluate writes with the library's own defaults."""
+    from opembed.classifiers import MODELS
+    from opembed.nn import SgdConfig
+    from opembed.plans import load_corpus
+    from opembed.tasks import TaskSpec, make_folds
+
+    _, corpus, _, _ = pipeline
+    cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    run_ok(runner, ["evaluate", "--corpus", str(corpus), "--featurizations", "sparse,pca-4",
+                    "--epochs", "2", "--seed", "3", "--out", str(cli_out)])
+    plans = load_corpus(corpus)
+    evaluate_mod.evaluate(plans, TaskSpec("card"), ["sparse", "pca-4"], list(MODELS),
+                          make_folds(plans, "random", seed=3), sgd=SgdConfig(epochs=2, seed=3),
+                          seed=3).to_csv(lib_out)
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
 @pytest.mark.parametrize("grid, reason", [
     (["--models", ""], "at least one featurization and one model"),
     (["--featurizations", ","], "at least one featurization and one model"),

@@ -48,6 +48,22 @@ def test_fit_featurization_needs_triples_for_neural(eval_corpus):
     assert np.array_equal(sparse.transform(X), X)
 
 
+def test_fit_featurization_seeds_the_default_batch_order():
+    """Without an sgd config, seed seeds the batch order as well as the
+    initialization: the fit is the one with SgdConfig(seed=seed)."""
+    from opembed.featurize import fit_encode
+
+    schema, table = fit_encode(generate(SynthConfig(n_queries=30, seed=17)))
+
+    def embeddings(**sgd):
+        feat = fit_featurization("neural-4", schema, table.X, table.children,
+                                 hidden_dims=(8,), seed=3, **sgd)
+        return feat.transform(table.X).tobytes()
+
+    assert embeddings() == embeddings(sgd=nn.SgdConfig(seed=3))
+    assert embeddings() != embeddings(sgd=nn.SgdConfig(seed=0))
+
+
 def test_dummy_accuracy_equals_prior_exactly(eval_corpus, eval_plan):
     report = evaluate(
         eval_corpus, TaskSpec("admission"), ["sparse"], ["dummy"], eval_plan

@@ -6,19 +6,19 @@ import pytest
 
 from opembed import nn
 from opembed.errors import SchemaError, TrainingDivergedError
-from opembed.featurize import build_schema, encode, encode_corpus, fit_encode
+from opembed.featurize import build_schema, corpus_operators, encode, encode_corpus, fit_encode
+from opembed.featurizer import Featurizer
 from opembed.hourglass import (
     DEFAULT_HIDDEN,
     Encoder,
     HourglassSpec,
     build,
     cut_off,
-    embed_corpus,
     predict_children,
-    project_2d,
     train_embedding,
 )
 from opembed.plans import Corpus, walk_operators
+from opembed.reducers import project_2d
 from opembed.synth import SynthConfig, generate, planted_card_config
 
 
@@ -309,12 +309,18 @@ def test_embed_zero_vector_is_finite(sorted_run):
     assert np.isfinite(e).all()
 
 
+def _embed(encoder, schema, corpus):
+    """Operator ids and embeddings in walk order, read as CLI embed reads them."""
+    nodes, ids, _ = corpus_operators(corpus)
+    return ids, Featurizer(schema, encoder).features(nodes)
+
+
 def test_embed_is_pure(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
     encoder = cut_off(enet)
     first = Corpus(sorted_corpus.records[:1])
-    ids, E = embed_corpus(encoder, schema, first)
-    again_ids, again = embed_corpus(encoder, schema, first)
+    ids, E = _embed(encoder, schema, first)
+    again_ids, again = _embed(encoder, schema, first)
     assert np.array_equal(E, again) and ids == again_ids
 
 
@@ -323,13 +329,13 @@ def test_embed_rejects_foreign_schema(sorted_run, corpus60):
     encoder = cut_off(enet)
     other = build_schema(corpus60)
     with pytest.raises(SchemaError, match="schema"):
-        embed_corpus(encoder, other, corpus60)
+        _embed(encoder, other, corpus60)
 
 
 def test_embed_corpus_rows_and_ids(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
     encoder = cut_off(enet)
-    ids, E = embed_corpus(encoder, schema, sorted_corpus)
+    ids, E = _embed(encoder, schema, sorted_corpus)
     n_ops = sum(1 for _ in walk_operators(sorted_corpus))
     assert len(ids) == n_ops
     assert E.shape == (n_ops, encoder.embedding_dim)
@@ -346,7 +352,7 @@ def _mean_dist(P, Q):
 def test_embeddings_cluster_by_node_type(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
     encoder = cut_off(enet)
-    _, E = embed_corpus(encoder, schema, sorted_corpus)
+    _, E = _embed(encoder, schema, sorted_corpus)
     lab = np.array([it.node.node_type for it in walk_operators(sorted_corpus)])
     a = E[lab == "SeqScan"][:150]
     b = E[lab == "MergeJoin"][:150]
@@ -386,7 +392,7 @@ def test_logreg_on_embeddings_tracks_head_accuracy(sorted_corpus, sorted_run):
 
 def test_project_2d_shape(sorted_corpus, sorted_run):
     schema, enet, _ = sorted_run
-    ids, E = embed_corpus(cut_off(enet), schema, sorted_corpus)
+    ids, E = _embed(cut_off(enet), schema, sorted_corpus)
     P = project_2d(E)
     assert P.shape == (len(ids), 2)
 

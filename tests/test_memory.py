@@ -21,8 +21,9 @@ import pytest
 
 from opembed import nn
 from opembed.evaluate import evaluate
-from opembed.featurize import build_schema, encode_corpus, fit_encode
-from opembed.hourglass import HourglassSpec, build, cut_off, embed_corpus, train_embedding
+from opembed.featurize import build_schema, corpus_operators, encode_corpus, fit_encode
+from opembed.featurizer import Featurizer
+from opembed.hourglass import HourglassSpec, build, cut_off, train_embedding
 from opembed.plans import load_corpus, save_corpus
 from opembed.synth import PRESETS, generate
 from opembed.tasks import TaskSpec, make_folds
@@ -68,10 +69,10 @@ def test_peak_memory_grows_linearly_with_corpus_size(preset, tmp_path):
 def test_embedding_a_corpus_peaks_below_its_encodings():
     corpus = generate(dataclasses.replace(PRESETS["tpcds-like"](seed=2), n_queries=250))
     schema = build_schema(corpus)
-    encoder = cut_off(build(HourglassSpec(), schema))
-    ids, _ = embed_corpus(encoder, schema, corpus)
-    x_bytes = len(ids) * schema.total_dim * 8  # the float64 X encode_corpus would hold
-    peak = _peak(lambda: embed_corpus(encoder, schema, corpus))
+    feat = Featurizer(schema, cut_off(build(HourglassSpec(), schema)))
+    x_bytes = len(corpus_operators(corpus)[0]) * schema.total_dim * 8  # encode_corpus's X
+    # the corpus walk and the read, as CLI embed runs them
+    peak = _peak(lambda: feat.features(corpus_operators(corpus)[0]))
     assert peak < x_bytes, (peak, x_bytes)
 
 
